@@ -16,7 +16,7 @@ from .citegraph import (
     clustering_coefficient,
     edge_expansion,
 )
-from .corpus import PaperRecord, ReferenceEntry, Venue, VenueTable
+from .corpus import PaperRecord, Venue, VenueTable
 from .docprep import (
     BracketGroup,
     MainContent,
@@ -64,7 +64,6 @@ __all__ = [
     "MatchVerdict",
     "PaperRecord",
     "PipelineConfig",
-    "ReferenceEntry",
     "RunSummary",
     "Thresholds",
     "Venue",

@@ -28,13 +28,18 @@ partial entry.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
 import logging
 import os
 import re
 import threading
 import time
+import types
+import typing
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 from typing import Any, Callable, Protocol
 
@@ -64,6 +69,66 @@ def safe_filename(identifier: str) -> str:
 def dump_json(obj: Any) -> str:
     """Deterministic JSON serialization used for all on-disk artifacts."""
     return json.dumps(obj, sort_keys=True, ensure_ascii=False, indent=2) + "\n"
+
+
+def to_json(obj: Any) -> Any:
+    """JSON-ready form of a stage artifact.
+
+    Dataclasses become objects keyed by field name, ``Fraction`` becomes
+    ``[numerator, denominator]``, sets become sorted lists and tuples
+    lists; ``from_json`` inverts it given the declared type.
+    """
+    if dataclasses.is_dataclass(obj):
+        return {name: to_json(getattr(obj, name)) for name, _ in _field_types(type(obj))}
+    if isinstance(obj, Fraction):
+        return [obj.numerator, obj.denominator]
+    if isinstance(obj, (set, frozenset)):
+        return sorted(to_json(item) for item in obj)
+    if isinstance(obj, (list, tuple)):
+        return [to_json(item) for item in obj]
+    if isinstance(obj, dict):
+        return {key: to_json(value) for key, value in obj.items()}
+    return obj
+
+
+@functools.cache
+def _field_types(cls: type) -> tuple[tuple[str, Any], ...]:
+    # get_type_hints re-evaluates every annotation on each call
+    hints = typing.get_type_hints(cls)
+    return tuple((f.name, hints[f.name]) for f in dataclasses.fields(cls))
+
+
+def from_json(tp: Any, data: Any) -> Any:
+    """Rebuild a value of type ``tp`` from its ``to_json`` form.
+
+    Dataclass fields missing from ``data`` take their defaults; keys
+    that name no field are ignored.
+    """
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin in (types.UnionType, typing.Union):
+        if data is None:
+            return None
+        (inner,) = [arg for arg in args if arg is not type(None)]
+        return from_json(inner, data)
+    if dataclasses.is_dataclass(tp):
+        return tp(
+            **{
+                name: from_json(field_tp, data[name])
+                for name, field_tp in _field_types(tp)
+                if name in data
+            }
+        )
+    if tp is Fraction:
+        return Fraction(*data)
+    if origin in (list, set):
+        return origin(from_json(args[0], item) for item in data)
+    if origin is tuple:
+        if len(args) == 2 and args[1] is Ellipsis:
+            return tuple(from_json(args[0], item) for item in data)
+        return tuple(from_json(arg, item) for arg, item in zip(args, data))
+    if origin is dict:
+        return {key: from_json(args[1], value) for key, value in data.items()}
+    return data
 
 
 def atomic_write_text(path: Path, text: str) -> None:
@@ -283,6 +348,32 @@ class FixtureIndexClient:
         return self._load_papers().get(index_id)
 
 
+def send_with_retry(
+    send: Callable[[], requests.Response],
+    limiter: TokenBucket | None,
+    retry: RetryPolicy,
+    what: str,
+) -> requests.Response:
+    """Call ``send`` under the rate limiter, retrying connection errors,
+    429 and 5xx with backoff; returns the first other response and
+    raises TransportError once the attempts run out."""
+    last: Exception | None = None
+    for delay in [*retry.delays(), None]:
+        if limiter is not None:
+            limiter.acquire()
+        try:
+            resp = send()
+        except requests.RequestException as exc:
+            last = exc
+        else:
+            if resp.status_code != 429 and resp.status_code < 500:
+                return resp
+            last = TransportError(f"{what} -> HTTP {resp.status_code}")
+        if delay is not None:
+            time.sleep(delay)
+    raise TransportError(f"{what} failed after {retry.max_attempts} attempts: {last}")
+
+
 def _request_json(
     session: requests.Session,
     url: str,
@@ -290,31 +381,16 @@ def _request_json(
     limiter: TokenBucket | None,
     retry: RetryPolicy,
 ) -> Any:
-    """GET with rate limiting and bounded backoff; raises TransportError."""
-    delays = list(retry.delays()) + [None]
-    last: Exception | None = None
-    for delay in delays:
-        if limiter is not None:
-            limiter.acquire()
-        try:
-            resp = session.get(url, params=params, timeout=30)
-        except requests.RequestException as exc:
-            last = exc
-        else:
-            if resp.status_code == 404:
-                return None
-            if resp.status_code == 429 or resp.status_code >= 500:
-                last = TransportError(f"{url} -> HTTP {resp.status_code}")
-            elif resp.status_code >= 400:
-                raise TransportError(f"{url} -> HTTP {resp.status_code}", retryable=False)
-            else:
-                try:
-                    return resp.json()
-                except ValueError as exc:
-                    raise IndexParseError(f"non-JSON response from {url}") from exc
-        if delay is not None:
-            time.sleep(delay)
-    raise TransportError(f"{url} failed after {retry.max_attempts} attempts: {last}")
+    """GET with rate limiting and bounded backoff; None on 404."""
+    resp = send_with_retry(lambda: session.get(url, params=params, timeout=30), limiter, retry, url)
+    if resp.status_code == 404:
+        return None
+    if resp.status_code >= 400:
+        raise TransportError(f"{url} -> HTTP {resp.status_code}", retryable=False)
+    try:
+        return resp.json()
+    except ValueError as exc:
+        raise IndexParseError(f"non-JSON response from {url}") from exc
 
 
 class HttpPreprintClient:

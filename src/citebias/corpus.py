@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from importlib import resources
 from typing import Iterable, Sequence
 
-from .clients import JsonCache, PreprintIndexClient, ScholarIndexClient
+from .clients import CachedScholarClient, PreprintIndexClient, ScholarIndexClient
 from .errors import (
     EXCL_AMBIGUOUS,
     EXCL_NOT_FOUND,
@@ -125,29 +125,6 @@ class PaperRecord:
     authors: list[str]
     reference_ids: list[str] = field(default_factory=list)
     intro_reference_numbers: set[int] = field(default_factory=set)
-
-
-@dataclass
-class ReferenceEntry:
-    """One bibliography entry, ground truth or resolved.
-
-    ``author_count`` and ``year`` are None when "et al." or the source text
-    obscures them. Citation/reference counts are populated only from the
-    index (never invented), so they are None unless ``index_id`` is set.
-    """
-
-    citation_number: int
-    raw_text: str
-    title: str = ""
-    authors: list[str] = field(default_factory=list)
-    author_count: int | None = None
-    year: int | None = None
-    venue: Venue = Venue("Others", "")
-    index_id: str | None = None
-    citation_count: int | None = None
-    influential_citation_count: int | None = None
-    reference_count: int | None = None
-    outgoing_reference_ids: list[str] = field(default_factory=list)
 
 
 @dataclass
@@ -280,61 +257,14 @@ def resolve_paper(
     )
 
 
-def enrich_reference(
-    index_id: str,
-    scholar: ScholarIndexClient,
-    cache: JsonCache,
-) -> EnrichedRecord | Exclusion:
-    """Fetch (or load cached) metadata for one index id.
+def enrich_reference(index_id: str, scholar: CachedScholarClient) -> EnrichedRecord | Exclusion:
+    """Metadata for one index id, read through the disk cache.
 
-    The result is cached on disk keyed by the id; a repeat call performs
-    no network I/O. Ids missing from the index leave an explicit
-    not-found marker in the cache rather than a silent gap.
+    A repeat call performs no network I/O. Ids missing from the index
+    leave an explicit not-found marker in the cache rather than a silent
+    gap.
     """
-    hit = cache.load("paper", index_id)
-    if hit is not None:
-        if hit["status"] == "not_found":
-            return Exclusion(EXCL_NOT_FOUND, index_id)
-        return EnrichedRecord.from_payload(hit["payload"])
     payload = scholar.get_paper(index_id)
     if payload is None:
-        cache.store_not_found("paper", index_id, "id-not-in-index")
         return Exclusion(EXCL_NOT_FOUND, index_id)
-    cache.store("paper", index_id, payload)
     return EnrichedRecord.from_payload(payload)
-
-
-def enrich_all(
-    index_ids: Iterable[str],
-    scholar: ScholarIndexClient,
-    cache: JsonCache,
-) -> tuple[dict[str, EnrichedRecord], dict[str, Exclusion]]:
-    """Enrich every id once; returns (found, not_found) keyed by id."""
-    found: dict[str, EnrichedRecord] = {}
-    missing: dict[str, Exclusion] = {}
-    for index_id in dict.fromkeys(index_ids):
-        result = enrich_reference(index_id, scholar, cache)
-        if isinstance(result, Exclusion):
-            missing[index_id] = result
-        else:
-            found[index_id] = result
-    return found, missing
-
-
-def apply_enrichment(
-    entry: ReferenceEntry, record: EnrichedRecord, venue_table: VenueTable
-) -> ReferenceEntry:
-    """Populate a reference entry from its enrichment record."""
-    return replace(
-        entry,
-        index_id=record.index_id,
-        title=record.title or entry.title,
-        authors=list(record.authors) or entry.authors,
-        author_count=len(record.authors) if record.authors else entry.author_count,
-        year=record.year if record.year is not None else entry.year,
-        venue=venue_table.canonicalize(record.venue_raw) if record.venue_raw else entry.venue,
-        citation_count=record.citation_count,
-        influential_citation_count=record.influential_citation_count,
-        reference_count=record.reference_count,
-        outgoing_reference_ids=list(record.outgoing_reference_ids),
-    )

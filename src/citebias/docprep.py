@@ -156,7 +156,7 @@ def locate_main_tex(source_dir: Path | str) -> Path | Exclusion:
         if "\\begin{document}" in text and "\\end{document}" in text:
             candidates.append(path)
     if not candidates:
-        return Exclusion(EXCL_NO_MAIN, str(source_dir))
+        return Exclusion(EXCL_NO_MAIN, source_dir.name)
     if len(candidates) > 1:
         return Exclusion(
             EXCL_MULTIPLE_MAINS, ", ".join(str(p.name) for p in candidates)
@@ -546,7 +546,7 @@ def resolve_bibliography(
             )
         return CompiledBibliography(bbl_entries)
 
-    return Exclusion(EXCL_NO_BIB, str(source_dir))
+    return Exclusion(EXCL_NO_BIB, source_dir.name)
 
 
 def run_latex_check(

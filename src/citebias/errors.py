@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class CitebiasError(Exception):
@@ -105,15 +105,3 @@ EXCL_COMPILE_ERROR = "compile-error"
 EXCL_NOT_FOUND = "index-not-found"
 EXCL_AMBIGUOUS = "index-ambiguous"
 
-
-@dataclass
-class Warnings:
-    """Non-fatal anomalies attached to a paper record."""
-
-    items: list[str] = field(default_factory=list)
-
-    def add(self, message: str) -> None:
-        self.items.append(message)
-
-    def __bool__(self) -> bool:
-        return bool(self.items)

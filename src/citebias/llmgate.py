@@ -21,14 +21,13 @@ import json
 import logging
 import os
 import re
-import time
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
 import requests
 
-from .clients import RetryPolicy, TokenBucket, atomic_write_text
+from .clients import RetryPolicy, TokenBucket, atomic_write_text, send_with_retry
 from .corpus import Venue, VenueTable
 from .errors import MockResponseMissing, ProviderRefusal, TableParseError, TransportError
 
@@ -202,31 +201,17 @@ class OpenAIChatProvider:
             "messages": [{"role": role, "content": content} for role, content in messages],
             **params,
         }
-        delays = list(self.retry.delays()) + [None]
-        last: Exception | None = None
-        for delay in delays:
-            if self.limiter is not None:
-                self.limiter.acquire()
-            try:
-                resp = self.session.post(
-                    f"{self.base_url}/chat/completions", json=body, timeout=120
-                )
-            except requests.RequestException as exc:
-                last = exc
-            else:
-                if resp.status_code == 429 or resp.status_code >= 500:
-                    last = TransportError(f"provider HTTP {resp.status_code}")
-                elif resp.status_code >= 400:
-                    raise TransportError(
-                        f"provider HTTP {resp.status_code}: {resp.text[:200]}",
-                        retryable=False,
-                    )
-                else:
-                    payload = resp.json()
-                    return payload["choices"][0]["message"]["content"] or ""
-            if delay is not None:
-                time.sleep(delay)
-        raise TransportError(f"provider failed after {self.retry.max_attempts} attempts: {last}")
+        resp = send_with_retry(
+            lambda: self.session.post(f"{self.base_url}/chat/completions", json=body, timeout=120),
+            self.limiter,
+            self.retry,
+            "provider",
+        )
+        if resp.status_code >= 400:
+            raise TransportError(
+                f"provider HTTP {resp.status_code}: {resp.text[:200]}", retryable=False
+            )
+        return resp.json()["choices"][0]["message"]["content"] or ""
 
 
 def generate(

@@ -148,22 +148,6 @@ class MatchVerdict:
     best_candidate: MatchCandidate | None
     thresholds_used: tuple[float, float]
 
-    def to_json(self) -> dict:
-        return {
-            "exists": self.exists,
-            "matched_index_id": self.matched_index_id,
-            "best_candidate": (
-                {
-                    "index_id": self.best_candidate.index_id,
-                    "title_score": self.best_candidate.title_score,
-                    "author_score": self.best_candidate.author_score,
-                }
-                if self.best_candidate
-                else None
-            ),
-            "thresholds_used": list(self.thresholds_used),
-        }
-
 
 def score_candidate(
     generated_title: str,

@@ -25,7 +25,7 @@ import logging
 import os
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -43,13 +43,14 @@ from .clients import (
     TokenBucket,
     atomic_write_text,
     dump_json,
+    from_json,
     parallel_map,
     safe_filename,
+    to_json,
 )
 from .corpus import (
     EnrichedRecord,
     PaperRecord,
-    Venue,
     VenueTable,
     enrich_reference,
     filter_candidates,
@@ -231,40 +232,30 @@ def load_config(path: Path | str, overrides: dict | None = None) -> PipelineConf
 
 
 class PipelineContext:
-    """Lazily constructed clients and shared state for one run."""
+    """Index clients and shared state for one run."""
 
-    def __init__(self, config: PipelineConfig):
+    def __init__(self, config: PipelineConfig, manifest_hash: str):
         self.config = config
-        self.cache = JsonCache(config.cache_dir, "scholar", refresh=config.refresh)
+        self.manifest_hash = manifest_hash
         if config.venue_aliases_path:
             self.venue_table = VenueTable.from_file(config.venue_aliases_path)
         else:
             self.venue_table = VenueTable.default()
         self.thresholds = config.thresholds or matcher.default_thresholds()
-        self._fixture = FixtureIndexClient(config.fixture_dir) if config.fixture_dir else None
-        self._index_limiter = TokenBucket(config.rate_limit_per_sec)
+        if config.fixture_dir:
+            self.preprint = scholar = FixtureIndexClient(config.fixture_dir)
+        else:
+            limiter = TokenBucket(config.rate_limit_per_sec)
+            self.preprint = HttpPreprintClient(config.preprint_url, limiter=limiter)
+            scholar = HttpScholarClient(
+                config.scholar_url, limiter=limiter, api_key_env=config.scholar_api_key_env
+            )
+        # every scholar read, search or paper, goes through the disk cache
+        self.scholar = CachedScholarClient(
+            scholar, JsonCache(config.cache_dir, "scholar", refresh=config.refresh)
+        )
         self._provider_limiter = TokenBucket(config.provider_rate_limit)
         self._provider = None
-
-    @property
-    def preprint(self):
-        if self._fixture is not None:
-            return self._fixture
-        return HttpPreprintClient(self.config.preprint_url, limiter=self._index_limiter)
-
-    @property
-    def scholar(self):
-        if self._fixture is not None:
-            return self._fixture
-        return HttpScholarClient(
-            self.config.scholar_url,
-            limiter=self._index_limiter,
-            api_key_env=self.config.scholar_api_key_env,
-        )
-
-    @property
-    def scholar_cached(self):
-        return CachedScholarClient(self.scholar, self.cache)
 
     @property
     def provider(self):
@@ -329,11 +320,12 @@ def inputs_digest(config: PipelineConfig) -> str:
     return digest.hexdigest()
 
 
-def manifest_hash(config: PipelineConfig) -> str:
+def manifest_hash(config: PipelineConfig, inputs: str) -> str:
+    """Digest of the config, the templates and ``inputs`` (an ``inputs_digest``)."""
     core = {
         "config": config.snapshot,
         "templates": template_hashes(),
-        "inputs": inputs_digest(config),
+        "inputs": inputs,
     }
     return hashlib.sha256(dump_json(core).encode("utf-8")).hexdigest()
 
@@ -380,85 +372,6 @@ def _pid_alive(pid: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Record (de)serialization
-# ---------------------------------------------------------------------------
-
-
-def _venue_json(venue: Venue) -> dict:
-    return {"canonical": venue.canonical, "raw": venue.raw}
-
-
-def _venue_from(payload: dict) -> Venue:
-    return Venue(payload["canonical"], payload["raw"])
-
-
-def paper_to_json(paper: PaperRecord) -> dict:
-    return {
-        "preprint_id": paper.preprint_id,
-        "index_id": paper.index_id,
-        "title": paper.title,
-        "venue": _venue_json(paper.venue),
-        "year": paper.year,
-        "posted_date": paper.posted_date,
-        "authors": paper.authors,
-        "reference_ids": paper.reference_ids,
-        "intro_reference_numbers": sorted(paper.intro_reference_numbers),
-    }
-
-
-def paper_from_json(payload: dict) -> PaperRecord:
-    return PaperRecord(
-        preprint_id=payload["preprint_id"],
-        index_id=payload["index_id"],
-        title=payload["title"],
-        venue=_venue_from(payload["venue"]),
-        year=payload["year"],
-        posted_date=payload["posted_date"],
-        authors=list(payload["authors"]),
-        reference_ids=list(payload["reference_ids"]),
-        intro_reference_numbers=set(payload["intro_reference_numbers"]),
-    )
-
-
-def genref_to_json(ref: GeneratedReference) -> dict:
-    return {
-        "citation_number": ref.citation_number,
-        "raw_text": ref.raw_text,
-        "title": ref.title,
-        "authors": ref.authors,
-        "author_count": ref.author_count,
-        "year": ref.year,
-        "venue": _venue_json(ref.venue),
-        "source_strategy": ref.source_strategy,
-        "range_derived": ref.range_derived,
-        "et_al": ref.et_al,
-    }
-
-
-def genref_from_json(payload: dict) -> GeneratedReference:
-    return GeneratedReference(
-        citation_number=payload["citation_number"],
-        raw_text=payload["raw_text"],
-        title=payload["title"],
-        authors=list(payload["authors"]),
-        author_count=payload["author_count"],
-        year=payload["year"],
-        venue=_venue_from(payload["venue"]),
-        source_strategy=payload["source_strategy"],
-        range_derived=payload["range_derived"],
-        et_al=payload.get("et_al", False),
-    )
-
-
-def _fraction_json(value: Fraction | None) -> list[int] | None:
-    return None if value is None else [value.numerator, value.denominator]
-
-
-def _fraction_from(payload) -> Fraction | None:
-    return None if payload is None else Fraction(payload[0], payload[1])
-
-
-# ---------------------------------------------------------------------------
 # Stage: ingest
 # ---------------------------------------------------------------------------
 
@@ -474,7 +387,7 @@ def stage_ingest(ctx: PipelineContext) -> dict:
     for stub in kept:
         resolved = resolve_paper(
             stub,
-            ctx.scholar_cached,
+            ctx.scholar,
             ctx.venue_table,
             fuzzy_threshold=cfg.resolve_fuzzy_threshold,
         )
@@ -497,7 +410,7 @@ def stage_ingest(ctx: PipelineContext) -> dict:
 
     all_ids = sorted({rid for paper in papers for rid in paper.reference_ids})
     results = parallel_map(
-        lambda rid: enrich_reference(rid, ctx.scholar, ctx.cache),
+        lambda rid: enrich_reference(rid, ctx.scholar),
         all_ids,
         max_in_flight=cfg.max_in_flight,
     )
@@ -505,7 +418,7 @@ def stage_ingest(ctx: PipelineContext) -> dict:
     enriched_ok = len(results) - enrich_missing
 
     out = ctx.stage_dir("corpus")
-    atomic_write_text(out / "papers.json", dump_json([paper_to_json(p) for p in papers]))
+    atomic_write_text(out / "papers.json", dump_json(to_json(papers)))
     atomic_write_text(out / "exclusions.json", dump_json(exclusions))
     by_code: dict[str, int] = {}
     for item in exclusions:
@@ -529,7 +442,7 @@ def load_papers(ctx: PipelineContext, prepared: bool = False) -> list[PaperRecor
     if not path.is_file():
         needed = "prepare" if prepared else "ingest"
         raise PipelineError(f"{stage}/papers.json missing: run the {needed} stage first")
-    return [paper_from_json(p) for p in json.loads(path.read_text(encoding="utf-8"))]
+    return from_json(list[PaperRecord], json.loads(path.read_text(encoding="utf-8")))
 
 
 # ---------------------------------------------------------------------------
@@ -540,7 +453,7 @@ def load_papers(ctx: PipelineContext, prepared: bool = False) -> list[PaperRecor
 def _enriched_for(ctx: PipelineContext, ids: list[str]) -> dict[str, EnrichedRecord]:
     out = {}
     for rid in ids:
-        rec = enrich_reference(rid, ctx.scholar, ctx.cache)
+        rec = enrich_reference(rid, ctx.scholar)
         if not isinstance(rec, Exclusion):
             out[rid] = rec
     return out
@@ -622,7 +535,7 @@ def stage_prepare(ctx: PipelineContext) -> dict:
                 table = None
             atomic_write_text(
                 paper_dir / "gt_postprocess_transcript.json",
-                dump_json([[role, content] for role, content in post_run.transcript]),
+                dump_json(to_json(post_run.transcript)),
             )
             if table is not None:
                 enriched = _enriched_for(ctx, paper.reference_ids)
@@ -641,7 +554,7 @@ def stage_prepare(ctx: PipelineContext) -> dict:
                         "authors": ref.authors,
                         "author_count": ref.author_count,
                         "year": ref.year,
-                        "venue": _venue_json(ref.venue),
+                        "venue": to_json(ref.venue),
                         "index_id": index_id,
                         "resolution": resolution,
                     }
@@ -671,7 +584,7 @@ def stage_prepare(ctx: PipelineContext) -> dict:
         survivors.append(paper)
 
     out = ctx.stage_dir("prepared")
-    atomic_write_text(out / "papers.json", dump_json([paper_to_json(p) for p in survivors]))
+    atomic_write_text(out / "papers.json", dump_json(to_json(survivors)))
     atomic_write_text(out / "exclusions.json", dump_json(excluded))
     by_code: dict[str, int] = {}
     for item in excluded:
@@ -734,7 +647,7 @@ def _write_refs_file(
 ) -> None:
     payload = {
         "outcome": outcome,
-        "references": [genref_to_json(by_slot[n]) for n in sorted(by_slot)],
+        "references": to_json([by_slot[n] for n in sorted(by_slot)]),
         "quarantined": quarantined,
         "anomalies": anomalies,
     }
@@ -758,13 +671,13 @@ def _generate_one(
     except ProviderRefusal:
         atomic_write_text(
             paper_dir / "transcript.json",
-            dump_json([[role, content] for role, content in run.transcript]),
+            dump_json(to_json(run.transcript)),
         )
         _write_refs_file(paper_dir, "refusal", {}, [], [])
         return "refusal"
     atomic_write_text(
         paper_dir / "transcript.json",
-        dump_json([[role, content] for role, content in run.transcript]),
+        dump_json(to_json(run.transcript)),
     )
 
     post_run = GenerationRun(cfg.model_id, VANILLA, run_index, dict(cfg.sampling_params))
@@ -801,11 +714,16 @@ def stage_generate(ctx: PipelineContext) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _load_refs(ctx: PipelineContext, strategy: str, run_index: int, paper: PaperRecord) -> dict:
+def _load_refs(
+    ctx: PipelineContext, strategy: str, run_index: int, paper: PaperRecord
+) -> tuple[str, dict[int, GeneratedReference]]:
+    """The outcome and the references by slot of one paper's refs.json."""
     path = ctx.run_dir(strategy, run_index) / ctx.paper_dirname(paper) / "refs.json"
     if not path.is_file():
         raise PipelineError(f"missing {path}; run the {strategy} generation stage first")
-    return json.loads(path.read_text(encoding="utf-8"))
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    refs = from_json(list[GeneratedReference], payload["references"])
+    return payload["outcome"], {ref.citation_number: ref for ref in refs}
 
 
 def _verify_refs(
@@ -822,7 +740,7 @@ def _verify_refs(
             )
             continue
         candidates = search_candidates(
-            ctx.scholar_cached,
+            ctx.scholar,
             ref.title,
             ref.authors,
             et_al=ref.et_al,
@@ -831,7 +749,7 @@ def _verify_refs(
         verdict = decide_existence(candidates, ctx.thresholds)
         if verdict.exists:
             # matched records feed characteristics and the citation graphs
-            enrich_reference(verdict.matched_index_id, ctx.scholar, ctx.cache)
+            enrich_reference(verdict.matched_index_id, ctx.scholar)
         verdicts[ref.citation_number] = verdict
     return verdicts
 
@@ -852,7 +770,7 @@ def _write_verdicts(
             {
                 "citation_number": number,
                 "generated_title": ref.title if ref else "",
-                **verdict.to_json(),
+                **to_json(verdict),
             }
         )
     path = ctx.verdicts_dir(strategy, run_index) / f"{ctx.paper_dirname(paper)}.jsonl"
@@ -865,12 +783,9 @@ def stage_verify(ctx: PipelineContext) -> dict:
     checked = existing = 0
     for run_index in range(1, ctx.config.vanilla_runs + 1):
         for paper in papers:
-            payload = _load_refs(ctx, VANILLA, run_index, paper)
-            refs = [genref_from_json(r) for r in payload["references"]]
-            verdicts = _verify_refs(ctx, refs)
-            _write_verdicts(
-                ctx, VANILLA, run_index, paper, {r.citation_number: r for r in refs}, verdicts
-            )
+            _, refs = _load_refs(ctx, VANILLA, run_index, paper)
+            verdicts = _verify_refs(ctx, list(refs.values()))
+            _write_verdicts(ctx, VANILLA, run_index, paper, refs, verdicts)
             checked += len(verdicts)
             existing += sum(1 for v in verdicts.values() if v.exists)
     return {"checked": checked, "existing": existing}
@@ -882,25 +797,8 @@ def _load_verdicts(
     path = ctx.verdicts_dir(strategy, run_index) / f"{ctx.paper_dirname(paper)}.jsonl"
     if not path.is_file():
         raise PipelineError(f"missing {path}; run the verify stage first")
-    verdicts: dict[int, MatchVerdict] = {}
-    for line in path.read_text(encoding="utf-8").splitlines():
-        row = json.loads(line)
-        best = row.get("best_candidate")
-        verdicts[row["citation_number"]] = MatchVerdict(
-            exists=row["exists"],
-            matched_index_id=row["matched_index_id"],
-            best_candidate=(
-                matcher.MatchCandidate(
-                    index_id=best["index_id"],
-                    title_score=best["title_score"],
-                    author_score=best["author_score"],
-                )
-                if best
-                else None
-            ),
-            thresholds_used=tuple(row["thresholds_used"]),
-        )
-    return verdicts
+    rows = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+    return {row["citation_number"]: from_json(MatchVerdict, row) for row in rows}
 
 
 # ---------------------------------------------------------------------------
@@ -915,8 +813,7 @@ def _iterate_one(
     vanilla_dir = ctx.run_dir(VANILLA, run_index) / ctx.paper_dirname(paper)
     iter_dir = ctx.run_dir(ITERATIVE, run_index) / ctx.paper_dirname(paper)
 
-    payload = _load_refs(ctx, VANILLA, run_index, paper)
-    parent_refs = {r["citation_number"]: genref_from_json(r) for r in payload["references"]}
+    parent_outcome, parent_refs = _load_refs(ctx, VANILLA, run_index, paper)
     parent_verdicts = _load_verdicts(ctx, VANILLA, run_index, paper)
     intro_numbers = set(record["intro_numbers"])
     existing_slots = {n for n, v in parent_verdicts.items() if v.exists}
@@ -934,9 +831,9 @@ def _iterate_one(
     parent_run = GenerationRun(
         cfg.model_id, VANILLA, run_index, dict(cfg.sampling_params), transcript=transcript
     )
-    if payload["outcome"] != "ok" and not parent_refs:
+    if parent_outcome != "ok" and not parent_refs:
         # vanilla never produced a usable response; nothing to build on
-        _write_refs_file(iter_dir, f"parent-{payload['outcome']}", {}, [], [])
+        _write_refs_file(iter_dir, f"parent-{parent_outcome}", {}, [], [])
         _write_verdicts(ctx, ITERATIVE, run_index, paper, {}, parent_verdicts)
         return "parent-failed"
 
@@ -956,7 +853,7 @@ def _iterate_one(
         return "refusal"
     atomic_write_text(
         iter_dir / "transcript.json",
-        dump_json([[role, content] for role, content in it_run.transcript]),
+        dump_json(to_json(it_run.transcript)),
     )
 
     post_run = GenerationRun(cfg.model_id, ITERATIVE, run_index, dict(cfg.sampling_params), parent=parent_run)
@@ -1015,51 +912,36 @@ def stage_iterate(ctx: PipelineContext) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _characteristics_row(
-    cohort: str,
-    title: str,
-    year: int | None,
-    author_count: int | None,
-    venue_label: str,
-    counts: tuple[int | None, int | None, int | None] = (None, None, None),
-) -> stats.CharacteristicsRow:
-    citation, influential, references = counts
+def _gt_row(gt: dict) -> stats.CharacteristicsRow:
     return stats.CharacteristicsRow(
-        cohort=cohort,
-        title_chars=len(title),
-        year=year,
-        author_count=author_count,
-        venue=venue_label,
-        citation_count=citation,
-        influential_citation_count=influential,
-        reference_count=references,
+        cohort="ground_truth",
+        title_chars=len(gt["title"]),
+        year=gt["year"],
+        author_count=gt["author_count"],
+        venue=gt["venue"]["canonical"],
+        citation_count=gt.get("citation_count"),
+        influential_citation_count=gt.get("influential_citation_count"),
+        reference_count=gt.get("reference_count"),
     )
 
 
-def _gt_row(gt: dict, cohort: str) -> stats.CharacteristicsRow:
-    return _characteristics_row(
-        cohort,
-        gt["title"],
-        gt["year"],
-        gt["author_count"],
-        gt["venue"]["canonical"],
-        (
-            gt.get("citation_count"),
-            gt.get("influential_citation_count"),
-            gt.get("reference_count"),
-        ),
+def _generated_row(
+    ctx: PipelineContext, ref: GeneratedReference, verdict: MatchVerdict
+) -> stats.CharacteristicsRow:
+    """A generated reference's row; its counts come from the matched record."""
+    row = stats.CharacteristicsRow(
+        cohort="generated_existing" if verdict.exists else "generated_nonexistent",
+        title_chars=len(ref.title),
+        year=ref.year,
+        author_count=ref.author_count,
+        venue=ref.venue.canonical,
     )
-
-
-def _enriched_counts(
-    ctx: PipelineContext, index_id: str | None
-) -> tuple[int | None, int | None, int | None]:
-    if index_id is None:
-        return (None, None, None)
-    rec = enrich_reference(index_id, ctx.scholar, ctx.cache)
-    if isinstance(rec, Exclusion):
-        return (None, None, None)
-    return (rec.citation_count, rec.influential_citation_count, rec.reference_count)
+    rec = enrich_reference(verdict.matched_index_id, ctx.scholar) if verdict.exists else None
+    if isinstance(rec, EnrichedRecord):
+        row.citation_count = rec.citation_count
+        row.influential_citation_count = rec.influential_citation_count
+        row.reference_count = rec.reference_count
+    return row
 
 
 def _collect_run(
@@ -1078,8 +960,7 @@ def _collect_run(
         gt_by_num = {row["citation_number"]: row for row in record["gt_refs"]}
         intro_ids = {num: row["index_id"] for num, row in gt_by_num.items()}
         unique = set(record["unique_numbers"])
-        payload = _load_refs(ctx, strategy, run_index, paper)
-        refs = {r["citation_number"]: genref_from_json(r) for r in payload["references"]}
+        _, refs = _load_refs(ctx, strategy, run_index, paper)
         verdicts = _load_verdicts(ctx, strategy, run_index, paper)
 
         for number in record["intro_numbers"]:
@@ -1091,56 +972,33 @@ def _collect_run(
             flags.append(flag)
 
             gt = gt_by_num.get(number)
-            if gt is not None:
-                char_rows.append(_gt_row(gt, "ground_truth"))
-                counterpart.append((flag, _gt_row(gt, "counterpart")))
+            gt_row = _gt_row(gt) if gt is not None else None
+            if gt_row is not None:
+                char_rows.append(gt_row)
+                # cohort_split_by_counterpart copies it under its own cohorts
+                counterpart.append((flag, gt_row))
             if ref is not None and verdict is not None:
-                counts = (
-                    _enriched_counts(ctx, verdict.matched_index_id)
-                    if verdict.exists
-                    else (None, None, None)
-                )
-                gen_cohort = "generated_existing" if verdict.exists else "generated_nonexistent"
-                char_rows.append(
-                    _characteristics_row(
-                        "generated_all",
-                        ref.title,
-                        ref.year,
-                        ref.author_count,
-                        ref.venue.canonical,
-                        counts,
-                    )
-                )
-                char_rows.append(
-                    _characteristics_row(
-                        gen_cohort,
-                        ref.title,
-                        ref.year,
-                        ref.author_count,
-                        ref.venue.canonical,
-                        counts,
-                    )
-                )
-                if verdict.exists and gt is not None:
-                    pairs.append(
-                        stats.PairedRefs(
-                            paper_id=paper.index_id,
-                            citation_number=number,
-                            generated=_characteristics_row(
-                                "generated_existing",
-                                ref.title,
-                                ref.year,
-                                ref.author_count,
-                                ref.venue.canonical,
-                                counts,
-                            ),
-                            ground_truth=_gt_row(gt, "ground_truth"),
-                        )
-                    )
+                gen_row = _generated_row(ctx, ref, verdict)
+                char_rows += [replace(gen_row, cohort="generated_all"), gen_row]
+                if verdict.exists and gt_row is not None:
+                    pairs.append(stats.PairedRefs(paper.index_id, number, gen_row, gt_row))
     return {"flags": flags, "char_rows": char_rows, "pairs": pairs, "counterpart": counterpart}
 
 
 BIAS_FACETS = ("subperiod", "title_chars", "author_count", "venue")
+# analysis.json nests RunSummary's five ``<key>_pct`` fields under "pct"
+PCT_KEYS = ("existence", "cited_in_paper", "cited_in_intro", "pm_all", "pm_unique")
+
+
+def _summary_json(strategy: str, run_index: int, summary: stats.RunSummary) -> dict:
+    payload = to_json(summary)
+    pct = {key: payload.pop(f"{key}_pct") for key in PCT_KEYS}
+    return {"strategy": strategy, "run_index": run_index, "pct": pct, **payload}
+
+
+def _summary_from(payload: dict) -> stats.RunSummary:
+    pct = {f"{key}_pct": payload["pct"][key] for key in PCT_KEYS}
+    return from_json(stats.RunSummary, {**payload, **pct})
 
 
 def stage_analyze(ctx: PipelineContext) -> dict:
@@ -1159,19 +1017,9 @@ def stage_analyze(ctx: PipelineContext) -> dict:
             collected = _collect_run(ctx, papers, strategy, run_index)
             run_flags[(strategy, run_index)] = collected["flags"]
             summary = stats.summarize_run(collected["flags"])
-            summary_payload[stats.run_label(strategy, run_index)] = {
-                "strategy": strategy,
-                "run_index": run_index,
-                "pct": {
-                    "existence": _fraction_json(summary.existence_pct),
-                    "cited_in_paper": _fraction_json(summary.cited_in_paper_pct),
-                    "cited_in_intro": _fraction_json(summary.cited_in_intro_pct),
-                    "pm_all": _fraction_json(summary.pm_all_pct),
-                    "pm_unique": _fraction_json(summary.pm_unique_pct),
-                },
-                "denominators": list(summary.denominators),
-                "counts": summary.counts,
-            }
+            summary_payload[stats.run_label(strategy, run_index)] = _summary_json(
+                strategy, run_index, summary
+            )
             if strategy == VANILLA:
                 all_char_rows.extend(collected["char_rows"])
                 all_pairs.extend(collected["pairs"])
@@ -1183,7 +1031,7 @@ def stage_analyze(ctx: PipelineContext) -> dict:
         for j in vanilla_indices:
             if i < j and run_flags.get((VANILLA, i)):
                 value = stats.run_overlap(run_flags[(VANILLA, i)], run_flags[(VANILLA, j)])
-                overlap_payload[f"{i}-{j}"] = _fraction_json(value)
+                overlap_payload[f"{i}-{j}"] = to_json(value)
 
     tables = stats.characteristics(all_char_rows)
     split = stats.cohort_split_by_counterpart(all_counterpart)
@@ -1198,30 +1046,15 @@ def stage_analyze(ctx: PipelineContext) -> dict:
                 all_pairs, facet, metric, subperiod_bins=cfg.subperiod_bins
             )
             name = facet if metric == "citation_count" else f"{facet}_influential"
-            bias_payload[name] = {
-                "facet": table.facet,
-                "metric": table.metric,
-                "excluded_pairs": table.excluded_pairs,
-                "bins": [
-                    {
-                        "bin_label": b.bin_label,
-                        "generated_median": b.generated_median,
-                        "ground_truth_median": b.ground_truth_median,
-                        "difference": b.difference,
-                        "n_generated": b.n_generated,
-                        "n_ground_truth": b.n_ground_truth,
-                    }
-                    for b in table.bins
-                ],
-            }
+            bias_payload[name] = to_json(table)
 
     analysis = {
         "summaries": summary_payload,
         "overlaps": overlap_payload,
         "vanilla_runs": cfg.vanilla_runs,
         "iterative": cfg.iterative,
-        "histograms": stats.histograms_payload(tables),
-        "counterpart_histograms": stats.histograms_payload(counterpart_tables),
+        "histograms": to_json(tables),
+        "counterpart_histograms": to_json(counterpart_tables),
         "bias": bias_payload,
     }
     atomic_write_text(ctx.stage_dir("analysis") / "analysis.json", dump_json(analysis))
@@ -1258,7 +1091,7 @@ def stage_graph(ctx: PipelineContext) -> dict:
         )
         adjacency: dict[str, list[str]] = {paper.index_id: list(paper.reference_ids)}
         for node in {*intro_ids, *generated_ids}:
-            rec = enrich_reference(node, ctx.scholar, ctx.cache)
+            rec = enrich_reference(node, ctx.scholar)
             if not isinstance(rec, Exclusion):
                 adjacency[node] = list(rec.outgoing_reference_ids)
                 citation_counts[node] = rec.citation_count
@@ -1270,25 +1103,14 @@ def stage_graph(ctx: PipelineContext) -> dict:
         rows.append(citegraph.metrics_row(graph))
         graphs.append(graph)
 
-    mhash = manifest_hash(cfg)
+    mhash = ctx.manifest_hash
     citegraph.write_graph_metrics_csv(graphs_dir / "graph_metrics.csv", rows, mhash)
     profiles = citegraph.category_profiles(graphs, citation_counts, reference_counts)
     payload = {
         "manifest_hash": mhash,
         "strategy": strategy,
         "run_index": run_index,
-        "profiles": {
-            category: {
-                metric: {
-                    "bins": [[label, count] for label, count in hist.bins],
-                    "unknown": hist.unknown,
-                    "n_known": hist.n_known,
-                    "median": hist.median,
-                }
-                for metric, hist in sorted(metrics.items())
-            }
-            for category, metrics in sorted(profiles.items())
-        },
+        "profiles": to_json(profiles),
     }
     atomic_write_text(graphs_dir / "category_profiles.json", dump_json(payload))
     return {"graphs": len(rows)}
@@ -1299,36 +1121,6 @@ def stage_graph(ctx: PipelineContext) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _rebuild_summaries(analysis: dict) -> dict[tuple[str, int], stats.RunSummary]:
-    out = {}
-    for payload in analysis["summaries"].values():
-        pct = payload["pct"]
-        out[(payload["strategy"], payload["run_index"])] = stats.RunSummary(
-            existence_pct=_fraction_from(pct["existence"]),
-            cited_in_paper_pct=_fraction_from(pct["cited_in_paper"]),
-            cited_in_intro_pct=_fraction_from(pct["cited_in_intro"]),
-            pm_all_pct=_fraction_from(pct["pm_all"]),
-            pm_unique_pct=_fraction_from(pct["pm_unique"]),
-            denominators=tuple(payload["denominators"]),
-            counts=payload["counts"],
-        )
-    return out
-
-
-def _rebuild_histograms(payload: dict) -> dict[str, dict[str, stats.Histogram]]:
-    tables: dict[str, dict[str, stats.Histogram]] = {}
-    for cohort, metrics in payload.items():
-        tables[cohort] = {}
-        for metric, hist in metrics.items():
-            tables[cohort][metric] = stats.Histogram(
-                bins=[(label, count) for label, count in hist["bins"]],
-                unknown=hist["unknown"],
-                n_known=hist["n_known"],
-                median=hist["median"],
-            )
-    return tables
-
-
 def stage_report(ctx: PipelineContext) -> dict:
     analysis_path = ctx.stage_dir("analysis") / "analysis.json"
     if not analysis_path.is_file():
@@ -1336,54 +1128,7 @@ def stage_report(ctx: PipelineContext) -> dict:
     analysis = json.loads(analysis_path.read_text(encoding="utf-8"))
     report_dir = ctx.stage_dir("report")
     report_dir.mkdir(parents=True, exist_ok=True)
-    mhash = manifest_hash(ctx.config)
-
-    summaries = _rebuild_summaries(analysis)
-    if summaries:
-        stats.write_summary_csv(report_dir / "summary.csv", summaries, mhash)
-        stats.write_summary_counts_csv(report_dir / "summary_counts.csv", summaries, mhash)
-    else:
-        atomic_write_text(report_dir / "summary.csv", f"# manifest_hash={mhash}\nmetric\n")
-        atomic_write_text(report_dir / "summary_counts.csv", f"# manifest_hash={mhash}\ncount\n")
-
-    overlaps = {
-        tuple(int(x) for x in key.split("-")): _fraction_from(value)
-        for key, value in analysis["overlaps"].items()
-    }
-    run_indices = list(range(1, analysis["vanilla_runs"] + 1))
-    if len(run_indices) > 1 and overlaps:
-        stats.write_overlap_csv(report_dir / "overlap.csv", overlaps, run_indices, mhash)
-    else:
-        atomic_write_text(report_dir / "overlap.csv", f"# manifest_hash={mhash}\nrun\n")
-
-    tables = _rebuild_histograms(analysis["histograms"])
-    stats.write_characteristics_csvs(report_dir / "characteristics", tables, mhash)
-    counterpart = _rebuild_histograms(analysis["counterpart_histograms"])
-    stats.write_characteristics_csvs(report_dir / "characteristics", counterpart, mhash)
-
-    bias_dir = report_dir / "bias"
-    bias_dir.mkdir(parents=True, exist_ok=True)
-    for name, payload in sorted(analysis["bias"].items()):
-        table = stats.BiasTable(
-            facet=payload["facet"],
-            metric=payload["metric"],
-            excluded_pairs=payload["excluded_pairs"],
-            bins=[
-                stats.BiasBin(
-                    facet=payload["facet"],
-                    bin_label=b["bin_label"],
-                    generated_median=b["generated_median"],
-                    ground_truth_median=b["ground_truth_median"],
-                    difference=b["difference"],
-                    n_generated=b["n_generated"],
-                    n_ground_truth=b["n_ground_truth"],
-                )
-                for b in payload["bins"]
-            ],
-        )
-        stats.write_bias_csv(bias_dir / f"{name}.csv", table, mhash)
-
-    stats.write_histograms_json(report_dir / "histograms.json", tables, mhash)
+    mhash = ctx.manifest_hash
 
     lines = [
         f"manifest_hash: {mhash}",
@@ -1393,10 +1138,40 @@ def stage_report(ctx: PipelineContext) -> dict:
         "",
         "Headline percentages (see summary.csv):",
     ]
-    for key in sorted(analysis["summaries"]):
-        payload = analysis["summaries"][key]
-        existence = _fraction_from(payload["pct"]["existence"])
-        lines.append(f"  {key}: existence {stats.format_pct(existence)}%")
+    summaries = {}
+    for label, payload in sorted(analysis["summaries"].items()):
+        summary = _summary_from(payload)
+        summaries[(payload["strategy"], payload["run_index"])] = summary
+        lines.append(f"  {label}: existence {stats.format_pct(summary.existence_pct)}%")
+    if summaries:
+        stats.write_summary_csv(report_dir / "summary.csv", summaries, mhash)
+        stats.write_summary_counts_csv(report_dir / "summary_counts.csv", summaries, mhash)
+    else:
+        atomic_write_text(report_dir / "summary.csv", f"# manifest_hash={mhash}\nmetric\n")
+        atomic_write_text(report_dir / "summary_counts.csv", f"# manifest_hash={mhash}\ncount\n")
+
+    overlaps = {
+        tuple(int(x) for x in key.split("-")): value
+        for key, value in from_json(dict[str, Fraction], analysis["overlaps"]).items()
+    }
+    run_indices = list(range(1, analysis["vanilla_runs"] + 1))
+    if len(run_indices) > 1 and overlaps:
+        stats.write_overlap_csv(report_dir / "overlap.csv", overlaps, run_indices, mhash)
+    else:
+        atomic_write_text(report_dir / "overlap.csv", f"# manifest_hash={mhash}\nrun\n")
+
+    histograms = dict[str, dict[str, stats.Histogram]]
+    tables = from_json(histograms, analysis["histograms"])
+    stats.write_characteristics_csvs(report_dir / "characteristics", tables, mhash)
+    counterpart = from_json(histograms, analysis["counterpart_histograms"])
+    stats.write_characteristics_csvs(report_dir / "characteristics", counterpart, mhash)
+
+    bias_dir = report_dir / "bias"
+    bias_dir.mkdir(parents=True, exist_ok=True)
+    for name, table in sorted(from_json(dict[str, stats.BiasTable], analysis["bias"]).items()):
+        stats.write_bias_csv(bias_dir / f"{name}.csv", table, mhash)
+
+    stats.write_histograms_json(report_dir / "histograms.json", tables, mhash)
     atomic_write_text(report_dir / "summary.txt", "\n".join(lines) + "\n")
     return {"files": sum(1 for _ in report_dir.rglob("*") if _.is_file())}
 
@@ -1438,15 +1213,16 @@ def run_pipeline(config: PipelineConfig, stages: list[str] | None = None) -> dic
             raise ConfigError(f"unknown stage {stage!r}")
     requested.sort(key=STAGES.index)
 
-    core = manifest_hash(config)
-    ctx = PipelineContext(config)
+    inputs = inputs_digest(config)
+    core = manifest_hash(config, inputs)
+    ctx = PipelineContext(config, core)
     manifest: dict = {
         "manifest_hash": core,
         "created_at": _now_iso(),
         "model_id": config.model_id,
         "config": config.snapshot,
         "template_hashes": template_hashes(),
-        "inputs_digest": inputs_digest(config),
+        "inputs_digest": inputs,
         "stages": {},
         "failure": None,
     }

@@ -18,7 +18,7 @@ from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
 
-from .clients import atomic_write_text, dump_json
+from .clients import atomic_write_text, dump_json, to_json
 from .corpus import CANONICAL_VENUES, PaperRecord
 from .llmgate import GeneratedReference
 from .matcher import MatchVerdict
@@ -299,7 +299,6 @@ class PairedRefs:
 
 @dataclass
 class BiasBin:
-    facet: str
     bin_label: str
     generated_median: float | None
     ground_truth_median: float | None
@@ -394,7 +393,6 @@ def bias_breakdown(
         )
         out_bins.append(
             BiasBin(
-                facet=facet,
                 bin_label=label,
                 generated_median=gen_median,
                 ground_truth_median=gt_median,
@@ -583,23 +581,8 @@ def write_bias_csv(path: Path, table: BiasTable, manifest_hash: str) -> None:
     _write_csv(path, header, rows, manifest_hash)
 
 
-def histograms_payload(tables: dict[str, dict[str, Histogram]]) -> dict:
-    """JSON-ready bundle of every histogram, for plotting."""
-    payload: dict = {}
-    for cohort, metrics in sorted(tables.items()):
-        payload[cohort] = {}
-        for metric, hist in sorted(metrics.items()):
-            payload[cohort][metric] = {
-                "bins": [[label, count] for label, count in hist.bins],
-                "unknown": hist.unknown,
-                "n_known": hist.n_known,
-                "median": hist.median,
-            }
-    return payload
-
-
 def write_histograms_json(path: Path, tables: dict, manifest_hash: str) -> None:
-    payload = {"manifest_hash": manifest_hash, "histograms": histograms_payload(tables)}
+    payload = {"manifest_hash": manifest_hash, "histograms": to_json(tables)}
     atomic_write_text(path, dump_json(payload))
 
 

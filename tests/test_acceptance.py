@@ -6,6 +6,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 import json
 import os
 import random
+import shutil
 import time
 from fractions import Fraction
 
@@ -173,12 +174,19 @@ def _tree_bytes(root):
 def test_criterion_5_end_to_end_determinism(workspace, tmp_path):
     start = time.monotonic()
     root, config_path = workspace
+    # the third run reads a copy of the same workspace at another path
+    moved = tmp_path / "moved_workspace"
+    shutil.copytree(root, moved, ignore=shutil.ignore_patterns("out", "cache"))
     os.environ["SOURCE_DATE_EPOCH"] = "1700000000"
     try:
         outs = []
-        for name in ("det_one", "det_two"):
+        for name, config_file in (
+            ("det_one", config_path),
+            ("det_two", config_path),
+            ("det_moved", moved / config_path.relative_to(root)),
+        ):
             config = load_config(
-                config_path,
+                config_file,
                 {
                     "out_dir": str(tmp_path / name),
                     "cache_dir": str(tmp_path / f"cache_{name}"),
@@ -190,10 +198,11 @@ def test_criterion_5_end_to_end_determinism(workspace, tmp_path):
     finally:
         os.environ.pop("SOURCE_DATE_EPOCH", None)
 
-    first, second = (_tree_bytes(out) for out in outs)
-    assert first.keys() == second.keys()
-    for rel in first:
-        assert first[rel] == second[rel], f"{rel} differs between runs"
+    first, *others = (_tree_bytes(out) for out in outs)
+    for other, name in zip(others, ("a rerun", "a moved workspace")):
+        assert first.keys() == other.keys()
+        for rel in first:
+            assert first[rel] == other[rel], f"{rel} differs on {name}"
 
     lines = (outs[0] / "report" / "summary.csv").read_text().splitlines()
     header = lines[1].split(",")
@@ -206,7 +215,7 @@ def test_criterion_5_end_to_end_determinism(workspace, tmp_path):
         assert pm <= intro <= paper <= existence, header[column + 1]
     elapsed = time.monotonic() - start
     assert elapsed < 120.0
-    _report("criterion 5: two full runs byte-identical; monotone chain holds", elapsed)
+    _report("criterion 5: three full runs byte-identical; monotone chain holds", elapsed)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from citebias.clients import (
     TokenBucket,
     atomic_write_text,
     dump_json,
+    to_json,
 )
 from citebias.corpus import (
     CandidateStub,
@@ -268,8 +269,6 @@ def test_resolve_fuzzy_threshold_catches_near_titles(fixture_client, venue_table
 
 
 def test_harvest_resolve_twice_is_byte_identical(fixture_client, venue_table):
-    from citebias.pipeline import paper_to_json
-
     def run():
         stubs = harvest_candidates(fixture_client, WINDOW, "cs.LG", KEYWORDS)
         stubs = filter_candidates(stubs, ["workshop"])
@@ -277,7 +276,7 @@ def test_harvest_resolve_twice_is_byte_identical(fixture_client, venue_table):
         for stub in stubs:
             resolved = resolve_paper(stub, fixture_client, venue_table)
             if not isinstance(resolved, Exclusion):
-                out.append(paper_to_json(resolved))
+                out.append(to_json(resolved))
         return dump_json(out)
 
     assert run() == run()
@@ -304,14 +303,14 @@ class CountingScholar:
 
 def test_enrich_populates_outgoing_ids(fixture_client, tmp_path):
     cache = JsonCache(tmp_path / "cache", "scholar")
-    record = enrich_reference("s_ref1", fixture_client, cache)
+    record = enrich_reference("s_ref1", CachedScholarClient(fixture_client, cache))
     assert record.outgoing_reference_ids == ["s_ref2", "s_ref3", "s_widgets"]
     assert record.citation_count == 900
 
 
 def test_enrich_zero_citations_is_zero_not_unknown(fixture_client, tmp_path):
     cache = JsonCache(tmp_path / "cache", "scholar")
-    record = enrich_reference("s_ref2", fixture_client, cache)
+    record = enrich_reference("s_ref2", CachedScholarClient(fixture_client, cache))
     assert record.citation_count == 0
     assert record.influential_citation_count == 0
 
@@ -319,19 +318,19 @@ def test_enrich_zero_citations_is_zero_not_unknown(fixture_client, tmp_path):
 def test_enrich_second_call_hits_cache_only(fixture_client, tmp_path):
     cache = JsonCache(tmp_path / "cache", "scholar")
     counting = CountingScholar(fixture_client)
-    enrich_reference("s_ref1", counting, cache)
+    enrich_reference("s_ref1", CachedScholarClient(counting, cache))
     assert counting.calls == 1
-    enrich_reference("s_ref1", counting, cache)
+    enrich_reference("s_ref1", CachedScholarClient(counting, cache))
     assert counting.calls == 1  # served from disk
 
 
 def test_enrich_not_found_leaves_marker(fixture_client, tmp_path):
     cache = JsonCache(tmp_path / "cache", "scholar")
     counting = CountingScholar(fixture_client)
-    result = enrich_reference("s_ghost", counting, cache)
+    result = enrich_reference("s_ghost", CachedScholarClient(counting, cache))
     assert isinstance(result, Exclusion)
     # the marker prevents a second network call
-    result = enrich_reference("s_ghost", counting, cache)
+    result = enrich_reference("s_ghost", CachedScholarClient(counting, cache))
     assert isinstance(result, Exclusion)
     assert counting.calls == 1
     assert (tmp_path / "cache" / "scholar" / "s_ghost.json").is_file()
@@ -339,27 +338,27 @@ def test_enrich_not_found_leaves_marker(fixture_client, tmp_path):
 
 def test_corrupt_cache_entry_recomputed_others_untouched(fixture_client, tmp_path):
     cache = JsonCache(tmp_path / "cache", "scholar")
-    enrich_reference("s_ref1", fixture_client, cache)
-    enrich_reference("s_ref2", fixture_client, cache)
+    enrich_reference("s_ref1", CachedScholarClient(fixture_client, cache))
+    enrich_reference("s_ref2", CachedScholarClient(fixture_client, cache))
     ref1 = tmp_path / "cache" / "scholar" / "s_ref1.json"
     ref2 = tmp_path / "cache" / "scholar" / "s_ref2.json"
     ref1.write_text("{corrupt json!!")
     before = (ref2.read_bytes(), ref2.stat().st_mtime_ns)
     counting = CountingScholar(fixture_client)
-    record = enrich_reference("s_ref1", counting, cache)
+    record = enrich_reference("s_ref1", CachedScholarClient(counting, cache))
     assert isinstance(record, EnrichedRecord) and counting.calls == 1
     assert json.loads(ref1.read_text())["status"] == "ok"
-    enrich_reference("s_ref2", counting, cache)
+    enrich_reference("s_ref2", CachedScholarClient(counting, cache))
     assert counting.calls == 1
     assert (ref2.read_bytes(), ref2.stat().st_mtime_ns) == before
 
 
 def test_cache_refresh_bypasses_reads(fixture_client, tmp_path):
     cache = JsonCache(tmp_path / "cache", "scholar")
-    enrich_reference("s_ref1", fixture_client, cache)
+    enrich_reference("s_ref1", CachedScholarClient(fixture_client, cache))
     refreshing = JsonCache(tmp_path / "cache", "scholar", refresh=True)
     counting = CountingScholar(fixture_client)
-    enrich_reference("s_ref1", counting, refreshing)
+    enrich_reference("s_ref1", CachedScholarClient(counting, refreshing))
     assert counting.calls == 1
 
 

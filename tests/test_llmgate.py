@@ -223,11 +223,11 @@ class FakePostSession:
 
 
 def test_openai_provider_sends_messages_and_retries(monkeypatch):
-    import citebias.llmgate as llmgate_mod
+    import citebias.clients as clients_mod
     from citebias.clients import RetryPolicy
     from citebias.llmgate import OpenAIChatProvider
 
-    monkeypatch.setattr(llmgate_mod.time, "sleep", lambda s: None)
+    monkeypatch.setattr(clients_mod.time, "sleep", lambda s: None)
     ok = {"choices": [{"message": {"content": "[1] A reference."}}]}
     session = FakePostSession([(429, None), (200, ok)])
     provider = OpenAIChatProvider(
@@ -245,6 +245,18 @@ def test_openai_provider_sends_messages_and_retries(monkeypatch):
         {"role": "system", "content": "s"},
         {"role": "user", "content": "u"},
     ]
+
+
+def test_openai_provider_4xx_is_not_retryable():
+    from citebias.errors import TransportError
+    from citebias.llmgate import OpenAIChatProvider
+
+    session = FakePostSession([(400, None)])
+    provider = OpenAIChatProvider("http://gateway.test/v1", "some-model", session=session)
+    with pytest.raises(TransportError) as err:
+        provider.send([("user", "u")], {})
+    assert not err.value.retryable
+    assert len(session.bodies) == 1
 
 
 def test_openai_provider_reads_key_from_environment(monkeypatch):

@@ -436,3 +436,85 @@ def test_empty_corpus_emits_header_only_reports(workspace, tmp_path):
     overlap_lines = (report / "overlap.csv").read_text().splitlines()
     assert overlap_lines[1] == "run"
     assert len(overlap_lines) == 2
+
+
+# ---------------------------------------------------------------------------
+# Artifact codec
+# ---------------------------------------------------------------------------
+
+
+def _random_artifacts(rng):
+    """One seeded instance of every dataclass the stages write to disk."""
+    from fractions import Fraction
+
+    from citebias.corpus import PaperRecord, Venue
+    from citebias.llmgate import GeneratedReference
+    from citebias.matcher import MatchCandidate, MatchVerdict
+    from citebias.stats import BiasBin, BiasTable, Histogram, RunSummary
+
+    def maybe(value):
+        return value if rng.random() < 0.7 else None
+
+    def text():
+        return "".join(rng.choice("abcé xyz") for _ in range(rng.randint(0, 12)))
+
+    def pct():
+        return maybe(Fraction(rng.randint(0, 300), rng.randint(1, 97)))
+
+    venue = Venue(rng.choice(["NeurIPS", "Others"]), text())
+    candidate = MatchCandidate(text(), rng.random(), rng.random())
+    return [
+        (PaperRecord, PaperRecord(
+            text(), text(), text(), venue, rng.randint(1990, 2024), "2022-03-05",
+            [text() for _ in range(rng.randint(0, 3))],
+            [text() for _ in range(rng.randint(0, 3))],
+            set(rng.sample(range(1, 40), rng.randint(0, 5))),
+        )),
+        (GeneratedReference, GeneratedReference(
+            rng.randint(1, 40), text(), text(), [text()], maybe(rng.randint(1, 9)),
+            maybe(rng.randint(1990, 2024)), venue, rng.choice(["vanilla", "iterative"]),
+            rng.random() < 0.5, rng.random() < 0.5,
+        )),
+        (MatchVerdict, MatchVerdict(True, candidate.index_id, candidate, (rng.random(), 0.5))),
+        (MatchVerdict, MatchVerdict(False, None, None, (0.9, rng.random()))),
+        (RunSummary, RunSummary(
+            pct(), pct(), pct(), pct(), None, (rng.randint(0, 9), 0),
+            {"total_refs": rng.randint(0, 9)},
+        )),
+        (Histogram, Histogram(
+            [(text(), rng.randint(0, 9)) for _ in range(rng.randint(0, 4))],
+            rng.randint(0, 9), rng.randint(0, 9),
+            rng.choice([None, rng.randint(0, 99), rng.random() * 100]),
+        )),
+        (BiasTable, BiasTable(
+            rng.choice(["venue", "subperiod"]), "citation_count",
+            [BiasBin(text(), maybe(rng.random()), maybe(2.5), maybe(-1.0), rng.randint(0, 9), 3)
+             for _ in range(rng.randint(0, 3))],
+            rng.randint(0, 9),
+        )),
+    ]
+
+
+def test_codec_round_trips_stage_artifacts():
+    import random
+
+    from citebias.clients import dump_json, from_json, to_json
+
+    for seed in range(200):
+        for cls, value in _random_artifacts(random.Random(seed)):
+            data = json.loads(dump_json(to_json(value)))
+            assert from_json(cls, data) == value, (seed, cls.__name__)
+
+
+def test_codec_missing_field_takes_default():
+    from citebias.clients import from_json
+    from citebias.llmgate import GeneratedReference
+
+    row = {  # a refs.json row written before et_al existed
+        "citation_number": 3, "raw_text": "| 3 | A |", "title": "T", "authors": ["A"],
+        "author_count": 1, "year": 2020, "venue": {"canonical": "ICML", "raw": "ICML"},
+        "source_strategy": "vanilla", "range_derived": False,
+    }
+    ref = from_json(GeneratedReference, row)
+    assert ref.et_al is False
+    assert ref.venue.canonical == "ICML" and ref.authors == ["A"]
