@@ -50,7 +50,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(stage, help=_STAGE_HELP[stage])
         if stage == "generate":
             sp.add_argument("--model", help="override the configured model id")
-            sp.add_argument("--strategy", choices=["vanilla"], default="vanilla")
             sp.add_argument("--runs", type=int, help="override the vanilla run count")
     sub.add_parser("all", help="run every stage in order")
 
@@ -72,6 +71,8 @@ def _overrides(args: argparse.Namespace) -> dict:
         out["refresh"] = True
     if getattr(args, "model", None):
         out["model_id"] = args.model
+    if getattr(args, "runs", None):
+        out["vanilla_runs"] = args.runs
     return out
 
 
@@ -110,8 +111,6 @@ def main(argv: list[str] | None = None) -> int:
             print("error: --config is required for pipeline commands", file=sys.stderr)
             return 2
         config = load_config(args.config, _overrides(args))
-        if getattr(args, "runs", None):
-            config.vanilla_runs = args.runs
         stages = None if args.command == "all" else [args.command]
         manifest = run_pipeline(config, stages)
         for stage, info in manifest["stages"].items():

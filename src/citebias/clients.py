@@ -248,23 +248,17 @@ class JsonCache:
         return envelope
 
     def store(self, endpoint: str, cache_id: str, payload: Any) -> dict:
-        envelope = {
-            "schema_version": CACHE_SCHEMA_VERSION,
-            "endpoint": endpoint,
-            "id": cache_id,
-            "status": "ok",
-            "payload": payload,
-        }
-        atomic_write_text(self._path(cache_id), dump_json(envelope))
-        return envelope
+        return self._write(endpoint, cache_id, status="ok", payload=payload)
 
     def store_not_found(self, endpoint: str, cache_id: str, reason: str) -> dict:
+        return self._write(endpoint, cache_id, status="not_found", reason=reason)
+
+    def _write(self, endpoint: str, cache_id: str, **entry: Any) -> dict:
         envelope = {
             "schema_version": CACHE_SCHEMA_VERSION,
             "endpoint": endpoint,
             "id": cache_id,
-            "status": "not_found",
-            "reason": reason,
+            **entry,
         }
         atomic_write_text(self._path(cache_id), dump_json(envelope))
         return envelope

@@ -18,13 +18,7 @@ from importlib import resources
 from typing import Iterable, Sequence
 
 from .clients import CachedScholarClient, PreprintIndexClient, ScholarIndexClient
-from .errors import (
-    EXCL_AMBIGUOUS,
-    EXCL_NOT_FOUND,
-    AmbiguousMatchError,
-    Exclusion,
-    IndexParseError,
-)
+from .errors import EXCL_NOT_FOUND, AmbiguousMatchError, Exclusion, IndexParseError
 from .textnorm import title_key, tokens
 
 logger = logging.getLogger(__name__)

@@ -74,14 +74,6 @@ class BracketGroup:
     raw: str
     numbers: frozenset[int]
 
-    @property
-    def sorted_numbers(self) -> list[int]:
-        return sorted(self.numbers)
-
-    @property
-    def uniquely_identifying(self) -> bool:
-        return len(self.numbers) == 1
-
 
 @dataclass
 class MainContent:
@@ -123,7 +115,6 @@ class PreparedDocument:
     reference_texts: list[tuple[int, str]]
     bibliography: CompiledBibliography
     cleaned_tex: str
-    rendered_text: str
     warnings: list[str] = field(default_factory=list)
 
 
@@ -882,7 +873,6 @@ def prepare_source(
         reference_texts=reference_texts,
         bibliography=bibliography,
         cleaned_tex=cleaned,
-        rendered_text=rendered,
         warnings=warnings,
     )
 

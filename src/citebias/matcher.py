@@ -241,14 +241,13 @@ class LabelledPair:
     et_al: bool = False
 
     def scores(self) -> tuple[float, float]:
-        title = title_similarity(self.generated_title, self.candidate_title)
-        if self.generated_authors and self.candidate_authors:
-            author = author_similarity(
-                self.generated_authors, self.candidate_authors, self.et_al
-            )
-        else:
-            author = 0.0
-        return (title, author)
+        record = {
+            "index_id": self.candidate_id,
+            "title": self.candidate_title,
+            "authors": self.candidate_authors,
+        }
+        scored = score_candidate(self.generated_title, self.generated_authors, self.et_al, record)
+        return (scored.title_score, scored.author_score)
 
 
 @dataclass
@@ -312,7 +311,7 @@ def calibrate(pairs: list[LabelledPair]) -> CalibrationReport:
     if len(labels) < 2:
         raise CalibrationError("labelled set must contain both classes")
 
-    scored = [(p.scores()[0], p.scores()[1], p.label) for p in pairs]
+    scored = [(*p.scores(), p.label) for p in pairs]
     title_grid = sorted({0.0, 1.0, *(s[0] for s in scored)})
     author_grid = sorted({0.0, 1.0, *(s[1] for s in scored)})
 

@@ -6,12 +6,13 @@ Stages run in a fixed dependency order::
 
 Each stage reads only files written by earlier stages (or the disk
 cache), writes its outputs under its own subdirectory of the output
-directory, and records a completion marker keyed by a digest of the
-configuration and input trees; re-runs with unchanged inputs skip
-completed stages. Every emitted file carries the manifest hash, which is
-computed from deterministic inputs only, so a run against the replay
-provider is bit-for-bit reproducible. Set SOURCE_DATE_EPOCH to pin the
-manifest timestamp as well.
+directory, and records a completion marker holding the manifest hash;
+re-runs with the same hash skip completed stages. The hash covers the
+run identity (effective config, template hashes, input digest), which
+``manifest.json`` records in full. Every emitted file carries the
+manifest hash, which is computed from deterministic inputs only, so a
+run against the replay provider is bit-for-bit reproducible. Set
+SOURCE_DATE_EPOCH to pin the manifest timestamp as well.
 
 Per-paper failures (refusals, unparseable responses) are quarantined and
 counted; only infrastructure errors abort a run.
@@ -25,7 +26,7 @@ import logging
 import os
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -58,6 +59,8 @@ from .corpus import (
     resolve_paper,
 )
 from .errors import (
+    EXCL_AMBIGUOUS,
+    AmbiguousMatchError,
     ConfigError,
     Exclusion,
     PipelineError,
@@ -116,7 +119,7 @@ class PipelineConfig:
     provider_rate_limit: float
     vanilla_runs: int
     iterative: bool
-    thresholds: Thresholds | None
+    thresholds: Thresholds
     search_limit: int
     subperiod_bins: list[tuple[str, int | None, int | None]] | None
     graph_strategy: str
@@ -126,7 +129,15 @@ class PipelineConfig:
     out_dir: Path
     mock_dir: Path | None
     refresh: bool
-    snapshot: dict = field(default_factory=dict, repr=False)
+
+
+# Where inputs live and how the run treats its cache: the contents of the
+# input locations are covered by inputs_digest, and the rest do not change
+# outputs, so none of these is part of the run identity.
+LOCATION_FIELDS = (
+    "sources_dir", "venue_aliases_path", "fixture_dir", "mock_dir",
+    "cache_dir", "out_dir", "refresh",
+)
 
 
 def config_schema() -> dict:
@@ -137,9 +148,10 @@ def config_schema() -> dict:
 def load_config(path: Path | str, overrides: dict | None = None) -> PipelineConfig:
     """Load, validate, and normalize a YAML config file.
 
-    CLI overrides (cache_dir, out_dir, mock_dir, refresh, model_id) win
-    over file values. Relative paths resolve against the config file's
-    directory.
+    CLI overrides (cache_dir, out_dir, mock_dir, refresh, model_id,
+    vanilla_runs) win over file values. Relative paths resolve against
+    the config file's directory. Without configured thresholds the
+    bundled calibrated defaults apply.
     """
     path = Path(path)
     try:
@@ -172,7 +184,7 @@ def load_config(path: Path | str, overrides: dict | None = None) -> PipelineConf
     docprep_cfg = raw.get("docprep", {})
 
     thresholds_cfg = matching_cfg.get("thresholds")
-    thresholds = None
+    thresholds = matcher.default_thresholds()
     if thresholds_cfg:
         thresholds = Thresholds(
             title_threshold=thresholds_cfg["title_threshold"],
@@ -205,7 +217,7 @@ def load_config(path: Path | str, overrides: dict | None = None) -> PipelineConf
         provider_api_key_env=provider_cfg.get("api_key_env", "OPENAI_API_KEY"),
         sampling_params=dict(provider_cfg.get("sampling_params", {})),
         provider_rate_limit=provider_cfg.get("rate_limit_per_sec", 1.0),
-        vanilla_runs=runs_cfg.get("vanilla", 1),
+        vanilla_runs=overrides.get("vanilla_runs") or runs_cfg.get("vanilla", 1),
         iterative=runs_cfg.get("iterative", False),
         thresholds=thresholds,
         search_limit=matching_cfg.get("search_limit", 3),
@@ -217,7 +229,6 @@ def load_config(path: Path | str, overrides: dict | None = None) -> PipelineConf
         out_dir=respath(overrides.get("out_dir") or raw.get("out_dir", "out")),
         mock_dir=respath(overrides.get("mock_dir") or raw.get("mock_dir")),
         refresh=bool(overrides.get("refresh", raw.get("refresh", False))),
-        snapshot=raw,
     )
     if cfg.fixture_dir is None and (cfg.preprint_url is None or cfg.scholar_url is None):
         raise ConfigError("index needs either fixture_dir or both service URLs")
@@ -241,7 +252,6 @@ class PipelineContext:
             self.venue_table = VenueTable.from_file(config.venue_aliases_path)
         else:
             self.venue_table = VenueTable.default()
-        self.thresholds = config.thresholds or matcher.default_thresholds()
         if config.fixture_dir:
             self.preprint = scholar = FixtureIndexClient(config.fixture_dir)
         else:
@@ -254,23 +264,15 @@ class PipelineContext:
         self.scholar = CachedScholarClient(
             scholar, JsonCache(config.cache_dir, "scholar", refresh=config.refresh)
         )
-        self._provider_limiter = TokenBucket(config.provider_rate_limit)
-        self._provider = None
-
-    @property
-    def provider(self):
-        if self._provider is None:
-            cfg = self.config
-            if cfg.provider_kind == "mock":
-                self._provider = DirectoryMockProvider(cfg.mock_dir)
-            else:
-                self._provider = OpenAIChatProvider(
-                    cfg.provider_base_url or "https://api.openai.com/v1",
-                    cfg.model_id,
-                    api_key_env=cfg.provider_api_key_env,
-                    limiter=self._provider_limiter,
-                )
-        return self._provider
+        if config.provider_kind == "mock":
+            self.provider = DirectoryMockProvider(config.mock_dir)
+        else:
+            self.provider = OpenAIChatProvider(
+                config.provider_base_url or "https://api.openai.com/v1",
+                config.model_id,
+                api_key_env=config.provider_api_key_env,
+                limiter=TokenBucket(config.provider_rate_limit),
+            )
 
     def provider_for(self, strategy: str, run_index: int):
         """Provider bound to one run; replay stores may carry per-run draws."""
@@ -305,7 +307,8 @@ class PipelineContext:
 def _digest_tree(digest: "hashlib._Hash", root: Path | None) -> None:
     if root is None or not root.exists():
         return
-    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+    paths = [root] if root.is_file() else sorted(p for p in root.rglob("*") if p.is_file())
+    for path in paths:
         digest.update(str(path.relative_to(root)).encode("utf-8"))
         digest.update(b"\0")
         digest.update(path.read_bytes())
@@ -313,21 +316,27 @@ def _digest_tree(digest: "hashlib._Hash", root: Path | None) -> None:
 
 
 def inputs_digest(config: PipelineConfig) -> str:
-    """Digest of every input tree a run depends on."""
+    """Digest of every input tree and file a run depends on."""
     digest = hashlib.sha256()
-    for root in (config.sources_dir, config.fixture_dir, config.mock_dir):
+    roots = (config.sources_dir, config.fixture_dir, config.mock_dir, config.venue_aliases_path)
+    for root in roots:
         _digest_tree(digest, root)
     return digest.hexdigest()
 
 
-def manifest_hash(config: PipelineConfig, inputs: str) -> str:
-    """Digest of the config, the templates and ``inputs`` (an ``inputs_digest``)."""
-    core = {
-        "config": config.snapshot,
-        "templates": template_hashes(),
-        "inputs": inputs,
-    }
-    return hashlib.sha256(dump_json(core).encode("utf-8")).hexdigest()
+def run_identity(config: PipelineConfig, inputs: str) -> dict:
+    """Everything a run's outputs depend on: the effective config without
+    its ``LOCATION_FIELDS``, the template hashes and ``inputs`` (an
+    ``inputs_digest``). ``manifest.json`` records it in full."""
+    effective = to_json(config)
+    for name in LOCATION_FIELDS:
+        del effective[name]
+    return {"config": effective, "template_hashes": template_hashes(), "inputs_digest": inputs}
+
+
+def manifest_hash(identity: dict) -> str:
+    """Digest of a ``run_identity``."""
+    return hashlib.sha256(dump_json(identity).encode("utf-8")).hexdigest()
 
 
 def _now_iso() -> str:
@@ -385,12 +394,15 @@ def stage_ingest(ctx: PipelineContext) -> dict:
     exclusions: list[dict] = []
     seen_index_ids: dict[str, str] = {}
     for stub in kept:
-        resolved = resolve_paper(
-            stub,
-            ctx.scholar,
-            ctx.venue_table,
-            fuzzy_threshold=cfg.resolve_fuzzy_threshold,
-        )
+        try:
+            resolved = resolve_paper(
+                stub,
+                ctx.scholar,
+                ctx.venue_table,
+                fuzzy_threshold=cfg.resolve_fuzzy_threshold,
+            )
+        except AmbiguousMatchError as exc:
+            resolved = Exclusion(EXCL_AMBIGUOUS, str(exc))
         if isinstance(resolved, Exclusion):
             exclusions.append(
                 {"preprint_id": stub.preprint_id, "code": resolved.code, "detail": resolved.detail}
@@ -545,7 +557,7 @@ def stage_prepare(ctx: PipelineContext) -> dict:
                     if num not in raw_by_num or num in gt_rows:
                         continue
                     index_id, resolution = _resolve_gt_title(
-                        ref.title, enriched, ctx.thresholds.title_threshold
+                        ref.title, enriched, cfg.thresholds.title_threshold
                     )
                     row = {
                         "citation_number": num,
@@ -736,7 +748,7 @@ def _verify_refs(
                 exists=False,
                 matched_index_id=None,
                 best_candidate=None,
-                thresholds_used=ctx.thresholds.as_tuple(),
+                thresholds_used=ctx.config.thresholds.as_tuple(),
             )
             continue
         candidates = search_candidates(
@@ -746,7 +758,7 @@ def _verify_refs(
             et_al=ref.et_al,
             limit=ctx.config.search_limit,
         )
-        verdict = decide_existence(candidates, ctx.thresholds)
+        verdict = decide_existence(candidates, ctx.config.thresholds)
         if verdict.exists:
             # matched records feed characteristics and the citation graphs
             enrich_reference(verdict.matched_index_id, ctx.scholar)
@@ -868,8 +880,6 @@ def _iterate_one(
         _write_verdicts(ctx, ITERATIVE, run_index, paper, parent_refs, parent_verdicts)
         return "parse-failure"
 
-    for ref in table.references:
-        ref.source_strategy = ITERATIVE
     iter_by_slot, quarantined, anomalies = _dedupe_refs(table.references, intro_numbers)
     quarantined.extend(table.quarantined)
     anomalies.extend(table.anomalies)
@@ -1192,11 +1202,6 @@ _STAGE_FUNCS = {
 }
 
 
-def _stage_input_hash(core: str, stage: str) -> str:
-    index = STAGES.index(stage)
-    return hashlib.sha256(f"{core}:{index}:{stage}".encode("ascii")).hexdigest()
-
-
 def _marker_path(ctx: PipelineContext, stage: str) -> Path:
     return ctx.out / "stages" / f"{stage}.json"
 
@@ -1213,16 +1218,14 @@ def run_pipeline(config: PipelineConfig, stages: list[str] | None = None) -> dic
             raise ConfigError(f"unknown stage {stage!r}")
     requested.sort(key=STAGES.index)
 
-    inputs = inputs_digest(config)
-    core = manifest_hash(config, inputs)
+    identity = run_identity(config, inputs_digest(config))
+    core = manifest_hash(identity)
     ctx = PipelineContext(config, core)
     manifest: dict = {
+        **identity,
         "manifest_hash": core,
         "created_at": _now_iso(),
         "model_id": config.model_id,
-        "config": config.snapshot,
-        "template_hashes": template_hashes(),
-        "inputs_digest": inputs,
         "stages": {},
         "failure": None,
     }
@@ -1231,13 +1234,12 @@ def run_pipeline(config: PipelineConfig, stages: list[str] | None = None) -> dic
         try:
             for stage in requested:
                 marker = _marker_path(ctx, stage)
-                input_hash = _stage_input_hash(core, stage)
                 if marker.is_file() and not config.refresh:
                     try:
                         existing = json.loads(marker.read_text(encoding="utf-8"))
                     except ValueError:
                         existing = None
-                    if existing and existing.get("input_hash") == input_hash:
+                    if existing and existing.get("manifest_hash") == core:
                         manifest["stages"][stage] = {
                             "status": "skipped",
                             "outcomes": existing.get("outcomes", {}),
@@ -1246,7 +1248,7 @@ def run_pipeline(config: PipelineConfig, stages: list[str] | None = None) -> dic
                 logger.info("running stage %s", stage)
                 outcomes = _STAGE_FUNCS[stage](ctx)
                 atomic_write_text(
-                    marker, dump_json({"input_hash": input_hash, "outcomes": outcomes})
+                    marker, dump_json({"manifest_hash": core, "outcomes": outcomes})
                 )
                 manifest["stages"][stage] = {"status": "ok", "outcomes": outcomes}
         except Exception as exc:

@@ -2,14 +2,17 @@
 
 import json
 import os
+import shutil
 import subprocess
 import sys
+from importlib import resources
 
 import pytest
 import yaml
 
+from citebias import cli
 from citebias.errors import ConfigError, PipelineError
-from citebias.pipeline import load_config, run_pipeline
+from citebias.pipeline import STAGES, load_config, manifest_hash, run_pipeline
 from fixtures_pipeline import MODEL_ID
 
 
@@ -407,6 +410,117 @@ def test_corrupt_cache_key_recomputed_on_stage_rerun(workspace, tmp_path):
     run_pipeline(config, ["ingest"])
     assert json.loads(target.read_text())["status"] == "ok"
     assert (other.read_bytes(), other.stat().st_mtime_ns) == before
+
+
+# ---------------------------------------------------------------------------
+# Run identity
+# ---------------------------------------------------------------------------
+
+
+def _ingest_hash(config_path, tmp_path, name, overrides=None):
+    """The manifest hash of an ingest-only run into its own output directory."""
+    config = load_config(
+        config_path,
+        {"out_dir": str(tmp_path / name), "cache_dir": str(tmp_path / "cache"), **(overrides or {})},
+    )
+    return run_pipeline(config, ["ingest"])["manifest_hash"]
+
+
+def _copy_run(root, tmp_path):
+    """A private copy of the completed run's output and cache directories."""
+    out_dir, cache_dir = tmp_path / "out", tmp_path / "cache"
+    shutil.copytree(root / "out", out_dir)
+    shutil.copytree(root / "cache", cache_dir)
+    return out_dir, cache_dir
+
+
+def test_model_and_runs_overrides_change_manifest_hash(workspace, tmp_path):
+    _, config_path = workspace
+    hashes = [
+        _ingest_hash(config_path, tmp_path, name, overrides)
+        for name, overrides in (
+            ("base", {}),
+            ("model", {"model_id": "other-model"}),
+            ("runs", {"vanilla_runs": 1}),
+        )
+    ]
+    assert len(set(hashes)) == 3
+
+
+def test_model_override_reruns_generation_and_reports(completed_run, tmp_path):
+    root, config_path, _ = completed_run
+    out_dir, cache_dir = _copy_run(root, tmp_path)
+    config = load_config(
+        config_path,
+        {"out_dir": str(out_dir), "cache_dir": str(cache_dir), "model_id": "other-model"},
+    )
+    manifest = run_pipeline(config)
+    for stage in STAGES[STAGES.index("generate"):]:
+        assert manifest["stages"][stage]["status"] == "ok", stage
+    assert manifest["config"]["model_id"] == "other-model"
+    summary = (out_dir / "report" / "summary.txt").read_text().splitlines()
+    assert "model: other-model" in summary
+    assert (out_dir / "runs" / "other-model" / "vanilla-2" / "2203.11111" / "refs.json").is_file()
+
+
+def test_cli_runs_flag_is_recorded_in_manifest(completed_run, tmp_path):
+    root, config_path, _ = completed_run
+    out_dir, cache_dir = _copy_run(root, tmp_path)
+    argv = ["--config", str(config_path), "--out-dir", str(out_dir), "--cache-dir", str(cache_dir)]
+    assert cli.main([*argv, "generate", "--runs", "1"]) == 0
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    assert manifest["config"]["vanilla_runs"] == 1
+    assert manifest["stages"]["generate"] == {
+        "status": "ok",
+        "outcomes": {"runs": 1, "ok": 3, "refusal": 0, "parse-failure": 0},
+    }
+
+
+def test_venue_alias_edit_changes_manifest_hash(workspace, tmp_path):
+    root, config_path = workspace
+    aliases = tmp_path / "venue_aliases.json"
+    table = json.loads(resources.files("citebias.data").joinpath("venue_aliases.json").read_text())
+    aliases.write_text(json.dumps(table))
+    raw = yaml.safe_load(config_path.read_text())
+    raw["corpus"]["venue_aliases_path"] = str(aliases)
+    raw["corpus"]["sources_dir"] = str(root / "sources")
+    raw["index"]["fixture_dir"] = str(root / "index")
+    raw["mock_dir"] = str(root / "mock")
+    aliased = tmp_path / "aliased.yaml"
+    aliased.write_text(yaml.safe_dump(raw))
+
+    before = _ingest_hash(aliased, tmp_path, "before")
+    assert _ingest_hash(aliased, tmp_path, "same") == before
+    table["NeurIPS"]["keywords"].append("neuralips")
+    aliases.write_text(json.dumps(table))
+    assert _ingest_hash(aliased, tmp_path, "after") != before
+
+
+def test_manifest_alone_recomputes_manifest_hash(completed_run):
+    root, _, _ = completed_run
+    manifest = json.loads((root / "out" / "manifest.json").read_text())
+    identity = {key: manifest[key] for key in ("config", "template_hashes", "inputs_digest")}
+    assert manifest_hash(identity) == manifest["manifest_hash"]
+
+
+def test_ambiguous_title_is_excluded_not_fatal(workspace, tmp_path):
+    root, config_path = workspace
+    copy = tmp_path / "ambiguous"
+    shutil.copytree(root, copy, ignore=shutil.ignore_patterns("out", "cache"))
+    papers = copy / "index" / "scholar" / "papers"
+    duplicate = {**json.loads((papers / "focalA.json").read_text()), "index_id": "focalA_copy"}
+    (papers / "focalA_copy.json").write_text(json.dumps(duplicate))
+
+    manifest = run_pipeline(load_config(copy / config_path.relative_to(root)), ["ingest"])
+    outcomes = manifest["stages"]["ingest"]["outcomes"]
+    assert outcomes["excluded_by_code"] == {"index-ambiguous": 1}
+    assert outcomes["resolved"] == 3
+    [excluded] = json.loads((copy / "out" / "corpus" / "exclusions.json").read_text())
+    assert excluded["preprint_id"] == "2203.11111"
+    assert excluded["code"] == "index-ambiguous"
+    assert excluded["detail"] == (
+        "title 'Adaptive Widget Learning' matches 2 index records: focalA, focalA_copy"
+    )
 
 
 # ---------------------------------------------------------------------------
