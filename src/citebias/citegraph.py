@@ -20,7 +20,7 @@ from pathlib import Path
 
 from .clients import atomic_write_text
 from .corpus import PaperRecord
-from .stats import Histogram, count_distribution
+from .stats import Histogram, count_distribution, write_csv
 
 logger = logging.getLogger(__name__)
 
@@ -267,10 +267,7 @@ def write_graph_metrics_csv(
         f"n_{GT_UNCITED}",
         "unknown_adjacency",
     ]
-    lines = [f"# manifest_hash={manifest_hash}", ",".join(header)]
-    for row in rows:
-        lines.append(",".join(str(row[col]) for col in header))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    write_csv(path, header, [[str(row[col]) for col in header] for row in rows], manifest_hash)
 
 
 def metrics_row(graph: CitationGraph) -> dict:

@@ -25,6 +25,7 @@ import json
 import logging
 import os
 import time
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -292,11 +293,19 @@ class PipelineContext:
     def paper_dirname(self, paper: PaperRecord) -> str:
         return safe_filename(paper.preprint_id)
 
+    def prepared_dir(self, paper: PaperRecord) -> Path:
+        return self.stage_dir("prepared") / self.paper_dirname(paper)
+
     def run_dir(self, strategy: str, run_index: int) -> Path:
         return self.out / "runs" / safe_filename(self.config.model_id) / f"{strategy}-{run_index}"
 
-    def verdicts_dir(self, strategy: str, run_index: int) -> Path:
-        return self.out / "verdicts" / safe_filename(self.config.model_id) / f"{strategy}-{run_index}"
+    def paper_run_dir(self, strategy: str, run_index: int, paper: PaperRecord) -> Path:
+        return self.run_dir(strategy, run_index) / self.paper_dirname(paper)
+
+    def verdicts_path(self, strategy: str, run_index: int, paper: PaperRecord) -> Path:
+        run = f"{strategy}-{run_index}"
+        name = f"{self.paper_dirname(paper)}.jsonl"
+        return self.out / "verdicts" / safe_filename(self.config.model_id) / run / name
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +503,6 @@ def stage_prepare(ctx: PipelineContext) -> dict:
     """Document preparation plus ground-truth structuring and resolution."""
     cfg = ctx.config
     papers = load_papers(ctx)
-    prepared_root = ctx.stage_dir("prepared")
     excluded: list[dict] = []
     survivors: list[PaperRecord] = []
     quarantined: list[dict] = []
@@ -520,7 +528,7 @@ def stage_prepare(ctx: PipelineContext) -> dict:
                     f"({max(paper.intro_reference_numbers)} > {len(paper.reference_ids)})"
                 )
 
-        paper_dir = prepared_root / ctx.paper_dirname(paper)
+        paper_dir = ctx.prepared_dir(paper)
         atomic_write_text(paper_dir / "main_content.txt", prep.main_content.text + "\n")
         ref_lines = [f"[{num}] {raw}" for num, raw in intro_refs]
         atomic_write_text(
@@ -610,12 +618,15 @@ def stage_prepare(ctx: PipelineContext) -> dict:
 
 
 def _load_record(ctx: PipelineContext, paper: PaperRecord) -> dict:
-    path = ctx.stage_dir("prepared") / ctx.paper_dirname(paper) / "record.json"
-    return json.loads(path.read_text(encoding="utf-8"))
+    return json.loads((ctx.prepared_dir(paper) / "record.json").read_text(encoding="utf-8"))
+
+
+def _main_content(ctx: PipelineContext, paper: PaperRecord) -> str:
+    return (ctx.prepared_dir(paper) / "main_content.txt").read_text(encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
-# Stage: generate
+# Stages: generate, verify, iterate
 # ---------------------------------------------------------------------------
 
 
@@ -630,24 +641,63 @@ def _write_run_manifest(ctx: PipelineContext, strategy: str, run_index: int) -> 
     atomic_write_text(ctx.run_dir(strategy, run_index) / "run_manifest.json", dump_json(payload))
 
 
-def _dedupe_refs(
-    refs: list[GeneratedReference], valid_numbers: set[int]
-) -> tuple[dict[int, GeneratedReference], list[dict], list[str]]:
-    """First row per slot wins; rows for uncited slots are quarantined."""
+def _each_run_and_paper(ctx: PipelineContext, strategy: str, one) -> list:
+    """``one(ctx, paper, run_index)`` for every run and prepared paper, in
+    order, after writing each run's ``run_manifest.json`` for ``strategy``."""
+    papers = load_papers(ctx, prepared=True)
+    results = []
+    for run_index in range(1, ctx.config.vanilla_runs + 1):
+        _write_run_manifest(ctx, strategy, run_index)
+        results += [one(ctx, paper, run_index) for paper in papers]
+    return results
+
+
+def _ask(
+    ctx: PipelineContext,
+    run: GenerationRun,
+    messages: list,
+    paper_dir: Path,
+    intro_numbers: set[int],
+) -> tuple[str, dict[int, GeneratedReference], list[dict], list[str]]:
+    """One prompting pass for one paper.
+
+    Sends ``messages``, keeps ``response_raw.txt`` and ``transcript.json``
+    under ``paper_dir`` whatever the answer, and structures the answer with
+    the postprocessing prompt. The first row per cited slot wins; rows for
+    uncited slots are quarantined. Returns the ``refs.json`` outcome
+    (``ok``, ``refusal`` or ``parse-failure:<why>``), the references by
+    slot, the quarantined rows and the anomalies.
+    """
+    provider = ctx.provider_for(run.strategy, run.run_index)
+    try:
+        response = generate(run, messages, provider, paper_dir / "response_raw.txt")
+    except ProviderRefusal:
+        response = None
+    atomic_write_text(paper_dir / "transcript.json", dump_json(to_json(run.transcript)))
+    if response is None:
+        return "refusal", {}, [], []
+    post_run = GenerationRun(
+        run.model_id, run.strategy, run.run_index, dict(run.sampling_params), parent=run.parent
+    )
+    try:
+        table = postprocess_references(
+            response, post_run, provider, ctx.venue_table, raw_dir=paper_dir
+        )
+    except (TableParseError, ProviderRefusal) as exc:
+        return f"parse-failure:{exc}", {}, [], []
     by_slot: dict[int, GeneratedReference] = {}
     quarantined: list[dict] = []
     anomalies: list[str] = []
-    for ref in refs:
-        if ref.citation_number not in valid_numbers:
+    for ref in table.references:
+        if ref.citation_number not in intro_numbers:
             quarantined.append(
                 {"row": ref.raw_text, "reason": f"uncited slot {ref.citation_number}"}
             )
-            continue
-        if ref.citation_number in by_slot:
+        elif ref.citation_number in by_slot:
             anomalies.append(f"duplicate row for slot {ref.citation_number}; kept the first")
-            continue
-        by_slot[ref.citation_number] = ref
-    return by_slot, quarantined, anomalies
+        else:
+            by_slot[ref.citation_number] = ref
+    return "ok", by_slot, quarantined + table.quarantined, anomalies + table.anomalies
 
 
 def _write_refs_file(
@@ -666,76 +716,32 @@ def _write_refs_file(
     atomic_write_text(paper_dir / "refs.json", dump_json(payload))
 
 
-def _generate_one(
-    ctx: PipelineContext, paper: PaperRecord, record: dict, run_index: int
-) -> str:
-    cfg = ctx.config
-    paper_dir = ctx.run_dir(VANILLA, run_index) / ctx.paper_dirname(paper)
-    main_content = (
-        ctx.stage_dir("prepared") / ctx.paper_dirname(paper) / "main_content.txt"
-    ).read_text(encoding="utf-8")
-
-    provider = ctx.provider_for(VANILLA, run_index)
-    run = GenerationRun(cfg.model_id, VANILLA, run_index, dict(cfg.sampling_params))
-    messages = render_vanilla_prompt(main_content)
-    try:
-        response = generate(run, messages, provider, paper_dir / "response_raw.txt")
-    except ProviderRefusal:
-        atomic_write_text(
-            paper_dir / "transcript.json",
-            dump_json(to_json(run.transcript)),
-        )
-        _write_refs_file(paper_dir, "refusal", {}, [], [])
-        return "refusal"
-    atomic_write_text(
-        paper_dir / "transcript.json",
-        dump_json(to_json(run.transcript)),
-    )
-
-    post_run = GenerationRun(cfg.model_id, VANILLA, run_index, dict(cfg.sampling_params))
-    try:
-        table = postprocess_references(
-            response, post_run, provider, ctx.venue_table, raw_dir=paper_dir
-        )
-    except (TableParseError, ProviderRefusal) as exc:
-        _write_refs_file(paper_dir, f"parse-failure:{exc}", {}, [], [])
-        return "parse-failure"
-    by_slot, quarantined, anomalies = _dedupe_refs(
-        table.references, set(record["intro_numbers"])
-    )
-    quarantined.extend(table.quarantined)
-    anomalies.extend(table.anomalies)
-    _write_refs_file(paper_dir, "ok", by_slot, quarantined, anomalies)
-    return "ok"
-
-
-def stage_generate(ctx: PipelineContext) -> dict:
-    papers = load_papers(ctx, prepared=True)
-    outcomes = {"ok": 0, "refusal": 0, "parse-failure": 0}
-    for run_index in range(1, ctx.config.vanilla_runs + 1):
-        _write_run_manifest(ctx, VANILLA, run_index)
-        for paper in papers:
-            record = _load_record(ctx, paper)
-            outcome = _generate_one(ctx, paper, record, run_index)
-            outcomes[outcome] = outcomes.get(outcome, 0) + 1
-    return {"runs": ctx.config.vanilla_runs, **outcomes}
-
-
-# ---------------------------------------------------------------------------
-# Stage: verify
-# ---------------------------------------------------------------------------
-
-
 def _load_refs(
     ctx: PipelineContext, strategy: str, run_index: int, paper: PaperRecord
 ) -> tuple[str, dict[int, GeneratedReference]]:
     """The outcome and the references by slot of one paper's refs.json."""
-    path = ctx.run_dir(strategy, run_index) / ctx.paper_dirname(paper) / "refs.json"
+    path = ctx.paper_run_dir(strategy, run_index, paper) / "refs.json"
     if not path.is_file():
         raise PipelineError(f"missing {path}; run the {strategy} generation stage first")
     payload = json.loads(path.read_text(encoding="utf-8"))
     refs = from_json(list[GeneratedReference], payload["references"])
     return payload["outcome"], {ref.citation_number: ref for ref in refs}
+
+
+def _generate_one(ctx: PipelineContext, paper: PaperRecord, run_index: int) -> str:
+    cfg = ctx.config
+    paper_dir = ctx.paper_run_dir(VANILLA, run_index, paper)
+    run = GenerationRun(cfg.model_id, VANILLA, run_index, dict(cfg.sampling_params))
+    messages = render_vanilla_prompt(_main_content(ctx, paper))
+    intro_numbers = set(_load_record(ctx, paper)["intro_numbers"])
+    label, *answer = _ask(ctx, run, messages, paper_dir, intro_numbers)
+    _write_refs_file(paper_dir, label, *answer)
+    return label.split(":")[0]
+
+
+def stage_generate(ctx: PipelineContext) -> dict:
+    outcomes = Counter(_each_run_and_paper(ctx, VANILLA, _generate_one))
+    return {"runs": ctx.config.vanilla_runs, "ok": 0, "refusal": 0, "parse-failure": 0, **outcomes}
 
 
 def _verify_refs(
@@ -774,147 +780,108 @@ def _write_verdicts(
     refs_by_slot: dict[int, GeneratedReference],
     verdicts: dict[int, MatchVerdict],
 ) -> None:
-    rows = []
+    """One JSON line per slot: its verdict and the generated title."""
+    lines = []
     for number in sorted(verdicts):
-        verdict = verdicts[number]
         ref = refs_by_slot.get(number)
-        rows.append(
-            {
-                "citation_number": number,
-                "generated_title": ref.title if ref else "",
-                **to_json(verdict),
-            }
-        )
-    path = ctx.verdicts_dir(strategy, run_index) / f"{ctx.paper_dirname(paper)}.jsonl"
-    path.parent.mkdir(parents=True, exist_ok=True)
-    stats.write_verdicts_jsonl(path, rows)
-
-
-def stage_verify(ctx: PipelineContext) -> dict:
-    papers = load_papers(ctx, prepared=True)
-    checked = existing = 0
-    for run_index in range(1, ctx.config.vanilla_runs + 1):
-        for paper in papers:
-            _, refs = _load_refs(ctx, VANILLA, run_index, paper)
-            verdicts = _verify_refs(ctx, list(refs.values()))
-            _write_verdicts(ctx, VANILLA, run_index, paper, refs, verdicts)
-            checked += len(verdicts)
-            existing += sum(1 for v in verdicts.values() if v.exists)
-    return {"checked": checked, "existing": existing}
+        row = {
+            "citation_number": number,
+            "generated_title": ref.title if ref else "",
+            **to_json(verdicts[number]),
+        }
+        lines.append(json.dumps(row, sort_keys=True, ensure_ascii=False))
+    path = ctx.verdicts_path(strategy, run_index, paper)
+    atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
 
 
 def _load_verdicts(
     ctx: PipelineContext, strategy: str, run_index: int, paper: PaperRecord
 ) -> dict[int, MatchVerdict]:
-    path = ctx.verdicts_dir(strategy, run_index) / f"{ctx.paper_dirname(paper)}.jsonl"
+    path = ctx.verdicts_path(strategy, run_index, paper)
     if not path.is_file():
         raise PipelineError(f"missing {path}; run the verify stage first")
     rows = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
     return {row["citation_number"]: from_json(MatchVerdict, row) for row in rows}
 
 
-# ---------------------------------------------------------------------------
-# Stage: iterate
-# ---------------------------------------------------------------------------
+def _verify_one(
+    ctx: PipelineContext, paper: PaperRecord, run_index: int
+) -> dict[int, MatchVerdict]:
+    _, refs = _load_refs(ctx, VANILLA, run_index, paper)
+    verdicts = _verify_refs(ctx, list(refs.values()))
+    _write_verdicts(ctx, VANILLA, run_index, paper, refs, verdicts)
+    return verdicts
 
 
-def _iterate_one(
-    ctx: PipelineContext, paper: PaperRecord, record: dict, run_index: int
-) -> str:
+def stage_verify(ctx: PipelineContext) -> dict:
+    verdicts = [
+        verdict
+        for by_slot in _each_run_and_paper(ctx, VANILLA, _verify_one)
+        for verdict in by_slot.values()
+    ]
+    return {"checked": len(verdicts), "existing": sum(v.exists for v in verdicts)}
+
+
+# the iterative anomaly when the pass gave no usable answer
+PARENT_KEPT = {
+    "refusal": "iterative refusal; parent kept",
+    "parse-failure": "iterative parse failed; parent kept",
+}
+
+
+def _iterate_one(ctx: PipelineContext, paper: PaperRecord, run_index: int) -> str:
+    """Ask again for the parent vanilla run's non-existent slots and merge
+    the answer in. Without a usable answer the parent's references and
+    verdicts stay. Returns the stage outcome."""
     cfg = ctx.config
-    vanilla_dir = ctx.run_dir(VANILLA, run_index) / ctx.paper_dirname(paper)
-    iter_dir = ctx.run_dir(ITERATIVE, run_index) / ctx.paper_dirname(paper)
-
-    parent_outcome, parent_refs = _load_refs(ctx, VANILLA, run_index, paper)
-    parent_verdicts = _load_verdicts(ctx, VANILLA, run_index, paper)
-    intro_numbers = set(record["intro_numbers"])
-    existing_slots = {n for n, v in parent_verdicts.items() if v.exists}
-    nonexistent = sorted(intro_numbers - existing_slots)
+    iter_dir = ctx.paper_run_dir(ITERATIVE, run_index, paper)
+    parent_outcome, refs = _load_refs(ctx, VANILLA, run_index, paper)
+    verdicts = _load_verdicts(ctx, VANILLA, run_index, paper)
+    intro_numbers = set(_load_record(ctx, paper)["intro_numbers"])
+    existing_slots = {n for n, v in verdicts.items() if v.exists}
+    nonexistent = intro_numbers - existing_slots
+    quarantined: list[dict] = []
 
     if not nonexistent:
-        _write_refs_file(
-            iter_dir, "no-iteration-needed", parent_refs, [], ["all slots verified existing"]
-        )
-        _write_verdicts(ctx, ITERATIVE, run_index, paper, parent_refs, parent_verdicts)
-        return "skipped"
-
-    transcript_path = vanilla_dir / "transcript.json"
-    transcript = [tuple(item) for item in json.loads(transcript_path.read_text(encoding="utf-8"))]
-    parent_run = GenerationRun(
-        cfg.model_id, VANILLA, run_index, dict(cfg.sampling_params), transcript=transcript
-    )
-    if parent_outcome != "ok" and not parent_refs:
+        outcome, label = "skipped", "no-iteration-needed"
+        anomalies = ["all slots verified existing"]
+    elif parent_outcome != "ok" and not refs:
         # vanilla never produced a usable response; nothing to build on
-        _write_refs_file(iter_dir, f"parent-{parent_outcome}", {}, [], [])
-        _write_verdicts(ctx, ITERATIVE, run_index, paper, {}, parent_verdicts)
-        return "parent-failed"
-
-    main_content = (
-        ctx.stage_dir("prepared") / ctx.paper_dirname(paper) / "main_content.txt"
-    ).read_text(encoding="utf-8")
-    messages = render_iterative_prompt(parent_run, set(nonexistent), main_content)
-    provider = ctx.provider_for(ITERATIVE, run_index)
-    it_run = GenerationRun(
-        cfg.model_id, ITERATIVE, run_index, dict(cfg.sampling_params), parent=parent_run
-    )
-    try:
-        response = generate(it_run, messages, provider, iter_dir / "response_raw.txt")
-    except ProviderRefusal:
-        _write_refs_file(iter_dir, "refusal", parent_refs, [], ["iterative refusal; parent kept"])
-        _write_verdicts(ctx, ITERATIVE, run_index, paper, parent_refs, parent_verdicts)
-        return "refusal"
-    atomic_write_text(
-        iter_dir / "transcript.json",
-        dump_json(to_json(it_run.transcript)),
-    )
-
-    post_run = GenerationRun(cfg.model_id, ITERATIVE, run_index, dict(cfg.sampling_params), parent=parent_run)
-    try:
-        table = postprocess_references(
-            response, post_run, provider, ctx.venue_table, raw_dir=iter_dir
+        outcome, label, anomalies = "parent-failed", f"parent-{parent_outcome}", []
+    else:
+        vanilla_dir = ctx.paper_run_dir(VANILLA, run_index, paper)
+        transcript = json.loads((vanilla_dir / "transcript.json").read_text(encoding="utf-8"))
+        parent_run = GenerationRun(
+            cfg.model_id, VANILLA, run_index, dict(cfg.sampling_params),
+            transcript=[tuple(item) for item in transcript],
         )
-    except (TableParseError, ProviderRefusal) as exc:
-        _write_refs_file(
-            iter_dir, f"parse-failure:{exc}", parent_refs, [], ["iterative parse failed; parent kept"]
+        messages = render_iterative_prompt(parent_run, nonexistent, _main_content(ctx, paper))
+        it_run = GenerationRun(
+            cfg.model_id, ITERATIVE, run_index, dict(cfg.sampling_params), parent=parent_run
         )
-        _write_verdicts(ctx, ITERATIVE, run_index, paper, parent_refs, parent_verdicts)
-        return "parse-failure"
+        label, iter_by_slot, quarantined, anomalies = _ask(
+            ctx, it_run, messages, iter_dir, intro_numbers
+        )
+        outcome = label.split(":")[0]
+        if outcome != "ok":
+            anomalies = [PARENT_KEPT[outcome]]
+        else:
+            merge = merge_iterative(refs, existing_slots, iter_by_slot, nonexistent)
+            replaced = sorted(n for n, ref in merge.merged.items() if iter_by_slot.get(n) is ref)
+            verdicts = {**verdicts, **_verify_refs(ctx, [merge.merged[n] for n in replaced])}
+            refs = merge.merged
+            anomalies += [f"gap: iterative response missing requested slot {n}" for n in merge.gaps]
+            anomalies += [f"ignored iterative row for slot {n}" for n in merge.ignored]
 
-    iter_by_slot, quarantined, anomalies = _dedupe_refs(table.references, intro_numbers)
-    quarantined.extend(table.quarantined)
-    anomalies.extend(table.anomalies)
-
-    merge = merge_iterative(parent_refs, existing_slots, iter_by_slot, set(nonexistent))
-    replaced = {
-        n for n, ref in merge.merged.items() if iter_by_slot.get(n) is ref
-    }
-    new_verdicts = _verify_refs(ctx, [merge.merged[n] for n in sorted(replaced)])
-
-    merged_verdicts: dict[int, MatchVerdict] = {}
-    for number in sorted(set(parent_verdicts) | set(new_verdicts)):
-        merged_verdicts[number] = new_verdicts.get(number, parent_verdicts.get(number))
-    for gap in merge.gaps:
-        anomalies.append(f"gap: iterative response missing requested slot {gap}")
-    for ignored in merge.ignored:
-        anomalies.append(f"ignored iterative row for slot {ignored}")
-
-    _write_refs_file(iter_dir, "ok", merge.merged, quarantined, anomalies)
-    _write_verdicts(ctx, ITERATIVE, run_index, paper, merge.merged, merged_verdicts)
-    return "ok"
+    _write_refs_file(iter_dir, label, refs, quarantined, anomalies)
+    _write_verdicts(ctx, ITERATIVE, run_index, paper, refs, verdicts)
+    return outcome
 
 
 def stage_iterate(ctx: PipelineContext) -> dict:
     if not ctx.config.iterative:
         return {"enabled": False}
-    papers = load_papers(ctx, prepared=True)
-    outcomes: dict[str, int] = {}
-    for run_index in range(1, ctx.config.vanilla_runs + 1):
-        _write_run_manifest(ctx, ITERATIVE, run_index)
-        for paper in papers:
-            record = _load_record(ctx, paper)
-            outcome = _iterate_one(ctx, paper, record, run_index)
-            outcomes[outcome] = outcomes.get(outcome, 0) + 1
-    return {"enabled": True, **outcomes}
+    return {"enabled": True, **Counter(_each_run_and_paper(ctx, ITERATIVE, _iterate_one))}
 
 
 # ---------------------------------------------------------------------------
@@ -1157,8 +1124,8 @@ def stage_report(ctx: PipelineContext) -> dict:
         stats.write_summary_csv(report_dir / "summary.csv", summaries, mhash)
         stats.write_summary_counts_csv(report_dir / "summary_counts.csv", summaries, mhash)
     else:
-        atomic_write_text(report_dir / "summary.csv", f"# manifest_hash={mhash}\nmetric\n")
-        atomic_write_text(report_dir / "summary_counts.csv", f"# manifest_hash={mhash}\ncount\n")
+        stats.write_csv(report_dir / "summary.csv", ["metric"], [], mhash)
+        stats.write_csv(report_dir / "summary_counts.csv", ["count"], [], mhash)
 
     overlaps = {
         tuple(int(x) for x in key.split("-")): value
@@ -1168,7 +1135,7 @@ def stage_report(ctx: PipelineContext) -> dict:
     if len(run_indices) > 1 and overlaps:
         stats.write_overlap_csv(report_dir / "overlap.csv", overlaps, run_indices, mhash)
     else:
-        atomic_write_text(report_dir / "overlap.csv", f"# manifest_hash={mhash}\nrun\n")
+        stats.write_csv(report_dir / "overlap.csv", ["run"], [], mhash)
 
     histograms = dict[str, dict[str, stats.Histogram]]
     tables = from_json(histograms, analysis["histograms"])

@@ -10,7 +10,6 @@ implies existence.
 
 from __future__ import annotations
 
-import json
 import logging
 import statistics
 from dataclasses import dataclass, field, replace
@@ -222,11 +221,12 @@ def _range_bins_for(metric: str) -> list[tuple[str, int | None, int | None]]:
     return _bin_label_ranges(DEFAULT_COUNT_BIN_EDGES)
 
 
-def _find_bin(value: int, ranges: list[tuple[str, int | None, int | None]]) -> str:
+def _find_bin(value: int, ranges: list[tuple[str, int | None, int | None]]) -> str | None:
+    """The label of the range holding ``value``, or None if none does."""
     for label, lo, hi in ranges:
         if (lo is None or value >= lo) and (hi is None or value <= hi):
             return label
-    return ranges[-1][0]
+    return None
 
 
 def _histogram(values: list[int | None], metric: str) -> Histogram:
@@ -349,9 +349,11 @@ def bias_breakdown(
 ) -> BiasTable:
     """Per-facet-bin medians of a count metric for both cohorts.
 
-    Each side of a pair is binned by its own facet value. Pairs where
-    either side's metric is unknown are excluded from the facet entirely
-    and tallied. The difference column is generated minus ground truth.
+    Each side of a pair is binned by its own facet value; a side whose
+    value is unknown or in no bin is left out. Pairs where either side's
+    metric is unknown, or where neither side is binned, are excluded from
+    the facet entirely and tallied. The difference column is generated
+    minus ground truth.
     """
     bins = _facet_bins(facet, subperiod_bins or DEFAULT_SUBPERIOD_BINS)
     gen_values: dict[str, list[int]] = {label: [] for label, _, _ in bins}
@@ -371,12 +373,8 @@ def bias_breakdown(
             facet_value = _facet_value(row, facet)
             if facet_value is None:
                 continue
-            if facet == "venue":
-                if facet_value in store:
-                    store[facet_value].append(value)
-                    placed = True
-            else:
-                label = _find_bin(facet_value, bins)
+            label = facet_value if facet == "venue" else _find_bin(facet_value, bins)
+            if label in store:
                 store[label].append(value)
                 placed = True
         if not placed:
@@ -458,7 +456,8 @@ def format_median(value: float | None) -> str:
     return f"{value:g}"
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list[str]], manifest_hash: str) -> None:
+def write_csv(path: Path, header: list[str], rows: list[list[str]], manifest_hash: str) -> None:
+    """A CSV file whose first line is ``# manifest_hash=<hash>``."""
     lines = [f"# manifest_hash={manifest_hash}"]
     lines.append(",".join(header))
     for row in rows:
@@ -490,7 +489,7 @@ def write_summary_csv(
         for key in columns:
             row.append(format_pct(getattr(summaries[key], attr)))
         rows.append(row)
-    _write_csv(path, header, rows, manifest_hash)
+    write_csv(path, header, rows, manifest_hash)
 
 
 def write_summary_counts_csv(
@@ -515,7 +514,7 @@ def write_summary_counts_csv(
         for key in columns:
             row.append(str(summaries[key].counts.get(key_name, 0)))
         rows.append(row)
-    _write_csv(path, header, rows, manifest_hash)
+    write_csv(path, header, rows, manifest_hash)
 
 
 def write_overlap_csv(
@@ -536,7 +535,7 @@ def write_overlap_csv(
             else:
                 row.append("")
         rows.append(row)
-    _write_csv(path, header, rows, manifest_hash)
+    write_csv(path, header, rows, manifest_hash)
 
 
 def write_characteristics_csvs(
@@ -553,7 +552,7 @@ def write_characteristics_csvs(
             rows.append([metric, "unknown", str(hist.unknown)])
             rows.append([metric, "median", format_median(hist.median)])
             rows.append([metric, "n_known", str(hist.n_known)])
-        _write_csv(out_dir / f"{cohort}.csv", ["metric", "bin", "value"], rows, manifest_hash)
+        write_csv(out_dir / f"{cohort}.csv", ["metric", "bin", "value"], rows, manifest_hash)
 
 
 def write_bias_csv(path: Path, table: BiasTable, manifest_hash: str) -> None:
@@ -578,14 +577,9 @@ def write_bias_csv(path: Path, table: BiasTable, manifest_hash: str) -> None:
             ]
         )
     rows.append(["excluded_pairs", str(table.excluded_pairs), "", "", "", ""])
-    _write_csv(path, header, rows, manifest_hash)
+    write_csv(path, header, rows, manifest_hash)
 
 
 def write_histograms_json(path: Path, tables: dict, manifest_hash: str) -> None:
     payload = {"manifest_hash": manifest_hash, "histograms": to_json(tables)}
     atomic_write_text(path, dump_json(payload))
-
-
-def write_verdicts_jsonl(path: Path, records: list[dict]) -> None:
-    lines = [json.dumps(rec, sort_keys=True, ensure_ascii=False) for rec in records]
-    atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))

@@ -12,6 +12,7 @@ import yaml
 
 from citebias import cli
 from citebias.errors import ConfigError, PipelineError
+from citebias.llmgate import render_vanilla_prompt, store_mock_response
 from citebias.pipeline import STAGES, load_config, manifest_hash, run_pipeline
 from fixtures_pipeline import MODEL_ID
 
@@ -340,10 +341,14 @@ def test_prefix_then_remainder_equals_one_full_run(completed_run, tmp_path):
 def test_report_stage_runs_without_provider(completed_run, tmp_path):
     # a warm out dir re-emits reports without touching the response store
     root, config_path, _ = completed_run
+    out_dir, cache_dir = _copy_run(root, tmp_path)
     empty_mock = tmp_path / "empty_mock"
     empty_mock.mkdir()
-    config = load_config(config_path, {"mock_dir": str(empty_mock)})
-    (root / "out" / "stages" / "report.json").unlink()
+    config = load_config(
+        config_path,
+        {"mock_dir": str(empty_mock), "out_dir": str(out_dir), "cache_dir": str(cache_dir)},
+    )
+    (out_dir / "stages" / "report.json").unlink()
     manifest = run_pipeline(config, ["report"])
     assert manifest["stages"]["report"]["status"] == "ok"
 
@@ -501,6 +506,10 @@ def test_manifest_alone_recomputes_manifest_hash(completed_run):
     manifest = json.loads((root / "out" / "manifest.json").read_text())
     identity = {key: manifest[key] for key in ("config", "template_hashes", "inputs_digest")}
     assert manifest_hash(identity) == manifest["manifest_hash"]
+    markers = sorted((root / "out" / "stages").glob("*.json"))
+    assert [marker.stem for marker in markers] == sorted(STAGES)
+    for marker in markers:
+        assert json.loads(marker.read_text())["manifest_hash"] == manifest["manifest_hash"]
 
 
 def test_ambiguous_title_is_excluded_not_fatal(workspace, tmp_path):
@@ -521,6 +530,73 @@ def test_ambiguous_title_is_excluded_not_fatal(workspace, tmp_path):
     assert excluded["detail"] == (
         "title 'Adaptive Widget Learning' matches 2 index records: focalA, focalA_copy"
     )
+
+
+# ---------------------------------------------------------------------------
+# Refusals
+# ---------------------------------------------------------------------------
+
+# (paper, run) whose vanilla, and whose iterative, prompt is answered empty
+VANILLA_REFUSAL = ("2207.22222", 1)
+ITERATIVE_REFUSAL = ("2203.11111", 1)
+
+
+@pytest.fixture(scope="module")
+def refusal_run(completed_run, tmp_path_factory):
+    """A full run on a copy of the workspace whose replay store refuses one
+    vanilla and one iterative prompt; returns its output dir and manifest."""
+    root, config_path, _ = completed_run
+    copy = tmp_path_factory.mktemp("refusals")
+    shutil.copytree(root, copy, dirs_exist_ok=True, ignore=shutil.ignore_patterns("out", "cache"))
+    runs = root / "out" / "runs" / MODEL_ID
+
+    paper, run_index = VANILLA_REFUSAL
+    content = (root / "out" / "prepared" / paper / "main_content.txt").read_text()
+    store_mock_response(copy / "mock", render_vanilla_prompt(content), "", f"vanilla-{run_index}")
+
+    paper, run_index = ITERATIVE_REFUSAL
+    transcript = json.loads((runs / f"iterative-{run_index}" / paper / "transcript.json").read_text())
+    messages = [tuple(message) for message in transcript[:-1]]
+    store_mock_response(copy / "mock", messages, "", f"iterative-{run_index}")
+
+    manifest = run_pipeline(load_config(copy / config_path.relative_to(root)))
+    return copy / "out", manifest
+
+
+def test_vanilla_refusal_is_recorded_and_iterate_skips_it(refusal_run):
+    out_dir, manifest = refusal_run
+    paper, run_index = VANILLA_REFUSAL
+    runs = out_dir / "runs" / MODEL_ID
+    vanilla_dir = runs / f"vanilla-{run_index}" / paper
+    refs = json.loads((vanilla_dir / "refs.json").read_text())
+    assert refs == {"outcome": "refusal", "references": [], "quarantined": [], "anomalies": []}
+    transcript = json.loads((vanilla_dir / "transcript.json").read_text())
+    assert transcript[-1] == ["assistant", ""]
+    assert manifest["stages"]["generate"]["outcomes"] == {
+        "runs": 2, "ok": 5, "refusal": 1, "parse-failure": 0,
+    }
+    assert manifest["stages"]["iterate"]["outcomes"]["parent-failed"] == 1
+    iterative = json.loads((runs / f"iterative-{run_index}" / paper / "refs.json").read_text())
+    assert iterative["outcome"] == "parent-refusal"
+    assert iterative["references"] == []
+
+
+def test_iterative_refusal_keeps_parent_refs_verdicts_and_transcript(refusal_run):
+    out_dir, manifest = refusal_run
+    paper, run_index = ITERATIVE_REFUSAL
+    runs = out_dir / "runs" / MODEL_ID
+    iterative = json.loads((runs / f"iterative-{run_index}" / paper / "refs.json").read_text())
+    vanilla = json.loads((runs / f"vanilla-{run_index}" / paper / "refs.json").read_text())
+    assert iterative["outcome"] == "refusal"
+    assert iterative["references"] == vanilla["references"]
+    assert iterative["anomalies"] == ["iterative refusal; parent kept"]
+    verdicts = out_dir / "verdicts" / MODEL_ID
+    assert (verdicts / f"iterative-{run_index}" / f"{paper}.jsonl").read_bytes() == (
+        verdicts / f"vanilla-{run_index}" / f"{paper}.jsonl"
+    ).read_bytes()
+    assert manifest["stages"]["iterate"]["outcomes"]["refusal"] == 1
+    transcript = json.loads((runs / f"iterative-{run_index}" / paper / "transcript.json").read_text())
+    assert transcript[-1] == ["assistant", ""]
 
 
 # ---------------------------------------------------------------------------

@@ -332,6 +332,19 @@ def test_bias_pairing_is_slot_sensitive():
     assert swapped["2017-2023"] == 2000  # after re-pairing it survives
 
 
+def test_bias_custom_subperiod_bins_exclude_uncovered_years():
+    bins = [("2000-2009", 2000, 2009), ("2010-2019", 2010, 2019)]
+    pairs = [
+        _pair("p", 1, 10, 5, gen_year=1990, gt_year=1991),  # neither side covered
+        _pair("p", 2, 30, 20, gen_year=2012, gt_year=1995),  # only the generated side
+    ]
+    table = bias_breakdown(pairs, "subperiod", subperiod_bins=bins)
+    by_label = {b.bin_label: b for b in table.bins}
+    assert table.excluded_pairs == 1
+    assert (by_label["2010-2019"].n_generated, by_label["2010-2019"].n_ground_truth) == (1, 0)
+    assert (by_label["2000-2009"].n_generated, by_label["2000-2009"].n_ground_truth) == (0, 0)
+
+
 def test_bias_venue_facet_uses_canonical_labels():
     pairs = [_pair("p", 1, 500, 100)]
     table = bias_breakdown(pairs, "venue")
