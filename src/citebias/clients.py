@@ -342,81 +342,20 @@ class FixtureIndexClient:
         return self._load_papers().get(index_id)
 
 
-def send_with_retry(
-    send: Callable[[], requests.Response],
-    limiter: TokenBucket | None,
-    retry: RetryPolicy,
-    what: str,
-) -> requests.Response:
-    """Call ``send`` under the rate limiter, retrying connection errors,
-    429 and 5xx with backoff; returns the first other response and
-    raises TransportError once the attempts run out."""
-    last: Exception | None = None
-    for delay in [*retry.delays(), None]:
-        if limiter is not None:
-            limiter.acquire()
-        try:
-            resp = send()
-        except requests.RequestException as exc:
-            last = exc
-        else:
-            if resp.status_code != 429 and resp.status_code < 500:
-                return resp
-            last = TransportError(f"{what} -> HTTP {resp.status_code}")
-        if delay is not None:
-            time.sleep(delay)
-    raise TransportError(f"{what} failed after {retry.max_attempts} attempts: {last}")
+class HttpService:
+    """One HTTP service: base URL, session, rate limiter and retry policy.
 
+    ``request`` retries connection errors, 429 and 5xx with backoff and
+    returns the first other response; ``get_json`` reads that response
+    as JSON, with 404 meaning not found (None) and any other 4xx fatal.
+    The key in the environment variable ``api_key_env`` is sent as the
+    ``key_header`` header, after ``key_prefix``; a service without a
+    ``key_header`` sends no credential.
+    """
 
-def _request_json(
-    session: requests.Session,
-    url: str,
-    params: dict,
-    limiter: TokenBucket | None,
-    retry: RetryPolicy,
-) -> Any:
-    """GET with rate limiting and bounded backoff; None on 404."""
-    resp = send_with_retry(lambda: session.get(url, params=params, timeout=30), limiter, retry, url)
-    if resp.status_code == 404:
-        return None
-    if resp.status_code >= 400:
-        raise TransportError(f"{url} -> HTTP {resp.status_code}", retryable=False)
-    try:
-        return resp.json()
-    except ValueError as exc:
-        raise IndexParseError(f"non-JSON response from {url}") from exc
-
-
-class HttpPreprintClient:
-    """Preprint index over HTTP, same wire format as the fixture client."""
-
-    def __init__(
-        self,
-        base_url: str,
-        session: requests.Session | None = None,
-        limiter: TokenBucket | None = None,
-        retry: RetryPolicy | None = None,
-    ):
-        self.base_url = base_url.rstrip("/")
-        self.session = session or requests.Session()
-        self.limiter = limiter
-        self.retry = retry or RetryPolicy()
-
-    def list_records(self, start: str, end: str, category: str) -> list[dict]:
-        payload = _request_json(
-            self.session,
-            f"{self.base_url}/records",
-            {"start": start, "end": end, "category": category},
-            self.limiter,
-            self.retry,
-        )
-        if not isinstance(payload, list):
-            raise IndexParseError("preprint index returned a non-list payload", payload)
-        return payload
-
-
-class HttpScholarClient:
-    """Scholarly index over HTTP."""
+    key_header = ""
+    key_prefix = ""
+    timeout = 30
 
     def __init__(
         self,
@@ -430,19 +369,61 @@ class HttpScholarClient:
         self.session = session or requests.Session()
         self.limiter = limiter
         self.retry = retry or RetryPolicy()
-        if api_key_env:
-            key = os.environ.get(api_key_env, "")
-            if key:
-                self.session.headers["x-api-key"] = key
+        key = os.environ.get(api_key_env, "")
+        if self.key_header and key:
+            self.session.headers[self.key_header] = self.key_prefix + key
+
+    def request(self, method: str, path: str, **kwargs: Any) -> requests.Response:
+        """Send under the rate limiter; TransportError once the attempts run out."""
+        url = self.base_url + path
+        send = getattr(self.session, method.lower())
+        last: Exception | None = None
+        for delay in [*self.retry.delays(), None]:
+            if self.limiter is not None:
+                self.limiter.acquire()
+            try:
+                resp = send(url, timeout=self.timeout, **kwargs)
+            except requests.RequestException as exc:
+                last = exc
+            else:
+                if resp.status_code != 429 and resp.status_code < 500:
+                    return resp
+                last = TransportError(f"{url} -> HTTP {resp.status_code}")
+            if delay is not None:
+                time.sleep(delay)
+        raise TransportError(f"{url} failed after {self.retry.max_attempts} attempts: {last}")
+
+    def get_json(self, path: str, params: dict | None = None) -> Any:
+        """The JSON body of a GET, or None on 404."""
+        resp = self.request("GET", path, params=params or {})
+        url = self.base_url + path
+        if resp.status_code == 404:
+            return None
+        if resp.status_code >= 400:
+            raise TransportError(f"{url} -> HTTP {resp.status_code}", retryable=False)
+        try:
+            return resp.json()
+        except ValueError as exc:
+            raise IndexParseError(f"non-JSON response from {url}") from exc
+
+
+class HttpPreprintClient(HttpService):
+    """Preprint index over HTTP, same wire format as the fixture client."""
+
+    def list_records(self, start: str, end: str, category: str) -> list[dict]:
+        payload = self.get_json("/records", {"start": start, "end": end, "category": category})
+        if not isinstance(payload, list):
+            raise IndexParseError("preprint index returned a non-list payload", payload)
+        return payload
+
+
+class HttpScholarClient(HttpService):
+    """Scholarly index over HTTP."""
+
+    key_header = "x-api-key"
 
     def search_title(self, query: str, limit: int = 10) -> list[dict]:
-        payload = _request_json(
-            self.session,
-            f"{self.base_url}/papers/search",
-            {"query": query, "limit": limit},
-            self.limiter,
-            self.retry,
-        )
+        payload = self.get_json("/papers/search", {"query": query, "limit": limit})
         if payload is None:
             return []
         if not isinstance(payload, list):
@@ -450,13 +431,7 @@ class HttpScholarClient:
         return payload
 
     def get_paper(self, index_id: str) -> dict | None:
-        return _request_json(
-            self.session,
-            f"{self.base_url}/papers/{index_id}",
-            {},
-            self.limiter,
-            self.retry,
-        )
+        return self.get_json(f"/papers/{index_id}")
 
 
 class CachedScholarClient:

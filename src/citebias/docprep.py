@@ -115,7 +115,6 @@ class PreparedDocument:
     reference_texts: list[tuple[int, str]]
     bibliography: CompiledBibliography
     cleaned_tex: str
-    warnings: list[str] = field(default_factory=list)
 
 
 # ---------------------------------------------------------------------------
@@ -848,15 +847,15 @@ def prepare_source(
     located = locate_main_tex(source_dir)
     if isinstance(located, Exclusion):
         return located
-    tex = _read_tex(located)
-    tex = _inline_inputs(tex, source_dir)
+    # a commented-out \input or bibliography command must not act
+    tex = _inline_inputs(_strip_comments(_read_tex(located)), source_dir)
 
     if latex_command:
         failed = run_latex_check(latex_command, source_dir, located)
         if failed is not None:
             return failed
 
-    cited = cited_keys(_strip_comments(tex))
+    cited = cited_keys(tex)
     bibliography = resolve_bibliography(source_dir, tex, cited)
     if isinstance(bibliography, Exclusion):
         return bibliography
@@ -866,25 +865,23 @@ def prepare_source(
         return Exclusion(EXCL_COMPILE_ERROR, str(exc))
     rendered = render_text(cleaned, bibliography)
 
-    warnings: list[str] = []
     main, reference_texts = split_document(rendered)
     return PreparedDocument(
         main_content=main,
         reference_texts=reference_texts,
         bibliography=bibliography,
         cleaned_tex=cleaned,
-        warnings=warnings,
     )
 
 
 def _inline_inputs(tex: str, source_dir: Path) -> str:
-    """Inline one level of \\input/\\include from the bundle."""
+    """Inline one level of \\input/\\include from the bundle, comments stripped."""
 
     def repl(match: re.Match) -> str:
         name = match.group(1).strip()
         path = source_dir / (name if name.endswith(".tex") else f"{name}.tex")
         if path.is_file():
-            return _read_tex(path)
+            return _strip_comments(_read_tex(path))
         return ""
 
     return re.sub(r"\\(?:input|include)\{([^}]*)\}", repl, tex)

@@ -19,15 +19,12 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import os
 import re
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
-import requests
-
-from .clients import RetryPolicy, TokenBucket, atomic_write_text, send_with_retry
+from .clients import HttpService, atomic_write_text
 from .corpus import Venue, VenueTable
 from .errors import MockResponseMissing, ProviderRefusal, TableParseError, TransportError
 
@@ -170,30 +167,20 @@ def store_mock_response(
     return path
 
 
-class OpenAIChatProvider:
+class OpenAIChatProvider(HttpService):
     """Chat-completions provider for OpenAI-compatible HTTP gateways.
 
     Credentials come from the environment only (``api_key_env``), never
     from config files.
     """
 
-    def __init__(
-        self,
-        base_url: str,
-        model: str,
-        api_key_env: str = "OPENAI_API_KEY",
-        session: requests.Session | None = None,
-        limiter: TokenBucket | None = None,
-        retry: RetryPolicy | None = None,
-    ):
-        self.base_url = base_url.rstrip("/")
+    key_header = "Authorization"
+    key_prefix = "Bearer "
+    timeout = 120
+
+    def __init__(self, base_url: str, model: str, api_key_env: str = "OPENAI_API_KEY", **kwargs):
+        super().__init__(base_url, api_key_env=api_key_env, **kwargs)
         self.model = model
-        self.session = session or requests.Session()
-        self.limiter = limiter
-        self.retry = retry or RetryPolicy()
-        key = os.environ.get(api_key_env, "")
-        if key:
-            self.session.headers["Authorization"] = f"Bearer {key}"
 
     def send(self, messages: list[Message], params: dict) -> str:
         body = {
@@ -201,12 +188,7 @@ class OpenAIChatProvider:
             "messages": [{"role": role, "content": content} for role, content in messages],
             **params,
         }
-        resp = send_with_retry(
-            lambda: self.session.post(f"{self.base_url}/chat/completions", json=body, timeout=120),
-            self.limiter,
-            self.retry,
-            "provider",
-        )
+        resp = self.request("POST", "/chat/completions", json=body)
         if resp.status_code >= 400:
             raise TransportError(
                 f"provider HTTP {resp.status_code}: {resp.text[:200]}", retryable=False

@@ -455,15 +455,22 @@ def stage_ingest(ctx: PipelineContext) -> dict:
     }
 
 
+def _read_artifact(ctx: PipelineContext, path: Path, stage: str) -> str:
+    """Text of an artifact under ``out/``; a missing file is a PipelineError
+    that names ``stage``, the stage that writes it."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except FileNotFoundError:
+        name = path.relative_to(ctx.out).as_posix()
+        raise PipelineError(f"{name} missing: run the {stage} stage first") from None
+
+
 def load_papers(ctx: PipelineContext, prepared: bool = False) -> list[PaperRecord]:
     """Papers as ingested, or (with ``prepared``) the survivors of
     document preparation with their intro numbers filled in."""
-    stage = "prepared" if prepared else "corpus"
-    path = ctx.stage_dir(stage) / "papers.json"
-    if not path.is_file():
-        needed = "prepare" if prepared else "ingest"
-        raise PipelineError(f"{stage}/papers.json missing: run the {needed} stage first")
-    return from_json(list[PaperRecord], json.loads(path.read_text(encoding="utf-8")))
+    path = ctx.stage_dir("prepared" if prepared else "corpus") / "papers.json"
+    text = _read_artifact(ctx, path, "prepare" if prepared else "ingest")
+    return from_json(list[PaperRecord], json.loads(text))
 
 
 # ---------------------------------------------------------------------------
@@ -517,7 +524,7 @@ def stage_prepare(ctx: PipelineContext) -> dict:
             continue
 
         groups = prep.main_content.citation_occurrences
-        warnings = list(prep.warnings)
+        warnings: list[str] = []
         intro_refs = docprep.select_intro_references(groups, prep.reference_texts, warnings)
         unique_numbers = docprep.uniquely_identifiable_numbers(groups)
         paper.intro_reference_numbers = {num for num, _ in intro_refs}
@@ -618,11 +625,11 @@ def stage_prepare(ctx: PipelineContext) -> dict:
 
 
 def _load_record(ctx: PipelineContext, paper: PaperRecord) -> dict:
-    return json.loads((ctx.prepared_dir(paper) / "record.json").read_text(encoding="utf-8"))
+    return json.loads(_read_artifact(ctx, ctx.prepared_dir(paper) / "record.json", "prepare"))
 
 
 def _main_content(ctx: PipelineContext, paper: PaperRecord) -> str:
-    return (ctx.prepared_dir(paper) / "main_content.txt").read_text(encoding="utf-8")
+    return _read_artifact(ctx, ctx.prepared_dir(paper) / "main_content.txt", "prepare")
 
 
 # ---------------------------------------------------------------------------
@@ -721,9 +728,8 @@ def _load_refs(
 ) -> tuple[str, dict[int, GeneratedReference]]:
     """The outcome and the references by slot of one paper's refs.json."""
     path = ctx.paper_run_dir(strategy, run_index, paper) / "refs.json"
-    if not path.is_file():
-        raise PipelineError(f"missing {path}; run the {strategy} generation stage first")
-    payload = json.loads(path.read_text(encoding="utf-8"))
+    text = _read_artifact(ctx, path, "generate" if strategy == VANILLA else "iterate")
+    payload = json.loads(text)
     refs = from_json(list[GeneratedReference], payload["references"])
     return payload["outcome"], {ref.citation_number: ref for ref in refs}
 
@@ -798,9 +804,8 @@ def _load_verdicts(
     ctx: PipelineContext, strategy: str, run_index: int, paper: PaperRecord
 ) -> dict[int, MatchVerdict]:
     path = ctx.verdicts_path(strategy, run_index, paper)
-    if not path.is_file():
-        raise PipelineError(f"missing {path}; run the verify stage first")
-    rows = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+    text = _read_artifact(ctx, path, "verify" if strategy == VANILLA else "iterate")
+    rows = [json.loads(line) for line in text.splitlines()]
     return {row["citation_number"]: from_json(MatchVerdict, row) for row in rows}
 
 
@@ -850,7 +855,7 @@ def _iterate_one(ctx: PipelineContext, paper: PaperRecord, run_index: int) -> st
         outcome, label, anomalies = "parent-failed", f"parent-{parent_outcome}", []
     else:
         vanilla_dir = ctx.paper_run_dir(VANILLA, run_index, paper)
-        transcript = json.loads((vanilla_dir / "transcript.json").read_text(encoding="utf-8"))
+        transcript = json.loads(_read_artifact(ctx, vanilla_dir / "transcript.json", "generate"))
         parent_run = GenerationRun(
             cfg.model_id, VANILLA, run_index, dict(cfg.sampling_params),
             transcript=[tuple(item) for item in transcript],
@@ -1100,9 +1105,7 @@ def stage_graph(ctx: PipelineContext) -> dict:
 
 def stage_report(ctx: PipelineContext) -> dict:
     analysis_path = ctx.stage_dir("analysis") / "analysis.json"
-    if not analysis_path.is_file():
-        raise PipelineError("analysis/analysis.json missing: run the analyze stage first")
-    analysis = json.loads(analysis_path.read_text(encoding="utf-8"))
+    analysis = json.loads(_read_artifact(ctx, analysis_path, "analyze"))
     report_dir = ctx.stage_dir("report")
     report_dir.mkdir(parents=True, exist_ok=True)
     mhash = ctx.manifest_hash

@@ -451,9 +451,12 @@ def format_pct(value: Fraction | None) -> str:
 
 
 def format_median(value: float | None) -> str:
+    """A median of counts, whole or a half: ``135000`` or ``135000.5``."""
     if value is None:
         return "NA"
-    return f"{value:g}"
+    if value == int(value):
+        return str(int(value))
+    return f"{value:.1f}"
 
 
 def write_csv(path: Path, header: list[str], rows: list[list[str]], manifest_hash: str) -> None:

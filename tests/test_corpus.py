@@ -429,16 +429,17 @@ class FakeResponse:
 
 
 class FakeSession:
-    """Yields scripted responses; records how often it was called."""
-
-    headers: dict = {}
+    """Yields scripted responses; records each request's URL and params."""
 
     def __init__(self, responses):
         self.responses = list(responses)
         self.calls = 0
+        self.sent = []
+        self.headers = {}
 
     def get(self, url, params=None, timeout=None):
         self.calls += 1
+        self.sent.append((url, params))
         return self.responses.pop(0)
 
 
@@ -488,6 +489,57 @@ def test_http_client_4xx_is_not_retryable():
         client.get_paper("x")
     assert not err.value.retryable
     assert session.calls == 1
+
+
+def test_scholar_client_sends_api_key_from_environment(monkeypatch):
+    from citebias.clients import HttpScholarClient
+
+    monkeypatch.setenv("TEST_SCHOLAR_KEY", "s2-fixture")
+    session = FakeSession([])
+    HttpScholarClient("http://index.test", session=session, api_key_env="TEST_SCHOLAR_KEY")
+    assert session.headers == {"x-api-key": "s2-fixture"}
+
+
+def test_preprint_client_sends_window_and_category():
+    from citebias.clients import HttpPreprintClient
+
+    records = [{"preprint_id": "2203.01234"}]
+    session = FakeSession([FakeResponse(200, records)])
+    client = HttpPreprintClient("http://preprint.test/", session=session)
+    assert client.list_records("2022-01-01", "2022-12-31", "cs.LG") == records
+    assert session.sent == [
+        (
+            "http://preprint.test/records",
+            {"start": "2022-01-01", "end": "2022-12-31", "category": "cs.LG"},
+        )
+    ]
+    assert session.headers == {}
+
+
+def test_preprint_client_retries_server_error(monkeypatch):
+    import citebias.clients as clients_mod
+    from citebias.clients import HttpPreprintClient, RetryPolicy
+
+    sleeps = []
+    monkeypatch.setattr(clients_mod.time, "sleep", sleeps.append)
+    session = FakeSession([FakeResponse(503), FakeResponse(200, [])])
+    client = HttpPreprintClient(
+        "http://preprint.test", session=session, retry=RetryPolicy(max_attempts=2, backoff_base=0.25)
+    )
+    assert client.list_records("2022-01-01", "2022-12-31", "cs.LG") == []
+    assert session.calls == 2
+    assert sleeps == [0.25]
+
+
+@pytest.mark.parametrize("payload", [{"records": []}, None], ids=["object", "non-json"])
+def test_preprint_client_rejects_non_list_payload(payload):
+    from citebias.clients import HttpPreprintClient
+    from citebias.errors import IndexParseError
+
+    session = FakeSession([FakeResponse(200, payload)])
+    client = HttpPreprintClient("http://preprint.test", session=session)
+    with pytest.raises(IndexParseError):
+        client.list_records("2022-01-01", "2022-12-31", "cs.LG")
 
 
 # ---------------------------------------------------------------------------

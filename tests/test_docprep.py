@@ -452,6 +452,27 @@ def test_prepare_source_full_flow(tmp_path):
         assert group.raw in prep.main_content.text
 
 
+def test_prepare_source_ignores_commented_input(tmp_path):
+    _write_fixture_bundle(tmp_path)
+    commented = "matter. % a comment\n% \\input{old}"
+    (tmp_path / "main.tex").write_text(FIXTURE_TEX.replace("matter. % a comment", commented))
+    (tmp_path / "old.tex").write_text("Old first line.\nOld second line \\cite{adams} LEAKED.\n")
+    prep = prepare_source(tmp_path)
+    assert not isinstance(prep, Exclusion)
+    assert "LEAKED" not in prep.main_content.text
+    assert [e.key for e in prep.bibliography.entries] == ["brown", "evans"]
+
+
+def test_prepare_source_ignores_commented_bibliographystyle(tmp_path):
+    _write_fixture_bundle(tmp_path)
+    live = "\\bibliographystyle{plain}"
+    tex = FIXTURE_TEX.replace(live, "%\\bibliographystyle{unsrt}\n" + live)
+    (tmp_path / "main.tex").write_text(tex)
+    prep = prepare_source(tmp_path)
+    assert not isinstance(prep, Exclusion)
+    assert [e.key for e in prep.bibliography.entries] == ["brown", "evans"]
+
+
 def test_prepare_source_compile_error(tmp_path):
     (tmp_path / "main.tex").write_text(FIXTURE_TEX.replace("\\cite{brown}", "\\cite{ghost}"))
     (tmp_path / "refs.bib").write_text(FIXTURE_BIB)

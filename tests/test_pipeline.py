@@ -369,6 +369,19 @@ def test_manifest_written_on_failure(workspace, tmp_path):
     assert manifest["failure"]["stage"] == "prepare"
 
 
+def test_missing_prepared_artifact_is_pipeline_error(completed_run, tmp_path):
+    root, config_path, _ = completed_run
+    out_dir, cache_dir = _copy_run(root, tmp_path)
+    config = load_config(config_path, {"out_dir": str(out_dir), "cache_dir": str(cache_dir)})
+    (out_dir / "prepared" / "2203.11111" / "main_content.txt").unlink()
+    (out_dir / "stages" / "generate.json").unlink()
+    with pytest.raises(PipelineError, match="run the prepare stage first"):
+        run_pipeline(config, ["generate"])
+    failure = json.loads((out_dir / "manifest.json").read_text())["failure"]
+    assert failure["stage"] == "generate"
+    assert "prepared/2203.11111/main_content.txt" in failure["error"]
+
+
 def test_lockfile_blocks_concurrent_runs(workspace, tmp_path):
     _, config_path = workspace
     out_dir = tmp_path / "locked_out"

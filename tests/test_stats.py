@@ -17,6 +17,7 @@ from citebias.stats import (
     classify_generated,
     cohort_split_by_counterpart,
     count_distribution,
+    format_median,
     format_pct,
     run_overlap,
     summarize_run,
@@ -419,6 +420,17 @@ def test_format_pct_round_half_even():
     assert format_pct(Fraction(100, 3)) == "33.3"
     assert format_pct(Fraction(200, 3)) == "66.7"
     assert format_pct(None) == "NA"
+
+
+def test_format_median_keeps_large_counts_exact():
+    assert format_median(135000.5) == "135000.5"
+    assert format_median(1234567) == "1234567"
+    assert format_median(1234567.0) == "1234567"
+    # below 100,000 the text is what it always was
+    assert format_median(1326) == "1326"
+    assert format_median(2.5) == "2.5"
+    assert format_median(-0.5) == "-0.5"
+    assert format_median(None) == "NA"
 
 
 def test_summary_csv_rows_are_exactly_the_five_metrics(tmp_path):
