@@ -38,6 +38,7 @@ import threading
 import time
 import types
 import typing
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -290,12 +291,20 @@ class FixtureIndexClient:
 
     Title search ranks by token overlap (Jaccard) with the query, ties
     broken by id, which is a deliberately different notion of relevance
-    than the matcher's similarity scores.
+    than the matcher's similarity scores. The first search builds a title
+    index: a postings map from each title token to the ids whose titles
+    hold it, and each title's distinct-token count. A query then scores
+    only the records its tokens' postings reach, as ``shared / (size +
+    query size - shared)``, the same integers and so the same float as
+    the set-based Jaccard, and ranks on the same ``(-jaccard, id)`` key.
+    Loading the papers does not build the index, so a client that only
+    looks papers up never tokenizes a title.
     """
 
     def __init__(self, root: Path | str):
         self.root = Path(root)
         self._papers: dict[str, dict] | None = None
+        self._title_index: tuple[dict[str, list[str]], dict[str, int]] | None = None
 
     # -- preprint side -------------------------------------------------
 
@@ -324,19 +333,35 @@ class FixtureIndexClient:
                     self._papers[rec["index_id"]] = rec
         return self._papers
 
+    def _load_title_index(self) -> tuple[dict[str, list[str]], dict[str, int]]:
+        # one attribute, assigned once built, so a concurrent search sees
+        # either no index or a whole one
+        if self._title_index is None:
+            postings: dict[str, list[str]] = {}
+            sizes: dict[str, int] = {}
+            for index_id, rec in self._load_papers().items():
+                title_tokens = set(tokens(rec.get("title", "")))
+                sizes[index_id] = len(title_tokens)
+                for token in title_tokens:
+                    postings.setdefault(token, []).append(index_id)
+            self._title_index = (postings, sizes)
+        return self._title_index
+
     def search_title(self, query: str, limit: int = 10) -> list[dict]:
         query_tokens = set(tokens(query))
         if not query_tokens:
             return []
-        scored = []
-        for index_id, rec in self._load_papers().items():
-            rec_tokens = set(tokens(rec.get("title", "")))
-            if not rec_tokens & query_tokens:
-                continue
-            jaccard = len(rec_tokens & query_tokens) / len(rec_tokens | query_tokens)
-            scored.append((-jaccard, index_id, rec))
-        scored.sort(key=lambda item: (item[0], item[1]))
-        return [rec for _, _, rec in scored[:limit]]
+        postings, sizes = self._load_title_index()
+        shared: Counter[str] = Counter()
+        for token in query_tokens:
+            shared.update(postings.get(token, ()))
+        q = len(query_tokens)
+        ranked = sorted(
+            (-inter / (sizes[index_id] + q - inter), index_id)
+            for index_id, inter in shared.items()
+        )
+        papers = self._load_papers()
+        return [papers[index_id] for _, index_id in ranked[:limit]]
 
     def get_paper(self, index_id: str) -> dict | None:
         return self._load_papers().get(index_id)
@@ -412,6 +437,8 @@ class HttpPreprintClient(HttpService):
 
     def list_records(self, start: str, end: str, category: str) -> list[dict]:
         payload = self.get_json("/records", {"start": start, "end": end, "category": category})
+        if payload is None:
+            raise TransportError(f"{self.base_url}/records -> HTTP 404", retryable=False)
         if not isinstance(payload, list):
             raise IndexParseError("preprint index returned a non-list payload", payload)
         return payload

@@ -193,7 +193,13 @@ class OpenAIChatProvider(HttpService):
             raise TransportError(
                 f"provider HTTP {resp.status_code}: {resp.text[:200]}", retryable=False
             )
-        return resp.json()["choices"][0]["message"]["content"] or ""
+        try:
+            return resp.json()["choices"][0]["message"]["content"] or ""
+        except (ValueError, LookupError, TypeError) as exc:
+            raise TransportError(
+                f"{self.base_url}/chat/completions -> malformed response body ({exc!r})",
+                retryable=False,
+            ) from exc
 
 
 def generate(

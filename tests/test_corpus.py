@@ -429,7 +429,8 @@ class FakeResponse:
 
 
 class FakeSession:
-    """Yields scripted responses; records each request's URL and params."""
+    """Yields scripted responses; records each request's URL and params
+    (for a POST, its JSON body)."""
 
     def __init__(self, responses):
         self.responses = list(responses)
@@ -440,6 +441,11 @@ class FakeSession:
     def get(self, url, params=None, timeout=None):
         self.calls += 1
         self.sent.append((url, params))
+        return self.responses.pop(0)
+
+    def post(self, url, json=None, timeout=None):
+        self.calls += 1
+        self.sent.append((url, json))
         return self.responses.pop(0)
 
 
@@ -540,6 +546,33 @@ def test_preprint_client_rejects_non_list_payload(payload):
     client = HttpPreprintClient("http://preprint.test", session=session)
     with pytest.raises(IndexParseError):
         client.list_records("2022-01-01", "2022-12-31", "cs.LG")
+
+
+def test_preprint_client_404_is_transport_error():
+    from citebias.clients import HttpPreprintClient
+    from citebias.errors import TransportError
+
+    session = FakeSession([FakeResponse(404)])
+    client = HttpPreprintClient("http://preprint.test", session=session)
+    with pytest.raises(TransportError, match="http://preprint.test/records") as err:
+        client.list_records("2022-01-01", "2022-12-31", "cs.LG")
+    assert not err.value.retryable
+    assert session.calls == 1
+
+
+@pytest.mark.parametrize(
+    "payload", [None, {"error": "x"}, {"choices": []}], ids=["non-json", "error", "no-choices"]
+)
+def test_provider_malformed_success_body_is_transport_error(payload):
+    from citebias.errors import TransportError
+    from citebias.llmgate import OpenAIChatProvider
+
+    session = FakeSession([FakeResponse(200, payload)])
+    provider = OpenAIChatProvider("http://llm.test/v1", model="m", session=session)
+    with pytest.raises(TransportError, match="http://llm.test/v1/chat/completions") as err:
+        provider.send([("user", "hello")], {})
+    assert not err.value.retryable
+    assert session.calls == 1
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,13 @@
 
 import json
 import random
+import tempfile
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from citebias.clients import FixtureIndexClient
 from citebias.errors import CalibrationError
@@ -12,6 +16,8 @@ from citebias.matcher import (
     LabelledPair,
     MatchCandidate,
     Thresholds,
+    _bit_lcs,
+    _match_masks,
     author_similarity,
     bundled_labelled_pairs,
     calibrate,
@@ -20,7 +26,7 @@ from citebias.matcher import (
     search_candidates,
     title_similarity,
 )
-from citebias.textnorm import normalize
+from citebias.textnorm import normalize, tokens
 
 # ---------------------------------------------------------------------------
 # Independent oracles
@@ -28,8 +34,8 @@ from citebias.textnorm import normalize
 
 
 def oracle_lcs(a: str, b: str) -> int:
-    """Longest common subsequence via memoized recursion (independent of
-    the implementation's rolling-array DP)."""
+    """Longest common subsequence via memoized recursion, the O(mn) table
+    (independent of the implementation's bit-parallel kernel)."""
 
     @lru_cache(maxsize=None)
     def rec(i: int, j: int) -> int:
@@ -52,6 +58,21 @@ def oracle_title(a: str, b: str) -> float:
     short, long = (na, nb) if len(na) <= len(nb) else (nb, na)
     n = len(short)
     return max(oracle_lcs(short, long[i : i + n]) / n for i in range(len(long) - n + 1))
+
+
+def oracle_search(papers: list[dict], query: str, limit: int) -> list[dict]:
+    """Fixture title search by a full scan: set Jaccard, ties by id."""
+    query_tokens = set(tokens(query))
+    if not query_tokens:
+        return []
+    scored = []
+    for rec in papers:
+        rec_tokens = set(tokens(rec.get("title", "")))
+        if rec_tokens & query_tokens:
+            jaccard = len(rec_tokens & query_tokens) / len(rec_tokens | query_tokens)
+            scored.append((-jaccard, rec["index_id"], rec))
+    scored.sort(key=lambda item: item[:2])
+    return [rec for _, _, rec in scored[:limit]]
 
 
 def oracle_longest_common_substring(a: str, b: str) -> int:
@@ -92,6 +113,42 @@ def test_title_matches_window_oracle_on_random_strings():
         a = "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 40))).strip() or "a"
         b = "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 40))).strip() or "b"
         assert title_similarity(a, b) == pytest.approx(oracle_title(a, b), abs=1e-12)
+
+
+# Accents, ligatures, dashes, quotes, CJK and punctuation that normalize
+# folds, keeps or strips.
+NON_ASCII = "abcé É ßæøł–—’“.,;-中文字日本語한국어αβγ"
+
+
+def sized_text(alphabet: str, longest: int):
+    # draw the length first: plain st.text mostly yields short strings,
+    # and the kernel's word boundaries sit at 64 and 128 characters
+    return st.integers(0, longest).flatmap(
+        lambda n: st.text(alphabet, min_size=n, max_size=n)
+    )
+
+
+@settings(deadline=None, max_examples=40)
+@given(pattern=sized_text("abcd", 160), text=sized_text("abcde", 160))
+@example(pattern="ab" * 32, text="ba" * 40)
+@example(pattern="abcd" * 16 + "a", text="dcba" * 20)
+@example(pattern="abc" * 43, text="cab" * 50)
+@example(pattern="a" * 129, text="a" * 64 + "b" + "a" * 70)
+def test_bit_lcs_matches_oracle(pattern, text):
+    assert _bit_lcs(_match_masks(pattern), len(pattern), text) == oracle_lcs(pattern, text)
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    a=st.one_of(sized_text(NON_ASCII, 30), st.text(max_size=12)),
+    b=st.one_of(sized_text(NON_ASCII, 30), st.text(max_size=12)),
+)
+@example(a="", b="")
+@example(a="", b="中文")
+@example(a="Économie", b="economie.")
+@example(a="Straße—ß", b="strasse-ss")
+def test_title_matches_window_oracle_on_non_ascii(a, b):
+    assert title_similarity(a, b) == oracle_title(a, b)
 
 
 def test_title_disjoint_alphabets_equal_substring_oracle():
@@ -264,6 +321,43 @@ def test_search_gibberish_returns_empty(scholar):
 def test_search_caps_at_three(scholar):
     candidates = search_candidates(scholar, "spectral graph clustering", ["X. Y"], limit=3)
     assert len(candidates) == 3
+
+
+# A small vocabulary, with case and plural variants, makes Jaccard ties
+# common; "zzz" and "qqq" appear in queries only.
+VOCAB = ["graph", "Graph", "graphs", "spectral", "learning", "deep", "of", "the", "é"]
+vocab_titles = st.lists(st.sampled_from(VOCAB), max_size=5).map(" ".join)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    index=st.lists(st.one_of(vocab_titles, st.none()), max_size=25),
+    ids=st.randoms(use_true_random=False),
+    queries=st.lists(
+        st.lists(st.sampled_from([*VOCAB, "zzz", "qqq"]), max_size=4).map(" ".join),
+        min_size=1,
+        max_size=6,
+    ),
+    limit=st.sampled_from([0, 1, 3, 10, 30]),
+)
+def test_fixture_search_matches_full_scan(index, ids, queries, limit):
+    # files load in name order and the ids are shuffled against it, so a
+    # tie broken by load order instead of by id shows; a None title is a
+    # record without one
+    names = [f"p{i:03d}" for i in range(len(index))]
+    ids.shuffle(names)
+    papers = [
+        {"index_id": index_id} if title is None else {"index_id": index_id, "title": title}
+        for index_id, title in zip(names, index)
+    ]
+    with tempfile.TemporaryDirectory() as root:
+        papers_dir = Path(root) / "scholar" / "papers"
+        papers_dir.mkdir(parents=True)
+        for position, rec in enumerate(papers):
+            (papers_dir / f"{position:03d}.json").write_text(json.dumps(rec))
+        client = FixtureIndexClient(root)
+        for query in queries:
+            assert client.search_title(query, limit=limit) == oracle_search(papers, query, limit)
 
 
 def test_search_requires_title():
