@@ -247,7 +247,6 @@ def _format_fraction(value: Fraction | None) -> str:
 
 def write_graph_files(out_dir: Path, graph: CitationGraph) -> None:
     """Edge list and node-tag sidecar for one paper."""
-    out_dir.mkdir(parents=True, exist_ok=True)
     edge_lines = [f"{citer}\t{cited}" for citer, cited in sorted(graph.edges)]
     atomic_write_text(out_dir / "edges.tsv", "\n".join(edge_lines) + ("\n" if edge_lines else ""))
     tag_lines = [f"{node}\t{tag}" for node, tag in sorted(graph.node_tags.items())]

@@ -1,8 +1,11 @@
 """Command-line entry point.
 
-Subcommands map one-to-one onto pipeline stages, plus ``all`` to run the
-whole chain and ``calibrate`` for threshold calibration on a labelled
-pair set. Global flags override the corresponding config values.
+Subcommands map one-to-one onto the entries of ``pipeline.STAGE_TABLE``,
+plus ``all`` to run the whole chain and ``calibrate`` for threshold
+calibration on a labelled pair set. The global path flags and every
+pipeline command's ``--model`` and ``--runs`` override the corresponding
+config values before the config is hashed, so running stage by stage
+needs the same flags on each command.
 """
 
 from __future__ import annotations
@@ -15,20 +18,12 @@ from pathlib import Path
 from . import matcher
 from .clients import atomic_write_text, dump_json
 from .errors import CitebiasError
-from .pipeline import STAGES, load_config, run_pipeline
+from .pipeline import STAGE_TABLE, load_config, run_pipeline
 
 logger = logging.getLogger(__name__)
 
-_STAGE_HELP = {
-    "ingest": "harvest, filter, and resolve the corpus; enrich references",
-    "prepare": "clean LaTeX sources and build ground-truth intro references",
-    "generate": "run the vanilla prompting passes",
-    "verify": "check generated references against the scholarly index",
-    "iterate": "re-prompt for non-existent references and merge",
-    "analyze": "compute summaries, characteristics, and bias tables",
-    "graph": "build per-paper citation graphs and metrics",
-    "report": "emit the CSV/JSON report bundle",
-}
+# load_config override names; each is the dest of one flag
+OVERRIDES = ("cache_dir", "out_dir", "mock_dir", "refresh", "model_id", "vanilla_runs")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -39,41 +34,27 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", type=Path, required=False, help="pipeline config (YAML)")
     parser.add_argument("--cache-dir", type=Path, help="override the cache directory")
     parser.add_argument("--out-dir", type=Path, help="override the output directory")
-    parser.add_argument("--mock", type=Path, help="directory of canned provider responses")
+    parser.add_argument(
+        "--mock", type=Path, dest="mock_dir", help="directory of canned provider responses"
+    )
     parser.add_argument(
         "--refresh", action="store_true", help="ignore cached entries and stage markers"
     )
     parser.add_argument("-v", "--verbose", action="store_true")
 
     sub = parser.add_subparsers(dest="command", required=True)
-    for stage in STAGES:
-        sp = sub.add_parser(stage, help=_STAGE_HELP[stage])
-        if stage == "generate":
-            sp.add_argument("--model", help="override the configured model id")
-            sp.add_argument("--runs", type=int, help="override the vanilla run count")
-    sub.add_parser("all", help="run every stage in order")
+    commands = [(stage.name, stage.help) for stage in STAGE_TABLE]
+    for name, text in commands + [("all", "run every stage in order")]:
+        sp = sub.add_parser(name, help=text)
+        sp.add_argument("--model", dest="model_id", help="override the configured model id")
+        sp.add_argument(
+            "--runs", dest="vanilla_runs", type=int, help="override the vanilla run count"
+        )
 
     cal = sub.add_parser("calibrate", help="calibrate match thresholds on a labelled CSV")
     cal.add_argument("--labelled", type=Path, help="labelled pair CSV (default: bundled set)")
     cal.add_argument("--write-thresholds", type=Path, help="write the selected thresholds as JSON")
     return parser
-
-
-def _overrides(args: argparse.Namespace) -> dict:
-    out: dict = {}
-    if args.cache_dir:
-        out["cache_dir"] = str(args.cache_dir)
-    if args.out_dir:
-        out["out_dir"] = str(args.out_dir)
-    if args.mock:
-        out["mock_dir"] = str(args.mock)
-    if args.refresh:
-        out["refresh"] = True
-    if getattr(args, "model", None):
-        out["model_id"] = args.model
-    if getattr(args, "runs", None):
-        out["vanilla_runs"] = args.runs
-    return out
 
 
 def _cmd_calibrate(args: argparse.Namespace) -> int:
@@ -110,7 +91,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.config is None:
             print("error: --config is required for pipeline commands", file=sys.stderr)
             return 2
-        config = load_config(args.config, _overrides(args))
+        overrides = {name: getattr(args, name) for name in OVERRIDES if getattr(args, name)}
+        config = load_config(args.config, overrides)
         stages = None if args.command == "all" else [args.command]
         manifest = run_pipeline(config, stages)
         for stage, info in manifest["stages"].items():

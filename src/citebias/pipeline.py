@@ -1,18 +1,16 @@
 """Pipeline orchestration: configuration, stages, manifests, reports.
 
-Stages run in a fixed dependency order::
-
-    ingest -> prepare -> generate -> verify -> iterate -> analyze -> graph -> report
-
-Each stage reads only files written by earlier stages (or the disk
-cache), writes its outputs under its own subdirectory of the output
-directory, and records a completion marker holding the manifest hash;
-re-runs with the same hash skip completed stages. The hash covers the
-run identity (effective config, template hashes, input digest), which
-``manifest.json`` records in full. Every emitted file carries the
-manifest hash, which is computed from deterministic inputs only, so a
-run against the replay provider is bit-for-bit reproducible. Set
-SOURCE_DATE_EPOCH to pin the manifest timestamp as well.
+Stages run in the fixed dependency order of ``STAGE_TABLE``, from ingest
+to report, which declares each stage once. Each stage reads only files
+written by earlier stages (or the disk cache), writes its outputs under
+its own subdirectory of the output directory, and records a completion
+marker holding the manifest hash; re-runs with the same hash skip
+completed stages. The hash covers the run identity (effective config,
+template hashes, input digest), which ``manifest.json`` records in full.
+Every emitted file carries the manifest hash, which is computed from
+deterministic inputs only, so a run against the replay provider is
+bit-for-bit reproducible. Set SOURCE_DATE_EPOCH to pin the manifest
+timestamp as well.
 
 Per-paper failures (refusals, unparseable responses) are quarantined and
 counted; only infrastructure errors abort a run.
@@ -30,6 +28,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import jsonschema
 import yaml
@@ -86,8 +85,6 @@ from .matcher import MatchVerdict, Thresholds, decide_existence, search_candidat
 from .textnorm import title_key
 
 logger = logging.getLogger(__name__)
-
-STAGES = ("ingest", "prepare", "generate", "verify", "iterate", "analyze", "graph", "report")
 
 
 # ---------------------------------------------------------------------------
@@ -648,13 +645,15 @@ def _write_run_manifest(ctx: PipelineContext, strategy: str, run_index: int) -> 
     atomic_write_text(ctx.run_dir(strategy, run_index) / "run_manifest.json", dump_json(payload))
 
 
-def _each_run_and_paper(ctx: PipelineContext, strategy: str, one) -> list:
+def _each_run_and_paper(ctx: PipelineContext, one, creates: str | None = None) -> list:
     """``one(ctx, paper, run_index)`` for every run and prepared paper, in
-    order, after writing each run's ``run_manifest.json`` for ``strategy``."""
+    order. A pass that creates the runs of strategy ``creates`` first writes
+    each run's ``run_manifest.json``."""
     papers = load_papers(ctx, prepared=True)
     results = []
     for run_index in range(1, ctx.config.vanilla_runs + 1):
-        _write_run_manifest(ctx, strategy, run_index)
+        if creates:
+            _write_run_manifest(ctx, creates, run_index)
         results += [one(ctx, paper, run_index) for paper in papers]
     return results
 
@@ -739,14 +738,13 @@ def _generate_one(ctx: PipelineContext, paper: PaperRecord, run_index: int) -> s
     paper_dir = ctx.paper_run_dir(VANILLA, run_index, paper)
     run = GenerationRun(cfg.model_id, VANILLA, run_index, dict(cfg.sampling_params))
     messages = render_vanilla_prompt(_main_content(ctx, paper))
-    intro_numbers = set(_load_record(ctx, paper)["intro_numbers"])
-    label, *answer = _ask(ctx, run, messages, paper_dir, intro_numbers)
+    label, *answer = _ask(ctx, run, messages, paper_dir, paper.intro_reference_numbers)
     _write_refs_file(paper_dir, label, *answer)
     return label.split(":")[0]
 
 
 def stage_generate(ctx: PipelineContext) -> dict:
-    outcomes = Counter(_each_run_and_paper(ctx, VANILLA, _generate_one))
+    outcomes = Counter(_each_run_and_paper(ctx, _generate_one, creates=VANILLA))
     return {"runs": ctx.config.vanilla_runs, "ok": 0, "refusal": 0, "parse-failure": 0, **outcomes}
 
 
@@ -821,7 +819,7 @@ def _verify_one(
 def stage_verify(ctx: PipelineContext) -> dict:
     verdicts = [
         verdict
-        for by_slot in _each_run_and_paper(ctx, VANILLA, _verify_one)
+        for by_slot in _each_run_and_paper(ctx, _verify_one)
         for verdict in by_slot.values()
     ]
     return {"checked": len(verdicts), "existing": sum(v.exists for v in verdicts)}
@@ -842,7 +840,7 @@ def _iterate_one(ctx: PipelineContext, paper: PaperRecord, run_index: int) -> st
     iter_dir = ctx.paper_run_dir(ITERATIVE, run_index, paper)
     parent_outcome, refs = _load_refs(ctx, VANILLA, run_index, paper)
     verdicts = _load_verdicts(ctx, VANILLA, run_index, paper)
-    intro_numbers = set(_load_record(ctx, paper)["intro_numbers"])
+    intro_numbers = paper.intro_reference_numbers
     existing_slots = {n for n, v in verdicts.items() if v.exists}
     nonexistent = intro_numbers - existing_slots
     quarantined: list[dict] = []
@@ -886,7 +884,7 @@ def _iterate_one(ctx: PipelineContext, paper: PaperRecord, run_index: int) -> st
 def stage_iterate(ctx: PipelineContext) -> dict:
     if not ctx.config.iterative:
         return {"enabled": False}
-    return {"enabled": True, **Counter(_each_run_and_paper(ctx, ITERATIVE, _iterate_one))}
+    return {"enabled": True, **Counter(_each_run_and_paper(ctx, _iterate_one, creates=ITERATIVE))}
 
 
 # ---------------------------------------------------------------------------
@@ -932,7 +930,8 @@ def _collect_run(
     strategy: str,
     run_index: int,
 ) -> dict:
-    """Flags, characteristics rows, and bias pairs for one run."""
+    """Flags for one run; for a vanilla run also its characteristics rows
+    and bias pairs, which only vanilla runs feed."""
     flags: list[stats.RefFlags] = []
     char_rows: list[stats.CharacteristicsRow] = []
     pairs: list[stats.PairedRefs] = []
@@ -952,6 +951,8 @@ def _collect_run(
                 ref, verdict, paper, intro_ids, number, number in unique
             )
             flags.append(flag)
+            if strategy != VANILLA:
+                continue
 
             gt = gt_by_num.get(number)
             gt_row = _gt_row(gt) if gt is not None else None
@@ -1002,10 +1003,9 @@ def stage_analyze(ctx: PipelineContext) -> dict:
             summary_payload[stats.run_label(strategy, run_index)] = _summary_json(
                 strategy, run_index, summary
             )
-            if strategy == VANILLA:
-                all_char_rows.extend(collected["char_rows"])
-                all_pairs.extend(collected["pairs"])
-                all_counterpart.extend(collected["counterpart"])
+            all_char_rows.extend(collected["char_rows"])
+            all_pairs.extend(collected["pairs"])
+            all_counterpart.extend(collected["counterpart"])
 
     overlap_payload = {}
     vanilla_indices = list(range(1, cfg.vanilla_runs + 1))
@@ -1107,7 +1107,6 @@ def stage_report(ctx: PipelineContext) -> dict:
     analysis_path = ctx.stage_dir("analysis") / "analysis.json"
     analysis = json.loads(_read_artifact(ctx, analysis_path, "analyze"))
     report_dir = ctx.stage_dir("report")
-    report_dir.mkdir(parents=True, exist_ok=True)
     mhash = ctx.manifest_hash
 
     lines = [
@@ -1123,22 +1122,15 @@ def stage_report(ctx: PipelineContext) -> dict:
         summary = _summary_from(payload)
         summaries[(payload["strategy"], payload["run_index"])] = summary
         lines.append(f"  {label}: existence {stats.format_pct(summary.existence_pct)}%")
-    if summaries:
-        stats.write_summary_csv(report_dir / "summary.csv", summaries, mhash)
-        stats.write_summary_counts_csv(report_dir / "summary_counts.csv", summaries, mhash)
-    else:
-        stats.write_csv(report_dir / "summary.csv", ["metric"], [], mhash)
-        stats.write_csv(report_dir / "summary_counts.csv", ["count"], [], mhash)
+    stats.write_summary_csv(report_dir / "summary.csv", summaries, mhash)
+    stats.write_summary_counts_csv(report_dir / "summary_counts.csv", summaries, mhash)
 
     overlaps = {
         tuple(int(x) for x in key.split("-")): value
         for key, value in from_json(dict[str, Fraction], analysis["overlaps"]).items()
     }
     run_indices = list(range(1, analysis["vanilla_runs"] + 1))
-    if len(run_indices) > 1 and overlaps:
-        stats.write_overlap_csv(report_dir / "overlap.csv", overlaps, run_indices, mhash)
-    else:
-        stats.write_csv(report_dir / "overlap.csv", ["run"], [], mhash)
+    stats.write_overlap_csv(report_dir / "overlap.csv", overlaps, run_indices, mhash)
 
     histograms = dict[str, dict[str, stats.Histogram]]
     tables = from_json(histograms, analysis["histograms"])
@@ -1146,10 +1138,8 @@ def stage_report(ctx: PipelineContext) -> dict:
     counterpart = from_json(histograms, analysis["counterpart_histograms"])
     stats.write_characteristics_csvs(report_dir / "characteristics", counterpart, mhash)
 
-    bias_dir = report_dir / "bias"
-    bias_dir.mkdir(parents=True, exist_ok=True)
     for name, table in sorted(from_json(dict[str, stats.BiasTable], analysis["bias"]).items()):
-        stats.write_bias_csv(bias_dir / f"{name}.csv", table, mhash)
+        stats.write_bias_csv(report_dir / "bias" / f"{name}.csv", table, mhash)
 
     stats.write_histograms_json(report_dir / "histograms.json", tables, mhash)
     atomic_write_text(report_dir / "summary.txt", "\n".join(lines) + "\n")
@@ -1160,16 +1150,27 @@ def stage_report(ctx: PipelineContext) -> dict:
 # Stage driver
 # ---------------------------------------------------------------------------
 
-_STAGE_FUNCS = {
-    "ingest": stage_ingest,
-    "prepare": stage_prepare,
-    "generate": stage_generate,
-    "verify": stage_verify,
-    "iterate": stage_iterate,
-    "analyze": stage_analyze,
-    "graph": stage_graph,
-    "report": stage_report,
-}
+
+class Stage(NamedTuple):
+    """One pipeline stage: its name, its function and its CLI help."""
+
+    name: str
+    run: Callable[[PipelineContext], dict]
+    help: str
+
+
+# every stage, in dependency order; the CLI builds its subcommands from it
+STAGE_TABLE = (
+    Stage("ingest", stage_ingest, "harvest, filter, and resolve the corpus; enrich references"),
+    Stage("prepare", stage_prepare, "clean LaTeX sources and build ground-truth intro references"),
+    Stage("generate", stage_generate, "run the vanilla prompting passes"),
+    Stage("verify", stage_verify, "check generated references against the scholarly index"),
+    Stage("iterate", stage_iterate, "re-prompt for non-existent references and merge"),
+    Stage("analyze", stage_analyze, "compute summaries, characteristics, and bias tables"),
+    Stage("graph", stage_graph, "build per-paper citation graphs and metrics"),
+    Stage("report", stage_report, "emit the CSV/JSON report bundle"),
+)
+STAGES = tuple(stage.name for stage in STAGE_TABLE)
 
 
 def _marker_path(ctx: PipelineContext, stage: str) -> Path:
@@ -1182,11 +1183,10 @@ def run_pipeline(config: PipelineConfig, stages: list[str] | None = None) -> dic
     Returns the manifest dict. Raises PipelineError on hard failure
     (after writing a manifest that records the failure point).
     """
-    requested = list(stages) if stages else list(STAGES)
-    for stage in requested:
-        if stage not in STAGES:
-            raise ConfigError(f"unknown stage {stage!r}")
-    requested.sort(key=STAGES.index)
+    requested = stages or STAGES
+    for name in requested:
+        if name not in STAGES:
+            raise ConfigError(f"unknown stage {name!r}")
 
     identity = run_identity(config, inputs_digest(config))
     core = manifest_hash(identity)
@@ -1202,7 +1202,9 @@ def run_pipeline(config: PipelineConfig, stages: list[str] | None = None) -> dic
 
     with output_lock(config.out_dir):
         try:
-            for stage in requested:
+            for stage, run, _ in STAGE_TABLE:
+                if stage not in requested:
+                    continue
                 marker = _marker_path(ctx, stage)
                 if marker.is_file() and not config.refresh:
                     try:
@@ -1216,7 +1218,7 @@ def run_pipeline(config: PipelineConfig, stages: list[str] | None = None) -> dic
                         }
                         continue
                 logger.info("running stage %s", stage)
-                outcomes = _STAGE_FUNCS[stage](ctx)
+                outcomes = run(ctx)
                 atomic_write_text(
                     marker, dump_json({"manifest_hash": core, "outcomes": outcomes})
                 )

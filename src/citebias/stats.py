@@ -16,6 +16,7 @@ from dataclasses import dataclass, field, replace
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable
 
 from .clients import atomic_write_text, dump_json, to_json
 from .corpus import CANONICAL_VENUES, PaperRecord
@@ -478,21 +479,38 @@ def run_label(strategy: str, run_index: int) -> str:
     return f"run{run_index}_{strategy}"
 
 
+def _write_run_table(
+    path: Path,
+    corner: str,
+    summaries: dict[tuple[str, int], RunSummary],
+    rows: list[tuple[str, str]],
+    cell: Callable[[RunSummary, str], str],
+    manifest_hash: str,
+) -> None:
+    """One row per ``(label, key)`` in ``rows``, one column per (run,
+    strategy) holding ``cell(summary, key)``; only the header without runs."""
+    columns = sorted(summaries, key=lambda k: (k[1], k[0] != "vanilla"))
+    header = [corner, *(run_label(s, i) for s, i in columns)]
+    body = [[label, *(cell(summaries[c], key) for c in columns)] for label, key in rows]
+    write_csv(path, header, body if columns else [], manifest_hash)
+
+
 def write_summary_csv(
     path: Path,
     summaries: dict[tuple[str, int], RunSummary],
     manifest_hash: str,
 ) -> None:
     """Table of the five headline metrics, one column per (run, strategy)."""
-    columns = sorted(summaries, key=lambda k: (k[1], k[0] != "vanilla"))
-    header = ["metric", *(run_label(s, i) for s, i in columns)]
-    rows = []
-    for label, attr in SUMMARY_ROWS:
-        row = [label]
-        for key in columns:
-            row.append(format_pct(getattr(summaries[key], attr)))
-        rows.append(row)
-    write_csv(path, header, rows, manifest_hash)
+    _write_run_table(
+        path, "metric", summaries, list(SUMMARY_ROWS),
+        lambda summary, attr: format_pct(getattr(summary, attr)), manifest_hash,
+    )
+
+
+SUMMARY_COUNTS = (
+    "total_refs", "unique_refs", "existing", "cited_in_paper", "cited_in_intro",
+    "pm_all", "pm_unique",
+)
 
 
 def write_summary_counts_csv(
@@ -500,24 +518,10 @@ def write_summary_counts_csv(
     summaries: dict[tuple[str, int], RunSummary],
     manifest_hash: str,
 ) -> None:
-    columns = sorted(summaries, key=lambda k: (k[1], k[0] != "vanilla"))
-    count_keys = [
-        "total_refs",
-        "unique_refs",
-        "existing",
-        "cited_in_paper",
-        "cited_in_intro",
-        "pm_all",
-        "pm_unique",
-    ]
-    header = ["count", *(run_label(s, i) for s, i in columns)]
-    rows = []
-    for key_name in count_keys:
-        row = [key_name]
-        for key in columns:
-            row.append(str(summaries[key].counts.get(key_name, 0)))
-        rows.append(row)
-    write_csv(path, header, rows, manifest_hash)
+    _write_run_table(
+        path, "count", summaries, [(key, key) for key in SUMMARY_COUNTS],
+        lambda summary, key: str(summary.counts.get(key, 0)), manifest_hash,
+    )
 
 
 def write_overlap_csv(
@@ -526,12 +530,14 @@ def write_overlap_csv(
     run_indices: list[int],
     manifest_hash: str,
 ) -> None:
-    """Upper-triangular pairwise overlap matrix between runs."""
-    header = ["run", *(f"run{i}" for i in run_indices[:-1])]
+    """Upper-triangular pairwise overlap matrix between runs; only the
+    ``run`` header without overlaps."""
+    shown = run_indices if overlaps else []
+    header = ["run", *(f"run{i}" for i in shown[:-1])]
     rows = []
-    for j in run_indices[1:]:
+    for j in shown[1:]:
         row = [f"run{j}"]
-        for i in run_indices[:-1]:
+        for i in shown[:-1]:
             if i < j:
                 value = overlaps.get((i, j)) or overlaps.get((j, i))
                 row.append(format_pct(value))
@@ -546,7 +552,6 @@ def write_characteristics_csvs(
     tables: dict[str, dict[str, Histogram]],
     manifest_hash: str,
 ) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
     for cohort, metrics in sorted(tables.items()):
         rows = []
         for metric, hist in sorted(metrics.items()):

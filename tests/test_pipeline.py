@@ -6,6 +6,7 @@ import shutil
 import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 import yaml
@@ -721,3 +722,84 @@ def test_codec_missing_field_takes_default():
     ref = from_json(GeneratedReference, row)
     assert ref.et_al is False
     assert ref.venue.canonical == "ICML" and ref.authors == ["A"]
+
+
+# ---------------------------------------------------------------------------
+# Stage reruns
+# ---------------------------------------------------------------------------
+
+
+def test_verify_rerun_leaves_run_manifests_untouched(completed_run, tmp_path):
+    # only generate and iterate create runs, so only they write run manifests
+    root, config_path, _ = completed_run
+    out_dir, cache_dir = _copy_run(root, tmp_path)
+    config = load_config(config_path, {"out_dir": str(out_dir), "cache_dir": str(cache_dir)})
+
+    def stamps():
+        files = (p for p in (out_dir / "runs").rglob("*") if p.is_file())
+        return {str(p): p.stat().st_mtime_ns for p in files}
+
+    before = stamps()
+    (out_dir / "stages" / "verify.json").unlink()
+    manifest = run_pipeline(config, ["verify"])
+    assert manifest["stages"]["verify"]["status"] == "ok"
+    assert stamps() == before
+
+
+def test_analyze_rerun_enriches_only_vanilla_matches(completed_run, tmp_path, monkeypatch):
+    # iterative runs feed only the run summaries, so analyze looks up the
+    # matched record of each existing vanilla reference and nothing else
+    from citebias import pipeline
+
+    root, config_path, first = completed_run
+    out_dir, cache_dir = _copy_run(root, tmp_path)
+    config = load_config(config_path, {"out_dir": str(out_dir), "cache_dir": str(cache_dir)})
+    calls = []
+    original = pipeline.enrich_reference
+
+    def counted(index_id, client):
+        calls.append(index_id)
+        return original(index_id, client)
+
+    monkeypatch.setattr(pipeline, "enrich_reference", counted)
+    (out_dir / "stages" / "analyze.json").unlink()
+    manifest = run_pipeline(config, ["analyze"])
+    assert manifest["stages"]["analyze"] == first["stages"]["analyze"]
+    assert len(calls) == first["stages"]["verify"]["outcomes"]["existing"] == 21
+
+
+# ---------------------------------------------------------------------------
+# CLI and the stage table
+# ---------------------------------------------------------------------------
+
+
+def test_cli_all_takes_model_and_runs(completed_run, tmp_path):
+    root, config_path, _ = completed_run
+    out_dir, cache_dir = _copy_run(root, tmp_path)
+    argv = ["--config", str(config_path), "--out-dir", str(out_dir), "--cache-dir", str(cache_dir)]
+    assert cli.main([*argv, "all", "--model", "other-model", "--runs", "1"]) == 0
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    assert manifest["config"]["model_id"] == "other-model"
+    assert manifest["config"]["vanilla_runs"] == 1
+    assert {stage: info["status"] for stage, info in manifest["stages"].items()} == dict.fromkeys(
+        STAGES, "ok"
+    )
+    assert (out_dir / "verdicts" / "other-model").is_dir()
+
+
+@pytest.mark.parametrize("command", [*STAGES, "all"])
+def test_every_pipeline_command_parses_model_and_runs(command):
+    args = cli.build_parser().parse_args([command, "--model", "gpt-4o", "--runs", "5"])
+    assert (args.command, args.model_id, args.vanilla_runs) == (command, "gpt-4o", 5)
+
+
+def test_readme_stage_table_lists_stages_in_order():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    lines = readme.splitlines()
+    start = next(i for i, line in enumerate(lines) if line.replace(" ", "").startswith("|stage|"))
+    rows = []
+    for line in lines[start + 2:]:
+        if not line.startswith("|"):
+            break
+        rows.append(line.split("|")[1].strip())
+    assert tuple(rows) == STAGES
