@@ -3,7 +3,10 @@
 Two external services back the pipeline: a preprint index (harvesting
 candidate papers) and a scholarly index (resolution, enrichment, title
 search). Both sit behind small client interfaces so tests and offline runs
-substitute a directory of canned JSON for the network.
+substitute a directory of canned JSON for the network. That directory is
+read in one pass by ``read_tree``, which also feeds the run's input
+digest, so a run reads each fixture file once and its digest and its
+records come from the same bytes.
 
 Wire formats (JSON):
 
@@ -22,8 +25,8 @@ Wire formats (JSON):
 
 Cache layout is ``cache/<service>/<id>.json``; each file is an envelope
 keyed by (endpoint, id, schema version) so stale or foreign entries are
-treated as misses. Writes are temp-then-rename, so readers never observe a
-partial entry.
+treated as misses. Writes are temp-then-rename through a temp file of the
+writing thread's own, so readers never observe a partial entry.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ import threading
 import time
 import types
 import typing
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -133,11 +136,47 @@ def from_json(tp: Any, data: Any) -> Any:
 
 
 def atomic_write_text(path: Path, text: str) -> None:
-    """Write via a sibling temp file and rename; readers see old or new, never partial."""
+    """Write via a sibling temp file and rename; readers see old or new, never partial.
+
+    The temp name carries the process and thread ids, so two threads
+    writing the same path never share a temp file.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + f".tmp.{os.getpid()}")
+    tmp = path.with_name(path.name + f".tmp.{os.getpid()}.{threading.get_ident()}")
     tmp.write_text(text, encoding="utf-8")
     os.replace(tmp, path)
+
+
+def read_tree(root: Path | str) -> list[tuple[str, bytes]]:
+    """Every file under ``root`` as (POSIX relative path, bytes), in
+    path-component order, the order ``sorted`` gives the ``Path`` objects.
+
+    Symlinked files are read through; a symlinked directory is not
+    entered, as ``Path.rglob`` does not enter it. A file root is one
+    entry named ``"."``; a missing root has none.
+    """
+    root = Path(root)
+    if root.is_file():
+        return [(".", root.read_bytes())]
+    files: list[tuple[str, bytes]] = []
+    if root.is_dir():
+        _read_dir(str(root), "", files)
+    return files
+
+
+def _read_dir(directory: str, prefix: str, files: list[tuple[str, bytes]]) -> None:
+    # names sorted per directory, depth first: the order of the component
+    # tuples, since a directory's files share its prefix. Not a closure: a
+    # recursive one is a reference cycle that keeps ``files`` alive until
+    # the cyclic collector runs
+    with os.scandir(directory) as it:
+        entries = sorted(it, key=lambda entry: entry.name)
+    for entry in entries:
+        if entry.is_dir(follow_symlinks=False):
+            _read_dir(entry.path, prefix + entry.name + "/", files)
+        elif entry.is_file():
+            with open(entry.path, "rb") as fh:
+                files.append((prefix + entry.name, fh.read()))
 
 
 class TokenBucket:
@@ -281,6 +320,12 @@ class ScholarIndexClient(Protocol):
         ...
 
 
+def _is_paper_file(rel: str) -> bool:
+    """Whether a fixture path is ``scholar/papers/*.json``."""
+    head, _, name = rel.rpartition("/")
+    return head == "scholar/papers" and name.endswith(".json")
+
+
 class FixtureIndexClient:
     """Directory of canned JSON standing in for both services.
 
@@ -288,6 +333,13 @@ class FixtureIndexClient:
 
         <root>/preprint/records.json      list of preprint records
         <root>/scholar/papers/<id>.json   one scholarly record per file
+
+    ``files`` is the tree as ``read_tree(root)`` gives it, for a caller
+    that has read it already (``run_pipeline`` reads it once for the run
+    identity and the index); without it the client reads the tree on
+    first use. Each part is parsed once, on first use, and its bytes are
+    then dropped: the records on the first listing, the papers on the
+    first lookup or search.
 
     Title search ranks by token overlap (Jaccard) with the query, ties
     broken by id, which is a deliberately different notion of relevance
@@ -301,18 +353,36 @@ class FixtureIndexClient:
     looks papers up never tokenizes a title.
     """
 
-    def __init__(self, root: Path | str):
+    def __init__(self, root: Path | str, files: list[tuple[str, bytes]] | None = None):
         self.root = Path(root)
+        self._files = files
+        # held while a part is parsed, so a concurrent call waits for the
+        # whole part instead of seeing it missing
+        self._lock = threading.Lock()
+        self._records: list[dict] | None = None
         self._papers: dict[str, dict] | None = None
         self._title_index: tuple[dict[str, list[str]], dict[str, int]] | None = None
+
+    def _take(self, wanted: Callable[[str], bool]) -> list[bytes]:
+        """Bytes of the held files whose path ``wanted`` accepts, which
+        are then dropped. Called under the lock."""
+        if self._files is None:
+            self._files = read_tree(self.root)
+        taken = [data for rel, data in self._files if wanted(rel)]
+        self._files = [entry for entry in self._files if not wanted(entry[0])]
+        return taken
 
     # -- preprint side -------------------------------------------------
 
     def list_records(self, start: str, end: str, category: str) -> list[dict]:
-        path = self.root / "preprint" / "records.json"
-        records = json.loads(path.read_text(encoding="utf-8"))
+        with self._lock:
+            if self._records is None:
+                taken = self._take(lambda rel: rel == "preprint/records.json")
+                if not taken:
+                    raise FileNotFoundError(self.root / "preprint" / "records.json")
+                self._records = json.loads(taken[0])
         out = []
-        for rec in records:
+        for rec in self._records:
             posted = rec.get("posted_date", "")
             if not (start <= posted <= end):
                 continue
@@ -324,13 +394,16 @@ class FixtureIndexClient:
     # -- scholar side --------------------------------------------------
 
     def _load_papers(self) -> dict[str, dict]:
-        if self._papers is None:
-            self._papers = {}
-            papers_dir = self.root / "scholar" / "papers"
-            if papers_dir.is_dir():
-                for path in sorted(papers_dir.glob("*.json")):
-                    rec = json.loads(path.read_text(encoding="utf-8"))
-                    self._papers[rec["index_id"]] = rec
+        with self._lock:
+            if self._papers is None:
+                papers = {}
+                # each file's bytes go as its record comes, so the whole
+                # index is never held twice
+                taken = deque(self._take(_is_paper_file))
+                while taken:
+                    rec = json.loads(taken.popleft())
+                    papers[rec["index_id"]] = rec
+                self._papers = papers
         return self._papers
 
     def _load_title_index(self) -> tuple[dict[str, list[str]], dict[str, int]]:

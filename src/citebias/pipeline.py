@@ -46,6 +46,7 @@ from .clients import (
     dump_json,
     from_json,
     parallel_map,
+    read_tree,
     safe_filename,
     to_json,
 )
@@ -243,7 +244,12 @@ def load_config(path: Path | str, overrides: dict | None = None) -> PipelineConf
 class PipelineContext:
     """Index clients and shared state for one run."""
 
-    def __init__(self, config: PipelineConfig, manifest_hash: str):
+    def __init__(
+        self,
+        config: PipelineConfig,
+        manifest_hash: str,
+        fixture_files: list[tuple[str, bytes]] | None = None,
+    ):
         self.config = config
         self.manifest_hash = manifest_hash
         if config.venue_aliases_path:
@@ -251,7 +257,7 @@ class PipelineContext:
         else:
             self.venue_table = VenueTable.default()
         if config.fixture_dir:
-            self.preprint = scholar = FixtureIndexClient(config.fixture_dir)
+            self.preprint = scholar = FixtureIndexClient(config.fixture_dir, fixture_files)
         else:
             limiter = TokenBucket(config.rate_limit_per_sec)
             self.preprint = HttpPreprintClient(config.preprint_url, limiter=limiter)
@@ -310,23 +316,29 @@ class PipelineContext:
 # ---------------------------------------------------------------------------
 
 
-def _digest_tree(digest: "hashlib._Hash", root: Path | None) -> None:
-    if root is None or not root.exists():
-        return
-    paths = [root] if root.is_file() else sorted(p for p in root.rglob("*") if p.is_file())
-    for path in paths:
-        digest.update(str(path.relative_to(root)).encode("utf-8"))
-        digest.update(b"\0")
-        digest.update(path.read_bytes())
-        digest.update(b"\1")
+def inputs_digest(
+    config: PipelineConfig, fixture_files: list[tuple[str, bytes]] | None = None
+) -> str:
+    """Digest of every input tree and file a run depends on, file by file
+    in ``read_tree`` order and keyed by POSIX relative path.
 
-
-def inputs_digest(config: PipelineConfig) -> str:
-    """Digest of every input tree and file a run depends on."""
+    ``fixture_files`` is ``read_tree(config.fixture_dir)`` for a caller
+    that has read it already.
+    """
     digest = hashlib.sha256()
     roots = (config.sources_dir, config.fixture_dir, config.mock_dir, config.venue_aliases_path)
     for root in roots:
-        _digest_tree(digest, root)
+        if root is None:
+            continue
+        if root == config.fixture_dir and fixture_files is not None:
+            files = fixture_files
+        else:
+            files = read_tree(root)
+        for rel, data in files:
+            digest.update(rel.encode("utf-8"))
+            digest.update(b"\0")
+            digest.update(data)
+            digest.update(b"\1")
     return digest.hexdigest()
 
 
@@ -485,12 +497,16 @@ def _enriched_for(ctx: PipelineContext, ids: list[str]) -> dict[str, EnrichedRec
 
 
 def _resolve_gt_title(
-    title: str, enriched: dict[str, EnrichedRecord], title_threshold: float
+    title: str,
+    enriched: dict[str, EnrichedRecord],
+    keys: dict[str, str],
+    title_threshold: float,
 ) -> tuple[str | None, str]:
     """Match a structured ground-truth title to the focal paper's
-    reference ids (exact normalized key first, then best substring ratio)."""
+    reference ids (exact normalized key first, then best substring ratio).
+    ``keys`` maps each id of ``enriched`` to its title's ``title_key``."""
     key = title_key(title)
-    exact = [rid for rid, rec in sorted(enriched.items()) if title_key(rec.title) == key]
+    exact = [rid for rid, rid_key in sorted(keys.items()) if rid_key == key]
     if exact:
         return exact[0], "exact" if len(exact) == 1 else "exact-first-of-several"
     best_id, best_score = None, 0.0
@@ -563,13 +579,14 @@ def stage_prepare(ctx: PipelineContext) -> dict:
             )
             if table is not None:
                 enriched = _enriched_for(ctx, paper.reference_ids)
+                keys = {rid: title_key(rec.title) for rid, rec in enriched.items()}
                 raw_by_num = dict(intro_refs)
                 for ref in table.references:
                     num = ref.citation_number
                     if num not in raw_by_num or num in gt_rows:
                         continue
                     index_id, resolution = _resolve_gt_title(
-                        ref.title, enriched, cfg.thresholds.title_threshold
+                        ref.title, enriched, keys, cfg.thresholds.title_threshold
                     )
                     row = {
                         "citation_number": num,
@@ -1188,9 +1205,13 @@ def run_pipeline(config: PipelineConfig, stages: list[str] | None = None) -> dic
         if name not in STAGES:
             raise ConfigError(f"unknown stage {name!r}")
 
-    identity = run_identity(config, inputs_digest(config))
+    # one read of the fixture index serves the run identity and the index
+    # client, which owns the bytes from here and drops them once parsed
+    fixture_files = read_tree(config.fixture_dir) if config.fixture_dir else None
+    identity = run_identity(config, inputs_digest(config, fixture_files))
     core = manifest_hash(identity)
-    ctx = PipelineContext(config, core)
+    ctx = PipelineContext(config, core, fixture_files)
+    del fixture_files
     manifest: dict = {
         **identity,
         "manifest_hash": core,

@@ -44,6 +44,11 @@ def normalize(text: str) -> str:
     and drop terminal punctuation."""
     if not text:
         return ""
+    if text.isascii():
+        # exact: every quote, dash and special key is non-ASCII, NFKD
+        # leaves ASCII as it is, and no ASCII character is a combining mark
+        text = _WS_RE.sub(" ", text.lower()).strip()
+        return _TERMINAL_PUNCT_RE.sub("", text)
     for q, repl in _QUOTES.items():
         text = text.replace(q, repl)
     for d in _DASHES:

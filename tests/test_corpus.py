@@ -1,6 +1,7 @@
 """Corpus harvesting, resolution, enrichment, and the client layer."""
 
 import json
+import sys
 import threading
 
 import pytest
@@ -153,6 +154,40 @@ def fixture_client(index_dir):
 @pytest.fixture()
 def venue_table():
     return VenueTable.default()
+
+
+def test_lookup_during_the_paper_load_waits_for_the_record(fixture_client, monkeypatch):
+    # a lookup from a second thread while the first loads the papers waits
+    # for the whole index; seeing the id missing would let the cached
+    # client store a permanent not-found entry
+    import citebias.clients as clients_mod
+
+    loading, release = threading.Event(), threading.Event()
+    read_tree = clients_mod.read_tree
+
+    def held_read_tree(root):
+        loading.set()
+        release.wait(timeout=10)
+        return read_tree(root)
+
+    monkeypatch.setattr(clients_mod, "read_tree", held_read_tree)
+    found = {}
+
+    def lookup(name):
+        found[name] = fixture_client.get_paper("s_widgets")
+
+    first = threading.Thread(target=lookup, args=("first",))
+    second = threading.Thread(target=lookup, args=("second",))
+    first.start()
+    assert loading.wait(timeout=10)
+    second.start()
+    second.join(timeout=0.2)
+    assert second.is_alive()  # held until the load is whole
+    release.set()
+    for thread in (first, second):
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+    assert found["second"] == found["first"] == SCHOLAR_PAPERS[0]
 
 
 # ---------------------------------------------------------------------------
@@ -376,6 +411,48 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
     atomic_write_text(target, "contents")
     assert target.read_text() == "contents"
     assert [p.name for p in target.parent.iterdir()] == ["file.json"]
+
+
+def test_read_tree_result_is_freed_with_its_last_reference(tmp_path):
+    # the index client drops the fixture bytes once parsed; nothing else
+    # may hold them until the cyclic collector runs
+    from citebias.clients import read_tree
+
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "sub" / "a.json").write_bytes(b"{}")
+    files = read_tree(tmp_path)
+    assert files == [("sub/a.json", b"{}")]
+    assert sys.getrefcount(files) == 2  # the name and the call's argument
+
+
+def test_atomic_writes_of_one_path_from_two_threads(tmp_path):
+    # each thread writes through its own temp file, so neither replaces
+    # the other's half-written file or finds its own temp file gone
+    target = tmp_path / "entry.json"
+    texts = ["a" * 50_000 + "\n", "b" * 50_000 + "\n"]
+    errors = []
+
+    def writer(text):
+        try:
+            for _ in range(200):
+                atomic_write_text(target, text)
+        except OSError as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=writer, args=(text,)) for text in texts]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert target.read_text() in texts
+    assert [p.name for p in tmp_path.iterdir()] == ["entry.json"]
 
 
 # ---------------------------------------------------------------------------

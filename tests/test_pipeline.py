@@ -1,15 +1,20 @@
 """Orchestrator integration: stages, artifacts, reports, and resumability."""
 
+import hashlib
 import json
 import os
 import shutil
 import subprocess
 import sys
+import tempfile
 from importlib import resources
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 import yaml
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from citebias import cli
 from citebias.errors import ConfigError, PipelineError
@@ -722,6 +727,116 @@ def test_codec_missing_field_takes_default():
     ref = from_json(GeneratedReference, row)
     assert ref.et_al is False
     assert ref.venue.canonical == "ICML" and ref.authors == ["A"]
+
+
+# ---------------------------------------------------------------------------
+# Input digest and the fixture read
+# ---------------------------------------------------------------------------
+
+
+def oracle_digest_tree(digest, root):
+    """One input root into the digest by ``rglob`` and ``sorted(Path)``."""
+    if root is None or not root.exists():
+        return
+    paths = [root] if root.is_file() else sorted(p for p in root.rglob("*") if p.is_file())
+    for path in paths:
+        digest.update(str(path.relative_to(root)).encode("utf-8"))
+        digest.update(b"\0")
+        digest.update(path.read_bytes())
+        digest.update(b"\1")
+
+
+def oracle_inputs_digest(config):
+    digest = hashlib.sha256()
+    for root in (config.sources_dir, config.fixture_dir, config.mock_dir, config.venue_aliases_path):
+        oracle_digest_tree(digest, root)
+    return digest.hexdigest()
+
+
+# names that order differently as strings and as path parts ("a-b" and
+# "a.b" sort before "a/b" as strings, after it as parts), dotfiles, spaces
+# and non-ASCII
+PATH_PARTS = ["a", "b", "a-b", "a.b", "a b", "ab", ".hidden", "B", "\u00e9"]
+tree_files = st.lists(
+    st.tuples(st.lists(st.sampled_from(PATH_PARTS), min_size=1, max_size=3), st.binary(max_size=6)),
+    max_size=10,
+)
+
+
+def _write_tree(root, files):
+    """Write ``files`` (parts, bytes) under ``root``, skipping any that
+    would need a file where a directory is or the reverse."""
+    root.mkdir()
+    for parts, data in files:
+        path = root.joinpath(*parts)
+        if any(parent.is_file() for parent in path.parents) or path.is_dir():
+            continue
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(data)
+
+
+@settings(deadline=None, max_examples=60)
+@given(sources=tree_files, index=tree_files, link_at=st.sampled_from(PATH_PARTS))
+@example(
+    sources=[(["a-b"], b"1"), (["a", "b"], b"2"), (["a.b"], b"3"), (["a", "c", "d"], b"4")],
+    index=[([".x"], b""), (["a", "a-b"], b"5"), (["a", "a", "b"], b"6")],
+    link_at="a b",
+)
+def test_inputs_digest_matches_rglob_sort(sources, index, link_at):
+    from citebias.clients import read_tree
+    from citebias.pipeline import inputs_digest
+
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        _write_tree(tmp / "sources", sources)
+        _write_tree(tmp / "index", index)
+        # a symlinked file is read through, a symlinked directory is not
+        # entered, and a dangling link is no file
+        links = tmp / "sources" / "links" / link_at
+        links.mkdir(parents=True)
+        (links / "file").symlink_to(tmp / "aliases.json")
+        (links / "dir").symlink_to(tmp / "index", target_is_directory=True)
+        (links / "dangling").symlink_to(tmp / "missing")
+        (tmp / "aliases.json").write_text('{"NeurIPS": {}}')
+        config = SimpleNamespace(
+            sources_dir=tmp / "sources",
+            fixture_dir=tmp / "index",
+            mock_dir=tmp / "no-such-store",
+            venue_aliases_path=tmp / "aliases.json",
+        )
+        expected = oracle_inputs_digest(config)
+        assert inputs_digest(config) == expected
+        assert inputs_digest(config, read_tree(config.fixture_dir)) == expected
+
+
+def test_full_run_reads_each_fixture_file_once(workspace, tmp_path, monkeypatch):
+    # the run identity and the index client share one read of the tree
+    import builtins
+    import io
+    from collections import Counter
+
+    _, config_path = workspace
+    config = load_config(
+        config_path, {"out_dir": str(tmp_path / "out"), "cache_dir": str(tmp_path / "cache")}
+    )
+    index = config.fixture_dir.resolve()
+    opened = Counter()
+    original = io.open
+
+    def counting_open(file, *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)):
+            path = Path(file).resolve()
+            if index in path.parents:
+                opened[path.relative_to(index).as_posix()] += 1
+        return original(file, *args, **kwargs)
+
+    monkeypatch.setattr(io, "open", counting_open)
+    monkeypatch.setattr(builtins, "open", counting_open)
+    manifest = run_pipeline(config)
+    assert manifest["stages"]["ingest"]["status"] == "ok"
+    files = [p.relative_to(index).as_posix() for p in index.rglob("*") if p.is_file()]
+    assert len(files) > 1
+    assert opened == Counter(files)
 
 
 # ---------------------------------------------------------------------------
