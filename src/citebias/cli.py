@@ -4,8 +4,9 @@ Subcommands map one-to-one onto the entries of ``pipeline.STAGE_TABLE``,
 plus ``all`` to run the whole chain and ``calibrate`` for threshold
 calibration on a labelled pair set. The global path flags and every
 pipeline command's ``--model`` and ``--runs`` override the corresponding
-config values before the config is hashed, so running stage by stage
-needs the same flags on each command.
+config values (``pipeline.OVERRIDABLE``) before the config is validated
+and hashed, so running stage by stage needs the same flags on each
+command.
 """
 
 from __future__ import annotations
@@ -18,12 +19,9 @@ from pathlib import Path
 from . import matcher
 from .clients import atomic_write_text, dump_json
 from .errors import CitebiasError
-from .pipeline import STAGE_TABLE, load_config, run_pipeline
+from .pipeline import OVERRIDABLE, STAGE_TABLE, load_config, run_pipeline
 
 logger = logging.getLogger(__name__)
-
-# load_config override names; each is the dest of one flag
-OVERRIDES = ("cache_dir", "out_dir", "mock_dir", "refresh", "model_id", "vanilla_runs")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -38,7 +36,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--mock", type=Path, dest="mock_dir", help="directory of canned provider responses"
     )
     parser.add_argument(
-        "--refresh", action="store_true", help="ignore cached entries and stage markers"
+        "--refresh", action="store_true", default=None,
+        help="ignore cached entries and stage markers",
     )
     parser.add_argument("-v", "--verbose", action="store_true")
 
@@ -91,7 +90,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.config is None:
             print("error: --config is required for pipeline commands", file=sys.stderr)
             return 2
-        overrides = {name: getattr(args, name) for name in OVERRIDES if getattr(args, name)}
+        # each OVERRIDABLE name is the dest of one flag, None when not given
+        given = {name: getattr(args, name) for name in OVERRIDABLE}
+        overrides = {name: value for name, value in given.items() if value is not None}
         config = load_config(args.config, overrides)
         stages = None if args.command == "all" else [args.command]
         manifest = run_pipeline(config, stages)

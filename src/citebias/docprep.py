@@ -18,6 +18,7 @@ runs are reproducible on machines without TeX.
 from __future__ import annotations
 
 import logging
+import os
 import re
 import subprocess
 from dataclasses import dataclass, field
@@ -131,6 +132,16 @@ def _read_tex(path: Path) -> str:
         return data.decode("utf-8")
     except UnicodeDecodeError:
         return data.decode("latin-1")
+
+
+def _bundle_file(source_dir: Path, name: str, suffix: str) -> Path | None:
+    """The bundle's file ``name`` (plus ``suffix``), or None; an absolute
+    name, or one that leaves the bundle once normalized, names nothing."""
+    rel = os.path.normpath(name if name.endswith(suffix) else name + suffix)
+    if os.path.isabs(rel) or rel == os.pardir or rel.startswith(os.pardir + os.sep):
+        return None
+    path = source_dir / rel
+    return path if path.is_file() else None
 
 
 def locate_main_tex(source_dir: Path | str) -> Path | Exclusion:
@@ -503,9 +514,8 @@ def resolve_bibliography(
     bib_entries: dict[str, BibEntry] | None = None
     if bib_name:
         for name in bib_name.split(","):
-            name = name.strip()
-            path = source_dir / (name if name.endswith(".bib") else f"{name}.bib")
-            if path.is_file():
+            path = _bundle_file(source_dir, name.strip(), ".bib")
+            if path is not None:
                 bib_entries = bib_entries or {}
                 bib_entries.update(parse_bib(_read_tex(path)))
     if bib_entries is None:
@@ -841,31 +851,30 @@ def prepare_source(
 
     Returns a PreparedDocument, or an Exclusion naming why the paper
     cannot enter the corpus (no main file, multiple mains, no
-    bibliography, compile failure).
+    bibliography, compile failure). Any TexError, a malformed .bib
+    included, is a compile failure; an unreadable file raises OSError.
     """
     source_dir = Path(source_dir)
     located = locate_main_tex(source_dir)
     if isinstance(located, Exclusion):
         return located
-    # a commented-out \input or bibliography command must not act
-    tex = _inline_inputs(_strip_comments(_read_tex(located)), source_dir)
-
-    if latex_command:
-        failed = run_latex_check(latex_command, source_dir, located)
-        if failed is not None:
-            return failed
-
-    cited = cited_keys(tex)
-    bibliography = resolve_bibliography(source_dir, tex, cited)
-    if isinstance(bibliography, Exclusion):
-        return bibliography
     try:
+        # a commented-out \input or bibliography command must not act
+        tex = _inline_inputs(_strip_comments(_read_tex(located)), source_dir)
+
+        if latex_command:
+            failed = run_latex_check(latex_command, source_dir, located)
+            if failed is not None:
+                return failed
+
+        cited = cited_keys(tex)
+        bibliography = resolve_bibliography(source_dir, tex, cited)
+        if isinstance(bibliography, Exclusion):
+            return bibliography
         cleaned = clean_tex(tex, bibliography)
+        main, reference_texts = split_document(render_text(cleaned, bibliography))
     except TexError as exc:
         return Exclusion(EXCL_COMPILE_ERROR, str(exc))
-    rendered = render_text(cleaned, bibliography)
-
-    main, reference_texts = split_document(rendered)
     return PreparedDocument(
         main_content=main,
         reference_texts=reference_texts,
@@ -875,13 +884,11 @@ def prepare_source(
 
 
 def _inline_inputs(tex: str, source_dir: Path) -> str:
-    """Inline one level of \\input/\\include from the bundle, comments stripped."""
+    """Inline one level of \\input/\\include from the bundle, comments
+    stripped; a name outside the bundle inlines nothing."""
 
     def repl(match: re.Match) -> str:
-        name = match.group(1).strip()
-        path = source_dir / (name if name.endswith(".tex") else f"{name}.tex")
-        if path.is_file():
-            return _strip_comments(_read_tex(path))
-        return ""
+        path = _bundle_file(source_dir, match.group(1).strip(), ".tex")
+        return "" if path is None else _strip_comments(_read_tex(path))
 
     return re.sub(r"\\(?:input|include)\{([^}]*)\}", repl, tex)

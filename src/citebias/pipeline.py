@@ -18,6 +18,7 @@ counted; only infrastructure errors abort a run.
 
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import json
 import logging
@@ -27,6 +28,7 @@ from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -144,13 +146,22 @@ def config_schema() -> dict:
     return json.loads(text)
 
 
+# each load_config override and the config key path it sets
+OVERRIDABLE = {
+    **{name: (name,) for name in ("cache_dir", "out_dir", "mock_dir", "refresh")},
+    "model_id": ("provider", "model_id"),
+    "vanilla_runs": ("runs", "vanilla"),
+}
+
+
 def load_config(path: Path | str, overrides: dict | None = None) -> PipelineConfig:
     """Load, validate, and normalize a YAML config file.
 
-    CLI overrides (cache_dir, out_dir, mock_dir, refresh, model_id,
-    vanilla_runs) win over file values. Relative paths resolve against
-    the config file's directory. Without configured thresholds the
-    bundled calibrated defaults apply.
+    Each override, named as in ``OVERRIDABLE``, replaces the value at its
+    key path before the schema check, so an override is validated like the
+    file. Relative paths, overridden or not, resolve against the config
+    file's directory. Without configured thresholds the bundled calibrated
+    defaults apply.
     """
     path = Path(path)
     try:
@@ -159,12 +170,18 @@ def load_config(path: Path | str, overrides: dict | None = None) -> PipelineConf
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a mapping")
+    for name, value in (overrides or {}).items():
+        *sections, key = OVERRIDABLE[name]
+        node = raw
+        for section in sections:
+            node = node.setdefault(section, {})
+        if isinstance(node, dict):  # otherwise the schema check names the section
+            node[key] = str(value) if isinstance(value, Path) else value
     try:
         jsonschema.validate(raw, config_schema())
     except jsonschema.ValidationError as exc:
         raise ConfigError(f"invalid config: {exc.message} (at {'/'.join(map(str, exc.path))})") from exc
 
-    overrides = overrides or {}
     base = path.parent
 
     def respath(value: str | None) -> Path | None:
@@ -210,13 +227,13 @@ def load_config(path: Path | str, overrides: dict | None = None) -> PipelineConf
         scholar_api_key_env=index_cfg.get("scholar_api_key_env", ""),
         rate_limit_per_sec=index_cfg.get("rate_limit_per_sec", 3.0),
         max_in_flight=index_cfg.get("max_in_flight", 1),
-        model_id=overrides.get("model_id") or provider_cfg["model_id"],
+        model_id=provider_cfg["model_id"],
         provider_kind=provider_cfg["kind"],
         provider_base_url=provider_cfg.get("base_url"),
         provider_api_key_env=provider_cfg.get("api_key_env", "OPENAI_API_KEY"),
         sampling_params=dict(provider_cfg.get("sampling_params", {})),
         provider_rate_limit=provider_cfg.get("rate_limit_per_sec", 1.0),
-        vanilla_runs=overrides.get("vanilla_runs") or runs_cfg.get("vanilla", 1),
+        vanilla_runs=runs_cfg.get("vanilla", 1),
         iterative=runs_cfg.get("iterative", False),
         thresholds=thresholds,
         search_limit=matching_cfg.get("search_limit", 3),
@@ -224,15 +241,19 @@ def load_config(path: Path | str, overrides: dict | None = None) -> PipelineConf
         graph_strategy=graph_cfg.get("strategy", VANILLA),
         graph_run_index=graph_cfg.get("run_index", 1),
         latex_command=docprep_cfg.get("latex_command"),
-        cache_dir=respath(overrides.get("cache_dir") or raw.get("cache_dir", "cache")),
-        out_dir=respath(overrides.get("out_dir") or raw.get("out_dir", "out")),
-        mock_dir=respath(overrides.get("mock_dir") or raw.get("mock_dir")),
-        refresh=bool(overrides.get("refresh", raw.get("refresh", False))),
+        cache_dir=respath(raw.get("cache_dir", "cache")),
+        out_dir=respath(raw.get("out_dir", "out")),
+        mock_dir=respath(raw.get("mock_dir")),
+        refresh=raw.get("refresh", False),
     )
     if cfg.fixture_dir is None and (cfg.preprint_url is None or cfg.scholar_url is None):
         raise ConfigError("index needs either fixture_dir or both service URLs")
     if cfg.provider_kind == "mock" and cfg.mock_dir is None:
         raise ConfigError("mock provider needs mock_dir (or --mock)")
+    if cfg.graph_run_index > cfg.vanilla_runs:
+        raise ConfigError(f"graph.run_index {cfg.graph_run_index} > runs.vanilla {cfg.vanilla_runs}")
+    if cfg.graph_strategy == ITERATIVE and not cfg.iterative:
+        raise ConfigError("graph.strategy iterative needs runs.iterative: true")
     return cfg
 
 
@@ -365,37 +386,22 @@ def _now_iso() -> str:
 
 @contextmanager
 def output_lock(out_dir: Path):
-    """Single-owner lock on the output directory (stale locks are stolen)."""
+    """Single-owner lock on the output directory: ``flock`` on its
+    ``.lock`` file, which a second lock fails to take, even in the same
+    process. The kernel drops the lock when its holder's process ends.
+    The file stays (a waiter could otherwise lock an unlinked inode while
+    a new run locks a new file) and is opened for writing, which the
+    POSIX locks that emulate ``flock`` over NFS need."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    lock = out_dir / ".lock"
-    while True:
-        try:
-            fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-            break
-        except FileExistsError:
-            try:
-                pid = int(lock.read_text().strip() or "0")
-            except (OSError, ValueError):
-                pid = 0
-            if pid and _pid_alive(pid) and pid != os.getpid():
-                raise PipelineError(f"output directory locked by running pid {pid}")
-            lock.unlink(missing_ok=True)
+    fd = os.open(out_dir / ".lock", os.O_RDWR | os.O_CREAT, 0o666)
     try:
-        os.write(fd, str(os.getpid()).encode("ascii"))
-        os.close(fd)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            raise PipelineError(f"output directory {out_dir} is locked by another run") from None
         yield
     finally:
-        lock.unlink(missing_ok=True)
-
-
-def _pid_alive(pid: int) -> bool:
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except PermissionError:
-        return True
-    return True
+        os.close(fd)
 
 
 # ---------------------------------------------------------------------------
@@ -450,9 +456,7 @@ def stage_ingest(ctx: PipelineContext) -> dict:
     out = ctx.stage_dir("corpus")
     atomic_write_text(out / "papers.json", dump_json(to_json(papers)))
     atomic_write_text(out / "exclusions.json", dump_json(exclusions))
-    by_code: dict[str, int] = {}
-    for item in exclusions:
-        by_code[item["code"]] = by_code.get(item["code"], 0) + 1
+    by_code = Counter(item["code"] for item in exclusions)
     return {
         "harvested": len(stubs),
         "after_blacklist": len(kept),
@@ -627,9 +631,7 @@ def stage_prepare(ctx: PipelineContext) -> dict:
     out = ctx.stage_dir("prepared")
     atomic_write_text(out / "papers.json", dump_json(to_json(survivors)))
     atomic_write_text(out / "exclusions.json", dump_json(excluded))
-    by_code: dict[str, int] = {}
-    for item in excluded:
-        by_code[item["code"]] = by_code.get(item["code"], 0) + 1
+    by_code = Counter(item["code"] for item in excluded)
     return {
         "prepared": len(survivors),
         "excluded": len(excluded),
@@ -985,9 +987,8 @@ def _collect_run(
     return {"flags": flags, "char_rows": char_rows, "pairs": pairs, "counterpart": counterpart}
 
 
-BIAS_FACETS = ("subperiod", "title_chars", "author_count", "venue")
 # analysis.json nests RunSummary's five ``<key>_pct`` fields under "pct"
-PCT_KEYS = ("existence", "cited_in_paper", "cited_in_intro", "pm_all", "pm_unique")
+PCT_KEYS = tuple(key for key, *_ in stats.HEADLINE)
 
 
 def _summary_json(strategy: str, run_index: int, summary: stats.RunSummary) -> dict:
@@ -1024,28 +1025,17 @@ def stage_analyze(ctx: PipelineContext) -> dict:
             all_pairs.extend(collected["pairs"])
             all_counterpart.extend(collected["counterpart"])
 
-    overlap_payload = {}
-    vanilla_indices = list(range(1, cfg.vanilla_runs + 1))
-    for i in vanilla_indices:
-        for j in vanilla_indices:
-            if i < j and run_flags.get((VANILLA, i)):
-                value = stats.run_overlap(run_flags[(VANILLA, i)], run_flags[(VANILLA, j)])
-                overlap_payload[f"{i}-{j}"] = to_json(value)
+    overlap_payload = {
+        f"{i}-{j}": to_json(stats.run_overlap(run_flags[(VANILLA, i)], run_flags[(VANILLA, j)]))
+        for i, j in combinations(range(1, cfg.vanilla_runs + 1), 2)
+        if run_flags.get((VANILLA, i))
+    }
 
     tables = stats.characteristics(all_char_rows)
     split = stats.cohort_split_by_counterpart(all_counterpart)
     counterpart_tables = stats.characteristics(
         [row for rows in split.values() for row in rows]
     )
-
-    bias_payload = {}
-    for facet in BIAS_FACETS:
-        for metric in ("citation_count", "influential_citation_count"):
-            table = stats.bias_breakdown(
-                all_pairs, facet, metric, subperiod_bins=cfg.subperiod_bins
-            )
-            name = facet if metric == "citation_count" else f"{facet}_influential"
-            bias_payload[name] = to_json(table)
 
     analysis = {
         "summaries": summary_payload,
@@ -1054,7 +1044,7 @@ def stage_analyze(ctx: PipelineContext) -> dict:
         "iterative": cfg.iterative,
         "histograms": to_json(tables),
         "counterpart_histograms": to_json(counterpart_tables),
-        "bias": bias_payload,
+        "bias": to_json(stats.bias_tables(all_pairs, cfg.subperiod_bins)),
     }
     atomic_write_text(ctx.stage_dir("analysis") / "analysis.json", dump_json(analysis))
     return {

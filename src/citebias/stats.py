@@ -26,13 +26,16 @@ from .textnorm import title_key
 
 logger = logging.getLogger(__name__)
 
-SUMMARY_ROWS = (
-    ("Existence", "existence_pct"),
-    ("Cited in paper", "cited_in_paper_pct"),
-    ("Cited in introduction", "cited_in_intro_pct"),
-    ("PM all", "pm_all_pct"),
-    ("PM unique", "pm_unique_pct"),
+# the five headline metrics: (key, label, count, denominator), where the
+# count and the denominator name entries of RunSummary.counts
+HEADLINE = (
+    ("existence", "Existence", "existing", "total_refs"),
+    ("cited_in_paper", "Cited in paper", "cited_in_paper", "total_refs"),
+    ("cited_in_intro", "Cited in introduction", "cited_in_intro", "total_refs"),
+    ("pm_all", "PM all", "pm_all", "total_refs"),
+    ("pm_unique", "PM unique", "pm_unique", "unique_refs"),
 )
+SUMMARY_ROWS = tuple((label, f"{key}_pct") for key, label, _, _ in HEADLINE)
 
 DEFAULT_SUBPERIOD_BINS: list[tuple[str, int | None, int | None]] = [
     ("<=1988", None, 1988),
@@ -140,18 +143,11 @@ def summarize_run(flags: list[RefFlags]) -> RunSummary:
         "pm_unique": sum(1 for f in flags if f.pairwise_match and f.uniquely_identifiable),
     }
 
-    def pct(numer: int, denom: int) -> Fraction | None:
-        return Fraction(100 * numer, denom) if denom else None
-
-    return RunSummary(
-        existence_pct=pct(counts["existing"], total),
-        cited_in_paper_pct=pct(counts["cited_in_paper"], total),
-        cited_in_intro_pct=pct(counts["cited_in_intro"], total),
-        pm_all_pct=pct(counts["pm_all"], total),
-        pm_unique_pct=pct(counts["pm_unique"], unique_total),
-        denominators=(total, unique_total),
-        counts=counts,
-    )
+    pcts = {
+        f"{key}_pct": Fraction(100 * counts[count], counts[denom]) if counts[denom] else None
+        for key, _, count, denom in HEADLINE
+    }
+    return RunSummary(**pcts, denominators=(total, unique_total), counts=counts)
 
 
 def run_overlap(flags_a: list[RefFlags], flags_b: list[RefFlags]) -> Fraction:
@@ -212,14 +208,16 @@ def _bin_label_ranges(edges: list[int]) -> list[tuple[str, int | None, int | Non
     return out
 
 
+# bin edges of the metrics not binned by DEFAULT_COUNT_BIN_EDGES
+_BIN_EDGES = {
+    "title_chars": list(range(0, 200, 10)),
+    "year": list(range(1950, 2031, 5)),
+    "author_count": list(range(1, 11)),
+}
+
+
 def _range_bins_for(metric: str) -> list[tuple[str, int | None, int | None]]:
-    if metric == "title_chars":
-        return _bin_label_ranges(list(range(0, 200, 10)))
-    if metric == "year":
-        return _bin_label_ranges(list(range(1950, 2031, 5)))
-    if metric == "author_count":
-        return _bin_label_ranges(list(range(1, 11)))
-    return _bin_label_ranges(DEFAULT_COUNT_BIN_EDGES)
+    return _bin_label_ranges(_BIN_EDGES.get(metric, DEFAULT_COUNT_BIN_EDGES))
 
 
 def _find_bin(value: int, ranges: list[tuple[str, int | None, int | None]]) -> str | None:
@@ -230,7 +228,8 @@ def _find_bin(value: int, ranges: list[tuple[str, int | None, int | None]]) -> s
     return None
 
 
-def _histogram(values: list[int | None], metric: str) -> Histogram:
+def count_distribution(values: list[int | None], metric: str = "citation_count") -> Histogram:
+    """Histogram + median for one list of ``metric`` values (None = unknown)."""
     known = [v for v in values if v is not None]
     unknown = len(values) - len(known)
     if metric == "venue":
@@ -246,11 +245,6 @@ def _histogram(values: list[int | None], metric: str) -> Histogram:
     bins = [(label, counts[label]) for label, _, _ in ranges if counts[label]]
     median = statistics.median(known) if known else None
     return Histogram(bins=bins, unknown=unknown, n_known=len(known), median=median)
-
-
-def count_distribution(values: list[int | None], metric: str = "citation_count") -> Histogram:
-    """Histogram + median for one list of count values (None = unknown)."""
-    return _histogram(values, metric)
 
 
 NUMERIC_METRICS = (
@@ -277,8 +271,8 @@ def characteristics(rows: list[CharacteristicsRow]) -> dict[str, dict[str, Histo
         metrics: dict[str, Histogram] = {}
         for metric in NUMERIC_METRICS:
             values = [getattr(row, metric) for row in members]
-            metrics[metric] = _histogram(values, metric)
-        metrics["venue"] = _histogram([row.venue for row in members], "venue")
+            metrics[metric] = count_distribution(values, metric)
+        metrics["venue"] = count_distribution([row.venue for row in members], "venue")
         tables[cohort] = metrics
     return tables
 
@@ -316,30 +310,14 @@ class BiasTable:
     excluded_pairs: int
 
 
-def _facet_bins(
-    facet: str, subperiod_bins: list[tuple[str, int | None, int | None]]
-) -> list[tuple[str, int | None, int | None]]:
-    if facet == "subperiod":
-        return subperiod_bins
-    if facet == "title_chars":
-        return _range_bins_for("title_chars")
-    if facet == "author_count":
-        return _range_bins_for("author_count")
-    if facet == "venue":
-        return [(label, None, None) for label in CANONICAL_VENUES]
-    raise ValueError(f"unknown facet {facet!r}")
-
-
-def _facet_value(row: CharacteristicsRow, facet: str):
-    if facet == "subperiod":
-        return row.year
-    if facet == "title_chars":
-        return row.title_chars
-    if facet == "author_count":
-        return row.author_count
-    if facet == "venue":
-        return row.venue
-    raise ValueError(f"unknown facet {facet!r}")
+# each bias facet and the CharacteristicsRow field it bins; subperiods
+# bin years by the configured sub-periods, venues by canonical venue
+FACETS = {
+    "subperiod": "year",
+    "title_chars": "title_chars",
+    "author_count": "author_count",
+    "venue": "venue",
+}
 
 
 def bias_breakdown(
@@ -356,7 +334,15 @@ def bias_breakdown(
     the facet entirely and tallied. The difference column is generated
     minus ground truth.
     """
-    bins = _facet_bins(facet, subperiod_bins or DEFAULT_SUBPERIOD_BINS)
+    if facet not in FACETS:
+        raise ValueError(f"unknown facet {facet!r}")
+    field_name = FACETS[facet]
+    if facet == "subperiod":
+        bins = subperiod_bins or DEFAULT_SUBPERIOD_BINS
+    elif facet == "venue":
+        bins = [(label, None, None) for label in CANONICAL_VENUES]
+    else:
+        bins = _range_bins_for(field_name)
     gen_values: dict[str, list[int]] = {label: [] for label, _, _ in bins}
     gt_values: dict[str, list[int]] = {label: [] for label, _, _ in bins}
     excluded = 0
@@ -371,7 +357,7 @@ def bias_breakdown(
             (pair.generated, gen_metric, gen_values),
             (pair.ground_truth, gt_metric, gt_values),
         ):
-            facet_value = _facet_value(row, facet)
+            facet_value = getattr(row, field_name)
             if facet_value is None:
                 continue
             label = facet_value if facet == "venue" else _find_bin(facet_value, bins)
@@ -401,6 +387,19 @@ def bias_breakdown(
             )
         )
     return BiasTable(facet=facet, metric=metric, bins=out_bins, excluded_pairs=excluded)
+
+
+def bias_tables(
+    pairs: list[PairedRefs],
+    subperiod_bins: list[tuple[str, int | None, int | None]] | None = None,
+) -> dict[str, BiasTable]:
+    """Each facet's ``bias_breakdown`` by citation count, named after the
+    facet, and by influential citation count, named ``<facet>_influential``."""
+    return {
+        facet + suffix: bias_breakdown(pairs, facet, metric, subperiod_bins=subperiod_bins)
+        for facet in FACETS
+        for metric, suffix in (("citation_count", ""), ("influential_citation_count", "_influential"))
+    }
 
 
 def cohort_split_by_counterpart(

@@ -473,6 +473,60 @@ def test_prepare_source_ignores_commented_bibliographystyle(tmp_path):
     assert [e.key for e in prep.bibliography.entries] == ["brown", "evans"]
 
 
+@pytest.mark.parametrize("absolute", [True, False])
+def test_prepare_source_does_not_inline_input_outside_the_bundle(tmp_path, absolute):
+    bundle, outside = tmp_path / "bundle", tmp_path / "outside"
+    bundle.mkdir()
+    outside.mkdir()
+    _write_fixture_bundle(bundle)
+    (outside / "secret.tex").write_text("OUTSIDE secret text.\n")
+    name = str(outside / "secret") if absolute else "../outside/secret"
+    tex = FIXTURE_TEX.replace("matter. % a comment", f"matter.\n\\input{{{name}}}")
+    (bundle / "main.tex").write_text(tex)
+    prep = prepare_source(bundle)
+    assert not isinstance(prep, Exclusion)
+    assert "OUTSIDE" not in prep.main_content.text
+
+
+@pytest.mark.parametrize("absolute", [True, False])
+def test_prepare_source_ignores_bibliography_outside_the_bundle(tmp_path, absolute):
+    bundle, outside = tmp_path / "bundle", tmp_path / "outside"
+    bundle.mkdir()
+    outside.mkdir()
+    _write_fixture_bundle(bundle)
+    (outside / "ext.bib").write_text(FIXTURE_BIB.replace("Works", "Outside"))
+    name = str(outside / "ext") if absolute else "../outside/ext"
+    tex = FIXTURE_TEX.replace("\\bibliography{refs}", f"\\bibliography{{{name}}}")
+    (bundle / "main.tex").write_text(tex)
+    prep = prepare_source(bundle)
+    assert not isinstance(prep, Exclusion)
+    assert [e.title for e in prep.bibliography.entries] == ["Beta Works", "Epsilon Works"]
+
+
+def test_prepare_source_reads_symlinked_input_inside_the_bundle(tmp_path):
+    bundle, outside = tmp_path / "bundle", tmp_path / "outside"
+    bundle.mkdir()
+    outside.mkdir()
+    _write_fixture_bundle(bundle)
+    (outside / "real.tex").write_text("LINKED text.\n")
+    # the check is on the name, so a link inside the bundle reads wherever it points
+    (bundle / "linked.tex").symlink_to(outside / "real.tex")
+    tex = FIXTURE_TEX.replace("matter. % a comment", "matter.\n\\input{linked}")
+    (bundle / "main.tex").write_text(tex)
+    prep = prepare_source(bundle)
+    assert not isinstance(prep, Exclusion)
+    assert "LINKED" in prep.main_content.text
+
+
+def test_prepare_source_malformed_bib_is_compile_error(tmp_path):
+    _write_fixture_bundle(tmp_path)
+    with (tmp_path / "refs.bib").open("a") as bib:
+        bib.write("@article{broken, title={Unclosed\n")
+    result = prepare_source(tmp_path)
+    assert isinstance(result, Exclusion) and result.code == "compile-error"
+    assert "unbalanced braces" in result.detail
+
+
 def test_prepare_source_compile_error(tmp_path):
     (tmp_path / "main.tex").write_text(FIXTURE_TEX.replace("\\cite{brown}", "\\cite{ghost}"))
     (tmp_path / "refs.bib").write_text(FIXTURE_BIB)

@@ -19,7 +19,15 @@ from hypothesis import strategies as st
 from citebias import cli
 from citebias.errors import ConfigError, PipelineError
 from citebias.llmgate import render_vanilla_prompt, store_mock_response
-from citebias.pipeline import STAGES, load_config, manifest_hash, run_pipeline
+from citebias.pipeline import (
+    OVERRIDABLE,
+    STAGES,
+    config_schema,
+    load_config,
+    manifest_hash,
+    output_lock,
+    run_pipeline,
+)
 from fixtures_pipeline import MODEL_ID
 
 
@@ -66,6 +74,56 @@ def test_config_overrides_win(workspace, tmp_path):
     config = load_config(config_path, {"out_dir": str(tmp_path / "elsewhere"), "refresh": True})
     assert config.out_dir == tmp_path / "elsewhere"
     assert config.refresh is True
+
+
+def _config_copy(config_path, tmp_path, edit):
+    """A copy of the workspace config with absolute input paths, edited by
+    ``edit(raw)``."""
+    root = config_path.parent
+    raw = yaml.safe_load(config_path.read_text())
+    raw["corpus"]["sources_dir"] = str(root / "sources")
+    raw["index"]["fixture_dir"] = str(root / "index")
+    raw["mock_dir"] = str(root / "mock")
+    raw["out_dir"], raw["cache_dir"] = str(tmp_path / "out"), str(tmp_path / "cache")
+    edit(raw)
+    path = tmp_path / "edited.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    return path
+
+
+def test_graph_run_index_beyond_the_runs_is_a_config_error(workspace, tmp_path):
+    _, config_path = workspace
+    path = _config_copy(config_path, tmp_path, lambda raw: raw["graph"].update(run_index=2))
+    assert load_config(path).graph_run_index == 2
+    with pytest.raises(ConfigError, match="graph.run_index 2"):
+        load_config(path, {"vanilla_runs": 1})
+
+
+def test_iterative_graph_without_iterative_runs_is_a_config_error(workspace, tmp_path):
+    _, config_path = workspace
+
+    def edit(raw):
+        raw["graph"]["strategy"] = "iterative"
+        raw["runs"]["iterative"] = False
+
+    with pytest.raises(ConfigError, match="graph.strategy iterative"):
+        load_config(_config_copy(config_path, tmp_path, edit))
+
+
+def test_override_into_a_non_mapping_section_is_a_config_error(workspace, tmp_path):
+    _, config_path = workspace
+    path = _config_copy(config_path, tmp_path, lambda raw: raw.update(runs=None))
+    with pytest.raises(ConfigError, match="at runs"):
+        load_config(path, {"vanilla_runs": 2})
+
+
+def test_overridable_keys_are_schema_properties():
+    schema = config_schema()
+    for name, keys in OVERRIDABLE.items():
+        node = schema
+        for key in keys:
+            assert key in node["properties"], (name, keys)
+            node = node["properties"][key]
 
 
 def test_unknown_stage_rejected(workspace):
@@ -388,36 +446,62 @@ def test_missing_prepared_artifact_is_pipeline_error(completed_run, tmp_path):
     assert "prepared/2203.11111/main_content.txt" in failure["error"]
 
 
-def test_lockfile_blocks_concurrent_runs(workspace, tmp_path):
-    _, config_path = workspace
-    out_dir = tmp_path / "locked_out"
-    out_dir.mkdir(parents=True)
-    # a live foreign process owns the lock
-    proc = subprocess.Popen([sys.executable, "-c", "import time; time.sleep(30)"])
-    try:
-        (out_dir / ".lock").write_text(str(proc.pid))
-        config = load_config(config_path, {"out_dir": str(out_dir)})
-        with pytest.raises(PipelineError):
-            run_pipeline(config, ["report"])
-    finally:
-        proc.kill()
-        proc.wait()
+# holds flock on the file named by argv[1] until killed
+HOLD_LOCK = """
+import fcntl, os, sys, time
+fd = os.open(sys.argv[1], os.O_RDWR | os.O_CREAT)
+fcntl.flock(fd, fcntl.LOCK_EX)
+print("held", flush=True)
+time.sleep(60)
+"""
 
 
-def test_stale_lock_is_stolen(workspace, tmp_path):
-    _, config_path = workspace
-    out_dir = tmp_path / "stale_out"
-    out_dir.mkdir(parents=True)
-    proc = subprocess.Popen([sys.executable, "-c", "pass"])
-    proc.wait()
-    (out_dir / ".lock").write_text(str(proc.pid))
-    config = load_config(
-        config_path, {"out_dir": str(out_dir), "cache_dir": str(tmp_path / "cache")}
+def _ingest_config(config_path, tmp_path):
+    return load_config(
+        config_path, {"out_dir": str(tmp_path / "out"), "cache_dir": str(tmp_path / "cache")}
     )
-    # only ingest: it needs no provider and proves the lock was taken over
+
+
+def test_lock_held_by_another_process_blocks_until_it_dies(workspace, tmp_path):
+    _, config_path = workspace
+    config = _ingest_config(config_path, tmp_path)
+    config.out_dir.mkdir(parents=True)
+    holder = subprocess.Popen(
+        [sys.executable, "-c", HOLD_LOCK, str(config.out_dir / ".lock")],
+        stdout=subprocess.PIPE,
+        text=True,
+    )
+    try:
+        assert holder.stdout.readline() == "held\n"
+        with pytest.raises(PipelineError, match="locked"):
+            run_pipeline(config, ["ingest"])
+    finally:
+        holder.kill()
+        holder.wait(timeout=10)
+        holder.stdout.close()
+    # ingest needs no provider; the kernel released the dead holder's lock
     manifest = run_pipeline(config, ["ingest"])
     assert manifest["stages"]["ingest"]["status"] == "ok"
-    assert not (out_dir / ".lock").exists()
+
+
+def test_leftover_pid_in_lockfile_does_not_block(workspace, tmp_path):
+    _, config_path = workspace
+    config = _ingest_config(config_path, tmp_path)
+    config.out_dir.mkdir(parents=True)
+    # a live process other than this one, as a PID-file lock would read it
+    (config.out_dir / ".lock").write_text(str(os.getppid()))
+    manifest = run_pipeline(config, ["ingest"])
+    assert manifest["stages"]["ingest"]["status"] == "ok"
+    assert (config.out_dir / ".lock").is_file()
+
+
+def test_run_nested_in_the_lock_holder_is_refused(workspace, tmp_path):
+    _, config_path = workspace
+    config = _ingest_config(config_path, tmp_path)
+    with output_lock(config.out_dir):
+        with pytest.raises(PipelineError, match="locked"):
+            run_pipeline(config, ["ingest"])
+    assert not (config.out_dir / "corpus").exists()
 
 
 def test_corrupt_cache_key_recomputed_on_stage_rerun(workspace, tmp_path):
@@ -549,6 +633,29 @@ def test_ambiguous_title_is_excluded_not_fatal(workspace, tmp_path):
     assert excluded["detail"] == (
         "title 'Adaptive Widget Learning' matches 2 index records: focalA, focalA_copy"
     )
+
+
+def test_malformed_bib_excludes_its_paper_not_the_run(workspace, tmp_path):
+    root, config_path = workspace
+    copy = tmp_path / "malformed"
+    shutil.copytree(root, copy, ignore=shutil.ignore_patterns("out", "cache"))
+    with (copy / "sources" / "2207.22222" / "refs.bib").open("a") as bib:
+        bib.write("\n@article{broken, title={Unclosed\n")
+
+    manifest = run_pipeline(load_config(copy / config_path.relative_to(root)))
+    assert manifest["failure"] is None
+    prepare = manifest["stages"]["prepare"]["outcomes"]
+    assert prepare["excluded_by_code"] == {"no-main": 1, "compile-error": 1}
+    [excluded] = [
+        item
+        for item in json.loads((copy / "out" / "prepared" / "exclusions.json").read_text())
+        if item["code"] == "compile-error"
+    ]
+    assert excluded["preprint_id"] == "2207.22222"
+    for paper in ("2203.11111", "2301.33333"):
+        assert (copy / "out" / "prepared" / paper / "record.json").is_file()
+        assert (copy / "out" / "verdicts" / MODEL_ID / "vanilla-1" / f"{paper}.jsonl").is_file()
+    assert (copy / "out" / "report" / "summary.csv").is_file()
 
 
 # ---------------------------------------------------------------------------
@@ -900,6 +1007,40 @@ def test_cli_all_takes_model_and_runs(completed_run, tmp_path):
         STAGES, "ok"
     )
     assert (out_dir / "verdicts" / "other-model").is_dir()
+
+
+@pytest.mark.parametrize(
+    "flags, code",
+    [
+        (["--runs", "0"], 1),
+        (["--runs", "-1"], 1),
+        (["--model", ""], 1),
+        (["--runs", "1"], 0),
+        ([], 0),
+    ],
+)
+def test_cli_overrides_are_validated_like_the_file(
+    workspace, tmp_path, monkeypatch, capsys, flags, code
+):
+    _, config_path = workspace
+    path = _config_copy(config_path, tmp_path, lambda raw: raw.update(refresh=True))
+    seen = []
+
+    def recording_run(config, stages):
+        seen.append(config)
+        return run_pipeline(config, stages)
+
+    monkeypatch.setattr(cli, "run_pipeline", recording_run)
+    assert cli.main(["--config", str(path), "ingest", *flags]) == code
+    if code:
+        assert "invalid config" in capsys.readouterr().err
+        assert not seen
+    else:
+        # refresh: true in the file holds without --refresh
+        [config] = seen
+        assert config.refresh is True
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["stages"]["ingest"]["status"] == "ok"
 
 
 @pytest.mark.parametrize("command", [*STAGES, "all"])
