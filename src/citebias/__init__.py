@@ -25,7 +25,6 @@ from .docprep import (
     locate_main_tex,
     prepare_source,
     select_intro_references,
-    split_document,
     uniquely_identifiable_numbers,
 )
 from .llmgate import (
@@ -93,7 +92,6 @@ __all__ = [
     "run_pipeline",
     "search_candidates",
     "select_intro_references",
-    "split_document",
     "summarize_run",
     "title_similarity",
     "uniquely_identifiable_numbers",

@@ -1,14 +1,18 @@
 """LaTeX source preparation: cleaned main content and the ground-truth
 intro reference list.
 
-A paper's source bundle is reduced to the parts a reader would see first
-(title, authors, conference info, abstract, introduction) with every
-citation command rewritten to a numeric bracket group, e.g. ``[2,5]`` or
-``[4-8]``. Numbering follows the compiled bibliography order: the order of
+A paper's source bundle is read once, with ``clients.read_tree`` (the
+listing the run's input digest hashes), and every later file lookup is a
+lookup in that listing. The bundle is reduced to the parts a reader
+would see first (title, authors, conference info, abstract,
+introduction) with every citation command rewritten to a numeric
+bracket group, e.g. ``[2,5]`` or ``[4-8]``, and flattened to plain text.
+Numbering follows the compiled bibliography order: the order of
 ``\\bibitem`` entries when a .bbl is available, otherwise the order the
 bibliography style would produce from the .bib database (citation order
-for unsrt-family styles, alphabetical otherwise). Papers that cannot be
-processed are excluded with a reason code, never dropped silently.
+for unsrt-family styles, alphabetical otherwise). The numbered reference
+list is those entries in that order. Papers that cannot be processed are
+excluded with a reason code, never dropped silently.
 
 An external LaTeX toolchain can be plugged in as a compile check (success
 or failure gates inclusion); numbering itself is always computed here so
@@ -18,19 +22,19 @@ runs are reproducible on machines without TeX.
 from __future__ import annotations
 
 import logging
-import os
+import posixpath
 import re
 import subprocess
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .clients import read_tree
 from .errors import (
     EXCL_COMPILE_ERROR,
     EXCL_MULTIPLE_MAINS,
     EXCL_NO_BIB,
     EXCL_NO_MAIN,
     Exclusion,
-    StructureError,
     TexError,
 )
 from .textnorm import normalize
@@ -119,48 +123,41 @@ class PreparedDocument:
 
 
 # ---------------------------------------------------------------------------
-# Step: locate the main tex file
+# Step: read the bundle and locate the main tex file
 # ---------------------------------------------------------------------------
 
 
-def _read_tex(path: Path) -> str:
-    try:
-        data = path.read_bytes()
-    except OSError as exc:
-        raise OSError(f"cannot read {path}: {exc}") from exc
+def _decode(data: bytes) -> str:
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError:
         return data.decode("latin-1")
 
 
-def _bundle_file(source_dir: Path, name: str, suffix: str) -> Path | None:
-    """The bundle's file ``name`` (plus ``suffix``), or None; an absolute
-    name, or one that leaves the bundle once normalized, names nothing."""
-    rel = os.path.normpath(name if name.endswith(suffix) else name + suffix)
-    if os.path.isabs(rel) or rel == os.pardir or rel.startswith(os.pardir + os.sep):
-        return None
-    path = source_dir / rel
-    return path if path.is_file() else None
+def _bundle_text(bundle: dict[str, bytes], name: str, suffix: str) -> str | None:
+    """The text of the bundle's file ``name`` (plus ``suffix``), or None
+    when the bundle lists no such file."""
+    data = bundle.get(posixpath.normpath(name if name.endswith(suffix) else name + suffix))
+    return None if data is None else _decode(data)
 
 
-def locate_main_tex(source_dir: Path | str) -> Path | Exclusion:
-    """Find the unique .tex file containing both document markers.
+def locate_main_tex(bundle: dict[str, bytes], name: str) -> str | Exclusion:
+    """The path of the bundle's unique .tex file containing both document
+    markers; ``name`` (the bundle's) is the detail of a ``no-main``.
 
     Zero candidates or more than one yield an exclusion rather than a
-    guess; unreadable files raise OSError naming the path.
+    guess.
     """
-    source_dir = Path(source_dir)
-    candidates = []
-    for path in sorted(source_dir.rglob("*.tex")):
-        text = _read_tex(path)
-        if "\\begin{document}" in text and "\\end{document}" in text:
-            candidates.append(path)
+    candidates = [
+        rel
+        for rel, data in bundle.items()
+        if rel.endswith(".tex") and b"\\begin{document}" in data and b"\\end{document}" in data
+    ]
     if not candidates:
-        return Exclusion(EXCL_NO_MAIN, source_dir.name)
+        return Exclusion(EXCL_NO_MAIN, name)
     if len(candidates) > 1:
         return Exclusion(
-            EXCL_MULTIPLE_MAINS, ", ".join(str(p.name) for p in candidates)
+            EXCL_MULTIPLE_MAINS, ", ".join(posixpath.basename(rel) for rel in candidates)
         )
     return candidates[0]
 
@@ -170,21 +167,23 @@ def locate_main_tex(source_dir: Path | str) -> Path | Exclusion:
 # ---------------------------------------------------------------------------
 
 
+def _escaped(text: str, i: int) -> bool:
+    """Whether ``text[i]`` is escaped: preceded by an odd run of
+    backslashes (``\\\\%`` is a line break and then a comment)."""
+    j = i
+    while j > 0 and text[j - 1] == "\\":
+        j -= 1
+    return (i - j) % 2 == 1
+
+
 def _strip_comments(tex: str) -> str:
     # % starts a comment unless escaped as \%
     out = []
     for line in tex.split("\n"):
-        i = 0
-        while True:
-            j = line.find("%", i)
-            if j < 0:
-                out.append(line)
-                break
-            if j > 0 and line[j - 1] == "\\":
-                i = j + 1
-                continue
-            out.append(line[:j])
-            break
+        j = line.find("%")
+        while j >= 0 and _escaped(line, j):
+            j = line.find("%", j + 1)
+        out.append(line if j < 0 else line[:j])
     return "\n".join(out)
 
 
@@ -195,10 +194,8 @@ def _read_braced(text: str, start: int) -> tuple[str, int]:
         raise TexError(f"expected '{{' at offset {start}")
     depth = 0
     for i in range(start, len(text)):
-        if text[i] == "{" and (i == 0 or text[i - 1] != "\\"):
-            depth += 1
-        elif text[i] == "}" and text[i - 1] != "\\":
-            depth -= 1
+        if text[i] in "{}" and not _escaped(text, i):
+            depth += 1 if text[i] == "{" else -1
             if depth == 0:
                 return text[start + 1 : i], i + 1
     raise TexError("unbalanced braces")
@@ -485,9 +482,10 @@ def _alpha_sort_key(entry: BibEntry) -> tuple:
 
 
 def resolve_bibliography(
-    source_dir: Path,
+    bundle: dict[str, bytes],
     main_tex: str,
     cited: list[str],
+    name: str,
 ) -> CompiledBibliography | Exclusion:
     """Determine the final bibliography order for a paper.
 
@@ -495,10 +493,9 @@ def resolve_bibliography(
     A .bib database is ordered the way its style would: citation order
     for unsrt-family styles, alphabetical by author otherwise, over the
     cited entries only. Citing a key the database lacks is a compile
-    error; having neither database kind excludes the paper.
+    error; having neither database kind excludes the paper, with
+    ``name`` (the bundle's) as the detail.
     """
-    source_dir = Path(source_dir)
-
     inline = re.search(
         r"\\begin\{thebibliography\}.*?\\end\{thebibliography\}", main_tex, re.DOTALL
     )
@@ -506,24 +503,22 @@ def resolve_bibliography(
     if inline:
         bbl_entries = parse_bbl(inline.group())
     else:
-        bbl_files = sorted(source_dir.rglob("*.bbl"))
-        if bbl_files:
-            bbl_entries = parse_bbl(_read_tex(bbl_files[0]))
+        bbl_data = next((data for rel, data in bundle.items() if rel.endswith(".bbl")), None)
+        if bbl_data is not None:
+            bbl_entries = parse_bbl(_decode(bbl_data))
 
-    bib_name = _find_command_arg(main_tex, "bibliography")
-    bib_entries: dict[str, BibEntry] | None = None
-    if bib_name:
-        for name in bib_name.split(","):
-            path = _bundle_file(source_dir, name.strip(), ".bib")
-            if path is not None:
-                bib_entries = bib_entries or {}
-                bib_entries.update(parse_bib(_read_tex(path)))
-    if bib_entries is None:
-        bib_files = sorted(source_dir.rglob("*.bib"))
-        if bib_files:
-            bib_entries = {}
-            for path in bib_files:
-                bib_entries.update(parse_bib(_read_tex(path)))
+    # the databases \bibliography names, or failing those every .bib
+    bib_names = _find_command_arg(main_tex, "bibliography")
+    bib_texts = []
+    for bib in bib_names.split(",") if bib_names else []:
+        text = _bundle_text(bundle, bib.strip(), ".bib")
+        if text is not None:
+            bib_texts.append(text)
+    if not bib_texts:
+        bib_texts = [_decode(data) for rel, data in bundle.items() if rel.endswith(".bib")]
+    bib_entries: dict[str, BibEntry] = {}
+    for text in bib_texts:
+        bib_entries.update(parse_bib(text))
 
     if bib_entries:
         missing = [k for k in cited if k not in bib_entries]
@@ -546,7 +541,7 @@ def resolve_bibliography(
             )
         return CompiledBibliography(bbl_entries)
 
-    return Exclusion(EXCL_NO_BIB, source_dir.name)
+    return Exclusion(EXCL_NO_BIB, name)
 
 
 def run_latex_check(
@@ -684,12 +679,10 @@ def clean_tex(tex: str, bibliography: CompiledBibliography | None = None) -> str
 # Text rendering (the compiled-PDF stand-in)
 # ---------------------------------------------------------------------------
 
-REFERENCES_HEADING = "References"
-
-
-def render_text(cleaned_tex: str, bibliography: CompiledBibliography) -> str:
-    """Flatten a cleaned document to plain text with a numbered
-    reference section, mirroring what PDF text extraction would yield."""
+def render_text(cleaned_tex: str) -> str:
+    """Flatten a cleaned document's front matter (title, authors,
+    conference line, abstract, introduction) to plain text, mirroring
+    what PDF text extraction would yield for those pages."""
     docclass = re.search(r"\\documentclass(?:\[[^\]]*\])?\{([^}]*)\}", cleaned_tex)
     conference = _CONFERENCE_PKG_RE.findall(cleaned_tex)
     title = _find_command_arg(cleaned_tex, "title") or ""
@@ -716,58 +709,12 @@ def render_text(cleaned_tex: str, bibliography: CompiledBibliography) -> str:
     lines.append("1 Introduction")
     if intro:
         lines.append(_latex_to_plain(intro))
-    lines.append("")
-    lines.append(REFERENCES_HEADING)
-    for i, entry in enumerate(bibliography.entries, start=1):
-        lines.append(f"[{i}] {entry.raw}")
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines).rstrip()
 
 
 # ---------------------------------------------------------------------------
-# Splitting and citation extraction
+# Citation extraction
 # ---------------------------------------------------------------------------
-
-_ENTRY_START_RE = re.compile(r"^\[(\d+)\]\s*(.*)$")
-
-
-def split_document(text: str) -> tuple[MainContent, list[tuple[int, str]]]:
-    """Split flattened text into main content and the raw reference list.
-
-    The reference list is every numbered entry after the references
-    heading, with continuation lines reassembled. Raises StructureError
-    when no heading is present.
-    """
-    pattern = re.compile(r"^(References|Bibliography)\s*$", re.MULTILINE | re.IGNORECASE)
-    headings = list(pattern.finditer(text))
-    if not headings:
-        raise StructureError("no references heading found")
-    heading = headings[-1]
-    main_text = text[: heading.start()].rstrip()
-    refs_text = text[heading.end() :]
-
-    entries: list[tuple[int, str]] = []
-    current_num: int | None = None
-    current_parts: list[str] = []
-
-    def flush():
-        if current_num is not None:
-            entries.append((current_num, " ".join(current_parts).strip()))
-
-    for line in refs_text.split("\n"):
-        line = line.strip()
-        if not line:
-            continue
-        match = _ENTRY_START_RE.match(line)
-        if match:
-            flush()
-            current_num = int(match.group(1))
-            current_parts = [match.group(2)] if match.group(2) else []
-        elif current_num is not None:
-            current_parts.append(line)
-    flush()
-
-    main = MainContent(text=main_text, citation_occurrences=extract_citations(main_text))
-    return main, entries
 
 
 def _parse_group_content(content: str) -> frozenset[int] | None:
@@ -849,46 +796,53 @@ def prepare_source(
 ) -> PreparedDocument | Exclusion:
     """Run the full preparation for one source bundle.
 
+    The bundle is read once, with ``read_tree``, so what preparation can
+    read is what the run's input digest covers: the main file, its
+    inputs and the bibliography databases are looked up by path in that
+    listing, and a name it does not list (outside the bundle, or behind
+    a symlinked directory) reads nothing.
+
     Returns a PreparedDocument, or an Exclusion naming why the paper
     cannot enter the corpus (no main file, multiple mains, no
     bibliography, compile failure). Any TexError, a malformed .bib
     included, is a compile failure; an unreadable file raises OSError.
     """
     source_dir = Path(source_dir)
-    located = locate_main_tex(source_dir)
+    bundle = dict(read_tree(source_dir))
+    located = locate_main_tex(bundle, source_dir.name)
     if isinstance(located, Exclusion):
         return located
     try:
         # a commented-out \input or bibliography command must not act
-        tex = _inline_inputs(_strip_comments(_read_tex(located)), source_dir)
+        tex = _inline_inputs(_strip_comments(_decode(bundle[located])), bundle)
 
         if latex_command:
-            failed = run_latex_check(latex_command, source_dir, located)
+            failed = run_latex_check(latex_command, source_dir, source_dir / located)
             if failed is not None:
                 return failed
 
         cited = cited_keys(tex)
-        bibliography = resolve_bibliography(source_dir, tex, cited)
+        bibliography = resolve_bibliography(bundle, tex, cited, source_dir.name)
         if isinstance(bibliography, Exclusion):
             return bibliography
         cleaned = clean_tex(tex, bibliography)
-        main, reference_texts = split_document(render_text(cleaned, bibliography))
+        text = render_text(cleaned)
     except TexError as exc:
         return Exclusion(EXCL_COMPILE_ERROR, str(exc))
     return PreparedDocument(
-        main_content=main,
-        reference_texts=reference_texts,
+        main_content=MainContent(text, extract_citations(text)),
+        reference_texts=[(i, entry.raw) for i, entry in enumerate(bibliography.entries, 1)],
         bibliography=bibliography,
         cleaned_tex=cleaned,
     )
 
 
-def _inline_inputs(tex: str, source_dir: Path) -> str:
+def _inline_inputs(tex: str, bundle: dict[str, bytes]) -> str:
     """Inline one level of \\input/\\include from the bundle, comments
-    stripped; a name outside the bundle inlines nothing."""
+    stripped; a name the bundle does not list inlines nothing."""
 
     def repl(match: re.Match) -> str:
-        path = _bundle_file(source_dir, match.group(1).strip(), ".tex")
-        return "" if path is None else _strip_comments(_read_tex(path))
+        text = _bundle_text(bundle, match.group(1).strip(), ".tex")
+        return "" if text is None else _strip_comments(text)
 
     return re.sub(r"\\(?:input|include)\{([^}]*)\}", repl, tex)

@@ -51,10 +51,6 @@ class TexError(CitebiasError):
         self.line = line
 
 
-class StructureError(CitebiasError):
-    """Document text lacks an expected structural element (e.g. references heading)."""
-
-
 class TableParseError(CitebiasError):
     """No usable markdown table found in an LLM response."""
 

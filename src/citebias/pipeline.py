@@ -23,6 +23,7 @@ import hashlib
 import json
 import logging
 import os
+import shutil
 import time
 from collections import Counter
 from contextlib import contextmanager
@@ -314,6 +315,14 @@ class PipelineContext:
     def stage_dir(self, stage: str) -> Path:
         return self.out / stage
 
+    def fresh_stage_dir(self, stage: str) -> Path:
+        """``stage_dir(stage)`` emptied, for the one stage that writes it,
+        so a rerun keeps nothing an earlier run wrote there."""
+        path = self.stage_dir(stage)
+        if path.exists():
+            shutil.rmtree(path)
+        return path
+
     def paper_dirname(self, paper: PaperRecord) -> str:
         return safe_filename(paper.preprint_id)
 
@@ -527,6 +536,7 @@ def stage_prepare(ctx: PipelineContext) -> dict:
     """Document preparation plus ground-truth structuring and resolution."""
     cfg = ctx.config
     papers = load_papers(ctx)
+    out = ctx.fresh_stage_dir("prepared")
     excluded: list[dict] = []
     survivors: list[PaperRecord] = []
     quarantined: list[dict] = []
@@ -628,7 +638,6 @@ def stage_prepare(ctx: PipelineContext) -> dict:
         atomic_write_text(paper_dir / "record.json", dump_json(record))
         survivors.append(paper)
 
-    out = ctx.stage_dir("prepared")
     atomic_write_text(out / "papers.json", dump_json(to_json(survivors)))
     atomic_write_text(out / "exclusions.json", dump_json(excluded))
     by_code = Counter(item["code"] for item in excluded)
@@ -1005,6 +1014,7 @@ def _summary_from(payload: dict) -> stats.RunSummary:
 def stage_analyze(ctx: PipelineContext) -> dict:
     cfg = ctx.config
     papers = load_papers(ctx, prepared=True)
+    analysis_dir = ctx.fresh_stage_dir("analysis")
     strategies = [VANILLA] + ([ITERATIVE] if cfg.iterative else [])
 
     run_flags: dict[tuple[str, int], list[stats.RefFlags]] = {}
@@ -1046,7 +1056,7 @@ def stage_analyze(ctx: PipelineContext) -> dict:
         "counterpart_histograms": to_json(counterpart_tables),
         "bias": to_json(stats.bias_tables(all_pairs, cfg.subperiod_bins)),
     }
-    atomic_write_text(ctx.stage_dir("analysis") / "analysis.json", dump_json(analysis))
+    atomic_write_text(analysis_dir / "analysis.json", dump_json(analysis))
     return {
         "runs_analyzed": len(summary_payload),
         "characteristics_rows": len(all_char_rows),
@@ -1063,7 +1073,7 @@ def stage_graph(ctx: PipelineContext) -> dict:
     cfg = ctx.config
     papers = load_papers(ctx, prepared=True)
     strategy, run_index = cfg.graph_strategy, cfg.graph_run_index
-    graphs_dir = ctx.stage_dir("graphs")
+    graphs_dir = ctx.fresh_stage_dir("graphs")
     rows = []
     graphs = []
     citation_counts: dict[str, int | None] = {}
@@ -1113,7 +1123,7 @@ def stage_graph(ctx: PipelineContext) -> dict:
 def stage_report(ctx: PipelineContext) -> dict:
     analysis_path = ctx.stage_dir("analysis") / "analysis.json"
     analysis = json.loads(_read_artifact(ctx, analysis_path, "analyze"))
-    report_dir = ctx.stage_dir("report")
+    report_dir = ctx.fresh_stage_dir("report")
     mhash = ctx.manifest_hash
 
     lines = [

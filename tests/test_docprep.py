@@ -1,9 +1,13 @@
-"""Document preparation: bracket citations, cleaning, splitting."""
+"""Document preparation: bracket citations, main-file location from the
+bundle listing, cleaning, bibliography order, and whole bundles read once."""
 
 import random
+from pathlib import Path
 
 import pytest
 
+from citebias import docprep
+from citebias.clients import read_tree
 from citebias.docprep import (
     BracketGroup,
     CompiledBibliography,
@@ -15,10 +19,9 @@ from citebias.docprep import (
     render_text,
     resolve_bibliography,
     select_intro_references,
-    split_document,
     uniquely_identifiable_numbers,
 )
-from citebias.errors import Exclusion, StructureError, TexError
+from citebias.errors import Exclusion, TexError
 
 # ---------------------------------------------------------------------------
 # Bracket extraction
@@ -168,26 +171,22 @@ def test_select_dangling_citation_warns_not_fails():
 # Main-file location
 # ---------------------------------------------------------------------------
 
-DOC = "\\begin{document}\nhello\n\\end{document}\n"
+DOC = b"\\begin{document}\nhello\n\\end{document}\n"
 
 
-def test_locate_single_main(tmp_path):
-    (tmp_path / "main.tex").write_text(DOC)
-    (tmp_path / "macros.tex").write_text("\\newcommand{\\x}{y}\n")
-    assert locate_main_tex(tmp_path).name == "main.tex"
+def test_locate_single_main():
+    bundle = {"macros.tex": b"\\newcommand{\\x}{y}\n", "src/main.tex": DOC}
+    assert locate_main_tex(bundle, "paper") == "src/main.tex"
 
 
-def test_locate_multiple_mains_excluded(tmp_path):
-    (tmp_path / "a.tex").write_text(DOC)
-    (tmp_path / "b.tex").write_text(DOC)
-    result = locate_main_tex(tmp_path)
-    assert isinstance(result, Exclusion) and result.code == "multiple-mains"
+def test_locate_multiple_mains_excluded():
+    result = locate_main_tex({"a.tex": DOC, "sub/b.tex": DOC}, "paper")
+    assert result == Exclusion("multiple-mains", "a.tex, b.tex")
 
 
-def test_locate_no_main_excluded(tmp_path):
-    (tmp_path / "notes.tex").write_text("no document markers")
-    result = locate_main_tex(tmp_path)
-    assert isinstance(result, Exclusion) and result.code == "no-main"
+def test_locate_no_main_excluded():
+    result = locate_main_tex({"notes.tex": b"no document markers", "main.txt": DOC}, "paper")
+    assert result == Exclusion("no-main", "paper")
 
 
 # ---------------------------------------------------------------------------
@@ -303,6 +302,23 @@ def test_clean_requires_document_markers():
         clean_tex("just text")
 
 
+def test_clean_strips_comment_after_a_line_break():
+    # \\ is a line break, so the % after it starts a comment; \% is a percent sign
+    tex = FIXTURE_TEX.replace(
+        "Ada Author \\and", "Ada Author \\\\% affiliation TODO\n50\\% \\and"
+    )
+    cleaned = clean_tex(tex)
+    assert "TODO" not in cleaned
+    assert "\\author{Ada Author \\\\\n50\\% \\and Ben Builder}" in cleaned
+
+
+def test_clean_brace_after_a_line_break_closes_its_group():
+    # the } after \\ is not escaped, so the author group is balanced
+    tex = FIXTURE_TEX.replace("Ben Builder}", "Ben Builder\\\\}")
+    cleaned = clean_tex(tex)
+    assert "\\author{Ada Author \\and Ben Builder\\\\}" in cleaned
+
+
 def test_clean_without_intro_heading_does_not_duplicate_abstract():
     doc = (
         "\\documentclass{article}\n\\title{T}\n\\author{A}\n"
@@ -351,83 +367,48 @@ def test_clean_idempotent_on_randomized_documents():
 # ---------------------------------------------------------------------------
 
 
-def test_resolve_unsrt_uses_citation_order(tmp_path):
-    (tmp_path / "refs.bib").write_text(FIXTURE_BIB)
+BIB_BUNDLE = {"refs.bib": FIXTURE_BIB.encode()}
+
+
+def test_resolve_unsrt_uses_citation_order():
     tex = FIXTURE_TEX.replace("plain", "unsrt")
-    bibliography = resolve_bibliography(tmp_path, tex, ["evans", "brown"])
+    bibliography = resolve_bibliography(BIB_BUNDLE, tex, ["evans", "brown"], "paper")
     assert [e.key for e in bibliography.entries] == ["evans", "brown"]
 
 
-def test_resolve_plain_sorts_alphabetically(tmp_path):
-    (tmp_path / "refs.bib").write_text(FIXTURE_BIB)
-    bibliography = resolve_bibliography(tmp_path, FIXTURE_TEX, ["evans", "brown"])
+def test_resolve_plain_sorts_alphabetically():
+    bibliography = resolve_bibliography(BIB_BUNDLE, FIXTURE_TEX, ["evans", "brown"], "paper")
     assert [e.key for e in bibliography.entries] == ["brown", "evans"]
 
 
-def test_resolve_undefined_key_is_compile_error(tmp_path):
-    (tmp_path / "refs.bib").write_text(FIXTURE_BIB)
-    result = resolve_bibliography(tmp_path, FIXTURE_TEX, ["evans", "ghost"])
+def test_resolve_undefined_key_is_compile_error():
+    result = resolve_bibliography(BIB_BUNDLE, FIXTURE_TEX, ["evans", "ghost"], "paper")
     assert isinstance(result, Exclusion) and result.code == "compile-error"
     assert "ghost" in result.detail
 
 
-def test_resolve_no_database_is_excluded(tmp_path):
-    result = resolve_bibliography(tmp_path, FIXTURE_TEX, ["evans"])
+def test_resolve_no_database_is_excluded():
+    result = resolve_bibliography({}, FIXTURE_TEX, ["evans"], "paper")
     assert isinstance(result, Exclusion) and result.code == "no-bib"
 
 
-def test_resolve_bbl_order_wins(tmp_path):
-    (tmp_path / "main.bbl").write_text(
+def test_resolve_missing_named_database_is_excluded_with_the_bundle_name():
+    tex = FIXTURE_TEX.replace("\\bibliography{refs}", "\\bibliography{missing}")
+    result = resolve_bibliography({"main.tex": tex.encode()}, tex, ["evans"], "paper-7")
+    assert result == Exclusion("no-bib", "paper-7")
+
+
+def test_resolve_bbl_order_wins():
+    bbl = (
         "\\begin{thebibliography}{9}\n"
         "\\bibitem{evans} Eli Evans. Epsilon Works. Venue E, 2005.\n"
         "\\bibitem{brown} Ann Brown. Beta Works. Venue B, 2002.\n"
         "\\end{thebibliography}\n"
     )
     tex = FIXTURE_TEX.replace("\\bibliography{refs}", "")
-    bibliography = resolve_bibliography(tmp_path, tex, ["evans", "brown"])
+    bibliography = resolve_bibliography({"main.bbl": bbl.encode()}, tex, ["evans", "brown"], "p")
     assert [e.key for e in bibliography.entries] == ["evans", "brown"]
     assert "Epsilon Works" in bibliography.entries[0].raw
-
-
-# ---------------------------------------------------------------------------
-# Splitting rendered text
-# ---------------------------------------------------------------------------
-
-
-def _rendered_with_entries(n: int) -> str:
-    lines = ["Title", "", "1 Introduction", "Intro text [1].", "", "References"]
-    lines += [f"[{i}] Author {i}. Work {i}. Venue, 200{i % 10}." for i in range(1, n + 1)]
-    return "\n".join(lines) + "\n"
-
-
-def test_split_counts_numbered_entries():
-    main, refs = split_document(_rendered_with_entries(12))
-    assert len(refs) == 12
-    assert "References" not in main.text
-
-
-def test_split_empty_intro_has_no_occurrences():
-    text = "Title\n\nReferences\n[1] Someone. Something. Somewhere, 2000.\n"
-    main, refs = split_document(text)
-    assert main.citation_occurrences == []
-    assert len(refs) == 1
-
-
-def test_split_reassembles_multiline_entry():
-    text = (
-        "Intro [1].\n\nReferences\n"
-        "[1] Ada Author. A very long title that wraps\n"
-        "    across two lines. Venue, 2001.\n"
-        "[2] Ben Builder. Short. Venue, 2002.\n"
-    )
-    _, refs = split_document(text)
-    assert refs[0] == (1, "Ada Author. A very long title that wraps across two lines. Venue, 2001.")
-    assert refs[1][0] == 2
-
-
-def test_split_without_heading_is_structure_error():
-    with pytest.raises(StructureError):
-        split_document("no references section at all")
 
 
 # ---------------------------------------------------------------------------
@@ -447,9 +428,46 @@ def test_prepare_source_full_flow(tmp_path):
     # brown sorts before evans under the plain-style ordering
     assert [e.key for e in prep.bibliography.entries] == ["brown", "evans"]
     assert [g.raw for g in prep.main_content.citation_occurrences] == ["[2]", "[1]", "[1,2]"]
-    assert len(prep.reference_texts) == 2
+    assert prep.reference_texts == [
+        (1, "Ann Brown. Beta Works. Venue B, 2002."),
+        (2, "Eli Evans. Epsilon Works. Venue E, 2005."),
+    ]
     for group in prep.main_content.citation_occurrences:
         assert group.raw in prep.main_content.text
+
+
+def test_prepare_source_reads_the_bundle_once_through_read_tree(tmp_path, monkeypatch):
+    _write_fixture_bundle(tmp_path)
+    (tmp_path / "sec").mkdir()
+    (tmp_path / "sec" / "more.tex").write_text("More text \\cite{evans}.\n")
+    tex = FIXTURE_TEX.replace("matter. % a comment", "matter.\n\\input{sec/more}")
+    (tmp_path / "main.tex").write_text(tex)
+    calls = []
+
+    def counted(root):
+        calls.append(root)
+        return read_tree(root)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("prepare_source read the bundle outside read_tree")
+
+    monkeypatch.setattr(docprep, "read_tree", counted)
+    for method in ("rglob", "read_bytes", "read_text"):
+        monkeypatch.setattr(Path, method, refuse)
+    prep = prepare_source(tmp_path)
+    assert calls == [tmp_path]
+    assert not isinstance(prep, Exclusion)
+    assert "More text [2]." in prep.main_content.text
+    assert [e.key for e in prep.bibliography.entries] == ["brown", "evans"]
+
+
+def test_render_text_is_the_front_matter_only(tmp_path):
+    _write_fixture_bundle(tmp_path)
+    prep = prepare_source(tmp_path)
+    text = render_text(prep.cleaned_tex)
+    assert text == prep.main_content.text
+    assert text.startswith("A Fixture Paper\nAda Author , Ben Builder\n")
+    assert text.endswith("Prior work [1] and [1,2] matter. See Section for details.")
 
 
 def test_prepare_source_ignores_commented_input(tmp_path):
@@ -509,13 +527,45 @@ def test_prepare_source_reads_symlinked_input_inside_the_bundle(tmp_path):
     outside.mkdir()
     _write_fixture_bundle(bundle)
     (outside / "real.tex").write_text("LINKED text.\n")
-    # the check is on the name, so a link inside the bundle reads wherever it points
+    # read_tree reads a symlinked file through, so the input digest hashes
+    # what the link points at and the file may be inlined
     (bundle / "linked.tex").symlink_to(outside / "real.tex")
     tex = FIXTURE_TEX.replace("matter. % a comment", "matter.\n\\input{linked}")
     (bundle / "main.tex").write_text(tex)
     prep = prepare_source(bundle)
     assert not isinstance(prep, Exclusion)
     assert "LINKED" in prep.main_content.text
+
+
+def _bundle_with_linked_directory(tmp_path):
+    bundle, outside = tmp_path / "bundle", tmp_path / "outside"
+    bundle.mkdir()
+    outside.mkdir()
+    _write_fixture_bundle(bundle)
+    (outside / "secret.tex").write_text("OUTSIDE secret text.\n")
+    (outside / "ext.bib").write_text(FIXTURE_BIB.replace("Works", "Outside"))
+    (bundle / "linkdir").symlink_to(outside, target_is_directory=True)
+    # read_tree, and so the input digest, does not enter the linked directory
+    assert [rel for rel, _ in read_tree(bundle)] == ["main.tex", "refs.bib"]
+    return bundle
+
+
+def test_prepare_source_does_not_inline_input_through_a_symlinked_directory(tmp_path):
+    bundle = _bundle_with_linked_directory(tmp_path)
+    tex = FIXTURE_TEX.replace("matter. % a comment", "matter.\n\\input{linkdir/secret}")
+    (bundle / "main.tex").write_text(tex)
+    prep = prepare_source(bundle)
+    assert not isinstance(prep, Exclusion)
+    assert "OUTSIDE" not in prep.main_content.text
+
+
+def test_prepare_source_ignores_bibliography_through_a_symlinked_directory(tmp_path):
+    bundle = _bundle_with_linked_directory(tmp_path)
+    tex = FIXTURE_TEX.replace("\\bibliography{refs}", "\\bibliography{linkdir/ext}")
+    (bundle / "main.tex").write_text(tex)
+    prep = prepare_source(bundle)
+    assert not isinstance(prep, Exclusion)
+    assert [e.title for e in prep.bibliography.entries] == ["Beta Works", "Epsilon Works"]
 
 
 def test_prepare_source_malformed_bib_is_compile_error(tmp_path):
@@ -550,11 +600,3 @@ def test_prepare_source_latex_gate_success(tmp_path):
     gate.chmod(0o755)
     prep = prepare_source(tmp_path, latex_command=[str(gate)])
     assert not isinstance(prep, Exclusion)
-
-
-def test_render_text_emits_numbered_references(tmp_path):
-    _write_fixture_bundle(tmp_path)
-    prep = prepare_source(tmp_path)
-    rendered = render_text(prep.cleaned_tex, prep.bibliography)
-    assert "[1] Ann Brown. Beta Works. Venue B, 2002." in rendered
-    assert "[2] Eli Evans. Epsilon Works. Venue E, 2005." in rendered

@@ -402,6 +402,31 @@ def test_prefix_then_remainder_equals_one_full_run(completed_run, tmp_path):
     assert tree(out_dir) == tree(root / "out")
 
 
+def test_rerun_after_a_source_edit_keeps_no_stale_stage_outputs(
+    completed_run, tmp_path, monkeypatch
+):
+    # a full run, then one paper loses its .bib: the rerun must leave the
+    # single-owner stage directories as a fresh run on the edited inputs does
+    root, config_path, _ = completed_run
+    copy = tmp_path / "edited"
+    shutil.copytree(root, copy)
+    (copy / "sources" / "2207.22222" / "refs.bib").unlink()
+    config_copy = copy / config_path.relative_to(root)
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
+    rerun = run_pipeline(load_config(config_copy))
+    fresh_out = tmp_path / "fresh"
+    overrides = {"out_dir": str(fresh_out), "cache_dir": str(tmp_path / "fresh_cache")}
+    fresh = run_pipeline(load_config(config_copy, overrides))
+    assert rerun["stages"]["prepare"]["outcomes"]["excluded_by_code"]["no-bib"] == 1
+
+    def tree(base):
+        return {str(p.relative_to(base)): p.read_bytes() for p in base.rglob("*") if p.is_file()}
+
+    for stage in ("prepared", "analysis", "graphs", "report"):
+        assert tree(copy / "out" / stage) == tree(fresh_out / stage), stage
+    assert rerun["stages"]["report"]["outcomes"] == fresh["stages"]["report"]["outcomes"]
+
+
 def test_report_stage_runs_without_provider(completed_run, tmp_path):
     # a warm out dir re-emits reports without touching the response store
     root, config_path, _ = completed_run
