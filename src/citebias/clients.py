@@ -23,10 +23,11 @@ Wire formats (JSON):
      "influential_citation_count": 2, "reference_count": 30,
      "references": ["p002", "p003"]}
 
-Cache layout is ``cache/<service>/<id>.json``; each file is an envelope
-keyed by (endpoint, id, schema version) so stale or foreign entries are
-treated as misses. Writes are temp-then-rename through a temp file of the
-writing thread's own, so readers never observe a partial entry.
+The disk cache is one append-only log per service,
+``cache/<service>.jsonl``, one envelope per line keyed by (endpoint, id,
+schema version) so stale or foreign entries are treated as misses. The
+log is read once per run; each entry is appended with one ``write``, so
+no file is created per key.
 """
 
 from __future__ import annotations
@@ -246,44 +247,75 @@ def parallel_map(fn: Callable, items: list, max_in_flight: int = 1) -> list:
         return list(pool.map(fn, items))
 
 
-class JsonCache:
-    """Disk cache for index responses, one JSON envelope per key.
+def _log_envelope(line: bytes) -> dict | None:
+    """The envelope a cache log line holds, or None for a line that does
+    not parse or names no id."""
+    try:
+        envelope = json.loads(line)
+    except ValueError:
+        return None
+    if isinstance(envelope, dict) and isinstance(envelope.get("id"), str):
+        return envelope
+    return None
 
-    Entries are content-addressed by (endpoint, id, schema version); a file
-    whose envelope disagrees on any of the three is a miss. Explicit
-    not-found markers are first-class entries so corpus attrition is never
-    a silent gap. ``refresh=True`` bypasses reads but still writes.
+
+class JsonCache:
+    """Disk cache for index responses: one append-only log per service.
+
+    ``<root>/<service>.jsonl`` holds one JSON envelope per line. The first
+    ``load`` or ``store`` reads the log once into a map from id to the
+    last intact envelope for that id; a line that does not parse (a torn
+    last line, say) is skipped, so its key is a miss. An envelope of
+    another endpoint or schema version is a miss too: the caller
+    recomputes that key only, and its new line wins from then on.
+    Explicit not-found markers are first-class entries so corpus
+    attrition is never a silent gap. ``refresh=True`` never reads the
+    log, so only entries stored since the cache opened are served; every
+    entry is still appended. The log is never compacted.
+
+    Each entry is appended with one ``os.write`` on a descriptor opened
+    for appending, so concurrent writers never interleave within a line.
+    A lock guards the map: ingest calls the cache from several threads
+    when ``max_in_flight`` is above one.
     """
 
     def __init__(self, root: Path | str, service: str, refresh: bool = False):
-        self.dir = Path(root) / service
+        self.path = Path(root) / f"{service}.jsonl"
         self.refresh = refresh
+        self._lock = threading.Lock()
+        self._entries: dict[str, dict] | None = None
+        # the log ends inside a line, so the next append starts a new one
+        self._torn_tail = False
 
-    def _path(self, cache_id: str) -> Path:
-        return self.dir / f"{safe_filename(cache_id)}.json"
+    def _loaded(self) -> dict[str, dict]:
+        """The id -> envelope map, read from the log on first use. Called
+        under the lock."""
+        if self._entries is None:
+            self._entries = {}
+            last = b"\n"
+            try:
+                with open(self.path, "rb") as fh:
+                    if self.refresh:  # only the last byte, for the torn-tail check
+                        fh.seek(max(fh.seek(0, os.SEEK_END) - 1, 0))
+                    for last in fh:
+                        envelope = None if self.refresh else _log_envelope(last)
+                        if envelope is not None:
+                            self._entries[envelope["id"]] = envelope
+            except FileNotFoundError:
+                pass
+            self._torn_tail = not last.endswith(b"\n")
+        return self._entries
 
     def load(self, endpoint: str, cache_id: str) -> dict | None:
-        """Return the envelope for (endpoint, id), or None on miss.
-
-        Corrupt or mismatched files are misses: the caller recomputes and
-        overwrites that key only.
-        """
-        if self.refresh:
-            return None
-        path = self._path(cache_id)
-        try:
-            envelope = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            return None
-        if not isinstance(envelope, dict):
-            return None
+        """Return the envelope for (endpoint, id), or None on miss."""
+        with self._lock:
+            envelope = self._loaded().get(cache_id)
         if (
-            envelope.get("schema_version") != CACHE_SCHEMA_VERSION
+            envelope is None
+            or envelope.get("schema_version") != CACHE_SCHEMA_VERSION
             or envelope.get("endpoint") != endpoint
-            or envelope.get("id") != cache_id
+            or envelope.get("status") not in ("ok", "not_found")
         ):
-            return None
-        if envelope.get("status") not in ("ok", "not_found"):
             return None
         return envelope
 
@@ -300,7 +332,23 @@ class JsonCache:
             "id": cache_id,
             **entry,
         }
-        atomic_write_text(self._path(cache_id), dump_json(envelope))
+        data = (json.dumps(envelope, sort_keys=True, ensure_ascii=False) + "\n").encode("utf-8")
+        flags = os.O_WRONLY | os.O_APPEND | os.O_CREAT
+        with self._lock:
+            entries = self._loaded()
+            if self._torn_tail:
+                data = b"\n" + data
+            try:
+                fd = os.open(self.path, flags, 0o666)
+            except FileNotFoundError:
+                self.path.parent.mkdir(parents=True, exist_ok=True)
+                fd = os.open(self.path, flags, 0o666)
+            try:
+                os.write(fd, data)
+            finally:
+                os.close(fd)
+            self._torn_tail = False
+            entries[cache_id] = envelope
         return envelope
 
 
@@ -537,9 +585,9 @@ class HttpScholarClient(HttpService):
 class CachedScholarClient:
     """Scholar client wrapper that serves reads from a JsonCache.
 
-    Paper lookups cache under the bare index id (so the on-disk layout is
-    ``cache/scholar/<id>.json``); title searches cache under a prefixed
-    key derived from the normalized query.
+    Paper lookups cache under the bare index id; title searches cache
+    under ``search__<safe query key>__<limit>``, a key derived from the
+    normalized query. Both kinds share the one log, ``cache/scholar.jsonl``.
     """
 
     def __init__(self, inner: ScholarIndexClient, cache: JsonCache):

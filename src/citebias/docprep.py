@@ -25,6 +25,7 @@ import logging
 import posixpath
 import re
 import subprocess
+from collections.abc import Container
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -481,31 +482,46 @@ def _alpha_sort_key(entry: BibEntry) -> tuple:
     )
 
 
+def _undefined_keys(cited: list[str], known: Container[str]) -> Exclusion | None:
+    """The compile error of citing keys outside ``known``, if any."""
+    missing = [k for k in cited if k not in known]
+    if missing:
+        return Exclusion(EXCL_COMPILE_ERROR, f"undefined citation keys: {', '.join(missing)}")
+    return None
+
+
 def resolve_bibliography(
     bundle: dict[str, bytes],
     main_tex: str,
     cited: list[str],
     name: str,
+    main_path: str = "",
 ) -> CompiledBibliography | Exclusion:
     """Determine the final bibliography order for a paper.
 
-    A .bbl (file or inline thebibliography) fixes the order outright.
-    A .bib database is ordered the way its style would: citation order
-    for unsrt-family styles, alphabetical by author otherwise, over the
-    cited entries only. Citing a key the database lacks is a compile
-    error; having neither database kind excludes the paper, with
-    ``name`` (the bundle's) as the detail.
+    A .bbl (an inline thebibliography, else ``<main stem>.bbl`` for the
+    main file at ``main_path``, else the first .bbl in listing order)
+    fixes the order outright, and any .bib is then not read. Otherwise a
+    .bib database is ordered the way its style would: citation order for
+    unsrt-family styles, alphabetical by author otherwise, over the cited
+    entries only. Citing a key the chosen bibliography lacks is a compile
+    error; having neither database kind excludes the paper, with ``name``
+    (the bundle's) as the detail.
     """
     inline = re.search(
         r"\\begin\{thebibliography\}.*?\\end\{thebibliography\}", main_tex, re.DOTALL
     )
-    bbl_entries: list[BibEntry] | None = None
     if inline:
-        bbl_entries = parse_bbl(inline.group())
+        bbl_text = inline.group()
     else:
-        bbl_data = next((data for rel, data in bundle.items() if rel.endswith(".bbl")), None)
-        if bbl_data is not None:
-            bbl_entries = parse_bbl(_decode(bbl_data))
+        stem_bbl = posixpath.splitext(main_path)[0] + ".bbl"
+        bbl_data = bundle.get(stem_bbl) if main_path else None
+        if bbl_data is None:
+            bbl_data = next((data for rel, data in bundle.items() if rel.endswith(".bbl")), None)
+        bbl_text = None if bbl_data is None else _decode(bbl_data)
+    if bbl_text is not None:
+        entries = parse_bbl(bbl_text)
+        return _undefined_keys(cited, {e.key for e in entries}) or CompiledBibliography(entries)
 
     # the databases \bibliography names, or failing those every .bib
     bib_names = _find_command_arg(main_tex, "bibliography")
@@ -519,29 +535,16 @@ def resolve_bibliography(
     bib_entries: dict[str, BibEntry] = {}
     for text in bib_texts:
         bib_entries.update(parse_bib(text))
-
-    if bib_entries:
-        missing = [k for k in cited if k not in bib_entries]
-        if missing:
-            return Exclusion(
-                EXCL_COMPILE_ERROR, f"undefined citation keys: {', '.join(missing)}"
-            )
-        style = _find_command_arg(main_tex, "bibliographystyle") or ""
-        selected = [bib_entries[k] for k in cited]
-        if "unsrt" not in style.lower():
-            selected.sort(key=_alpha_sort_key)
-        return CompiledBibliography(selected)
-
-    if bbl_entries is not None:
-        known = {e.key for e in bbl_entries}
-        missing = [k for k in cited if k not in known]
-        if missing:
-            return Exclusion(
-                EXCL_COMPILE_ERROR, f"undefined citation keys: {', '.join(missing)}"
-            )
-        return CompiledBibliography(bbl_entries)
-
-    return Exclusion(EXCL_NO_BIB, name)
+    if not bib_entries:
+        return Exclusion(EXCL_NO_BIB, name)
+    undefined = _undefined_keys(cited, bib_entries)
+    if undefined is not None:
+        return undefined
+    style = _find_command_arg(main_tex, "bibliographystyle") or ""
+    selected = [bib_entries[k] for k in cited]
+    if "unsrt" not in style.lower():
+        selected.sort(key=_alpha_sort_key)
+    return CompiledBibliography(selected)
 
 
 def run_latex_check(
@@ -822,7 +825,7 @@ def prepare_source(
                 return failed
 
         cited = cited_keys(tex)
-        bibliography = resolve_bibliography(bundle, tex, cited, source_dir.name)
+        bibliography = resolve_bibliography(bundle, tex, cited, source_dir.name, located)
         if isinstance(bibliography, Exclusion):
             return bibliography
         cleaned = clean_tex(tex, bibliography)

@@ -19,6 +19,7 @@ counted; only infrastructure errors abort a run.
 from __future__ import annotations
 
 import fcntl
+import functools
 import hashlib
 import json
 import logging
@@ -147,6 +148,16 @@ def config_schema() -> dict:
     return json.loads(text)
 
 
+@functools.cache
+def _config_validator():
+    """A validator of the bundled schema, checked against its metaschema
+    once per process rather than on every ``load_config``."""
+    schema = config_schema()
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
+
+
 # each load_config override and the config key path it sets
 OVERRIDABLE = {
     **{name: (name,) for name in ("cache_dir", "out_dir", "mock_dir", "refresh")},
@@ -178,9 +189,9 @@ def load_config(path: Path | str, overrides: dict | None = None) -> PipelineConf
             node = node.setdefault(section, {})
         if isinstance(node, dict):  # otherwise the schema check names the section
             node[key] = str(value) if isinstance(value, Path) else value
-    try:
-        jsonschema.validate(raw, config_schema())
-    except jsonschema.ValidationError as exc:
+    # the error jsonschema.validate would raise
+    exc = jsonschema.exceptions.best_match(_config_validator().iter_errors(raw))
+    if exc is not None:
         raise ConfigError(f"invalid config: {exc.message} (at {'/'.join(map(str, exc.path))})") from exc
 
     base = path.parent

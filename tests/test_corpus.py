@@ -2,9 +2,13 @@
 
 import json
 import sys
+import tempfile
 import threading
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from citebias.clients import (
     CachedScholarClient,
@@ -359,33 +363,48 @@ def test_enrich_second_call_hits_cache_only(fixture_client, tmp_path):
     assert counting.calls == 1  # served from disk
 
 
+def _log_lines(path):
+    """The lines of a cache log, newline included, split on bytes as the
+    cache reads them."""
+    return path.read_bytes().splitlines(keepends=True)
+
+
 def test_enrich_not_found_leaves_marker(fixture_client, tmp_path):
     cache = JsonCache(tmp_path / "cache", "scholar")
     counting = CountingScholar(fixture_client)
     result = enrich_reference("s_ghost", CachedScholarClient(counting, cache))
     assert isinstance(result, Exclusion)
-    # the marker prevents a second network call
-    result = enrich_reference("s_ghost", CachedScholarClient(counting, cache))
+    # the marker, read back from disk, prevents a second network call
+    reopened = JsonCache(tmp_path / "cache", "scholar")
+    result = enrich_reference("s_ghost", CachedScholarClient(counting, reopened))
     assert isinstance(result, Exclusion)
     assert counting.calls == 1
-    assert (tmp_path / "cache" / "scholar" / "s_ghost.json").is_file()
+    (line,) = _log_lines(tmp_path / "cache" / "scholar.jsonl")
+    marker = json.loads(line)
+    assert (marker["id"], marker["status"]) == ("s_ghost", "not_found")
 
 
 def test_corrupt_cache_entry_recomputed_others_untouched(fixture_client, tmp_path):
     cache = JsonCache(tmp_path / "cache", "scholar")
     enrich_reference("s_ref1", CachedScholarClient(fixture_client, cache))
     enrich_reference("s_ref2", CachedScholarClient(fixture_client, cache))
-    ref1 = tmp_path / "cache" / "scholar" / "s_ref1.json"
-    ref2 = tmp_path / "cache" / "scholar" / "s_ref2.json"
-    ref1.write_text("{corrupt json!!")
-    before = (ref2.read_bytes(), ref2.stat().st_mtime_ns)
+    log = tmp_path / "cache" / "scholar.jsonl"
+    ref1, ref2 = _log_lines(log)
+    assert json.loads(ref1)["id"] == "s_ref1"
+    log.write_bytes(b"{corrupt json!!\n" + ref2)
+    before = log.read_bytes()
     counting = CountingScholar(fixture_client)
-    record = enrich_reference("s_ref1", CachedScholarClient(counting, cache))
+    reopened = JsonCache(tmp_path / "cache", "scholar")
+    record = enrich_reference("s_ref1", CachedScholarClient(counting, reopened))
     assert isinstance(record, EnrichedRecord) and counting.calls == 1
-    assert json.loads(ref1.read_text())["status"] == "ok"
-    enrich_reference("s_ref2", CachedScholarClient(counting, cache))
+    enrich_reference("s_ref2", CachedScholarClient(counting, reopened))
     assert counting.calls == 1
-    assert (ref2.read_bytes(), ref2.stat().st_mtime_ns) == before
+    # the recomputed key is one appended line; the rest of the log is as it was
+    after = log.read_bytes()
+    assert after.startswith(before)
+    (appended,) = after[len(before) :].splitlines()
+    assert json.loads(appended) == json.loads(ref1)
+    assert JsonCache(tmp_path / "cache", "scholar").load("paper", "s_ref1")["status"] == "ok"
 
 
 def test_cache_refresh_bypasses_reads(fixture_client, tmp_path):
@@ -393,6 +412,9 @@ def test_cache_refresh_bypasses_reads(fixture_client, tmp_path):
     enrich_reference("s_ref1", CachedScholarClient(fixture_client, cache))
     refreshing = JsonCache(tmp_path / "cache", "scholar", refresh=True)
     counting = CountingScholar(fixture_client)
+    enrich_reference("s_ref1", CachedScholarClient(counting, refreshing))
+    assert counting.calls == 1
+    # what the refreshing cache fetched itself it serves again
     enrich_reference("s_ref1", CachedScholarClient(counting, refreshing))
     assert counting.calls == 1
 
@@ -404,6 +426,200 @@ def test_cached_search_avoids_second_call(fixture_client, tmp_path):
     second = client.search_title("Robust Widgets at Scale", limit=3)
     assert counting.calls == 1
     assert first == second
+
+
+def test_old_per_key_cache_tree_is_ignored_and_left_in_place(fixture_client, tmp_path):
+    old = tmp_path / "cache" / "scholar" / "s_ref1.json"
+    old.parent.mkdir(parents=True)
+    envelope = {"schema_version": 1, "endpoint": "paper", "id": "s_ref1", "status": "not_found"}
+    old.write_text(dump_json({**envelope, "reason": "id-not-in-index"}))
+    before = old.read_bytes()
+    counting = CountingScholar(fixture_client)
+    cache = JsonCache(tmp_path / "cache", "scholar")
+    record = enrich_reference("s_ref1", CachedScholarClient(counting, cache))
+    assert isinstance(record, EnrichedRecord)
+    assert counting.calls == 1
+    assert old.read_bytes() == before
+    assert sorted(p.name for p in (tmp_path / "cache").iterdir()) == ["scholar", "scholar.jsonl"]
+
+
+def test_cache_stores_from_four_threads_lose_no_entry(tmp_path):
+    # four threads open one cache at once and append to its log: every
+    # entry is in the map and on its own line, and a reopened cache
+    # serves each key's last store
+    cache = JsonCache(tmp_path, "scholar")
+    payload = "x" * 5_000
+    errors = []
+    gate = threading.Barrier(4, timeout=30)
+
+    def writer(thread):
+        try:
+            for i in range(100):
+                cache.store("paper", f"t{thread}-{i}", [thread, i, payload])
+                gate.wait()  # all four store the shared key at once
+                cache.store("search", f"shared-{i}", [thread, i])
+        except (OSError, threading.BrokenBarrierError) as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=writer, args=(t,)) for t in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    lines = [json.loads(line) for line in (tmp_path / "scholar.jsonl").read_bytes().splitlines()]
+    assert len(lines) == 800
+    reopened = JsonCache(tmp_path, "scholar")
+    for i in range(100):
+        for t in range(4):
+            assert cache.load("paper", f"t{t}-{i}")["payload"] == [t, i, payload]
+            assert reopened.load("paper", f"t{t}-{i}")["payload"] == [t, i, payload]
+        # the map and the log agree on which thread stored a shared key last
+        last = [e for e in lines if e["id"] == f"shared-{i}"][-1]
+        assert cache.load("search", f"shared-{i}") == reopened.load("search", f"shared-{i}") == last
+
+
+# ---------------------------------------------------------------------------
+# The cache log against a dict oracle
+# ---------------------------------------------------------------------------
+
+CACHE_KEYS = ("a", "b", "search__q__3", "\u00fc")
+CACHE_ENDPOINTS = ("paper", "search")
+BAD = object()  # a line that does not parse
+
+cache_payloads = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+cache_ops = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("store"), st.sampled_from(CACHE_ENDPOINTS), st.sampled_from(CACHE_KEYS),
+            cache_payloads,
+        ),
+        st.tuples(
+            st.just("not_found"), st.sampled_from(CACHE_ENDPOINTS), st.sampled_from(CACHE_KEYS),
+            st.text(max_size=6),
+        ),
+        # a new cache on the same log, reading it, or not with refresh=True
+        st.tuples(st.just("reopen"), st.booleans()),
+        # one line replaced, by bytes picked by the second number
+        st.tuples(st.just("corrupt"), st.integers(0, 40), st.integers(0, 3)),
+        # a writer dies mid-line: the last line loses its end, then a new cache opens
+        st.tuples(st.just("crash"), st.integers(0, 400)),
+    ),
+    max_size=25,
+)
+
+
+def _parsed(line):
+    try:
+        return json.loads(line)
+    except ValueError:
+        return BAD
+
+
+def _corruption(kind, old):
+    """Replacement bytes for a log line: not JSON, JSON that is no
+    envelope, an envelope without an id, or the line's envelope under
+    another schema version."""
+    if kind == 3 and isinstance(old, dict) and "id" in old:
+        return json.dumps({**old, "schema_version": 0}).encode()
+    return (b"{corrupt", b"[1, 2]", b'{"status": "ok"}', b"{corrupt")[kind]
+
+
+def _oracle_map(lines):
+    """The last parsed envelope per id: what a cache opened on the log holds."""
+    return {
+        value["id"]: value
+        for value in lines
+        if isinstance(value, dict) and isinstance(value.get("id"), str)
+    }
+
+
+def _oracle_load(entries, endpoint, key):
+    envelope = entries.get(key)
+    if (
+        envelope is None
+        or envelope.get("schema_version") != 1
+        or envelope.get("endpoint") != endpoint
+        or envelope.get("status") not in ("ok", "not_found")
+    ):
+        return None
+    return envelope
+
+
+def _split_log(data):
+    """The log's lines without their newlines; a last line with no
+    newline (a torn one) is kept."""
+    lines = data.split(b"\n")
+    return lines[:-1] if data.endswith(b"\n") or not data else lines
+
+
+@settings(max_examples=200, deadline=None)
+@given(cache_ops)
+def test_cache_log_matches_dict_oracle(ops):
+    with tempfile.TemporaryDirectory() as tmp:
+        log = Path(tmp) / "scholar.jsonl"
+        cache = JsonCache(tmp, "scholar")
+        lines = []  # the model: each log line parsed, BAD when it does not parse
+        entries = {}  # the model of the open cache's map
+
+        def reopen(new_refresh):
+            nonlocal cache, entries
+            cache = JsonCache(tmp, "scholar", refresh=new_refresh)
+            # a refreshing cache serves only what it stored itself
+            entries = {} if new_refresh else _oracle_map(lines)
+
+        for op in ops:
+            if op[0] in ("store", "not_found"):
+                _, endpoint, key, value = op
+                if op[0] == "store":
+                    got = cache.store(endpoint, key, value)
+                    entry = {"status": "ok", "payload": value}
+                else:
+                    got = cache.store_not_found(endpoint, key, value)
+                    entry = {"status": "not_found", "reason": value}
+                expected = {"schema_version": 1, "endpoint": endpoint, "id": key, **entry}
+                assert got == expected
+                lines.append(expected)
+                entries[key] = expected
+            elif op[0] == "reopen":
+                reopen(op[1])
+            elif op[0] == "corrupt" and lines:
+                _, index, kind = op
+                index %= len(lines)
+                data = log.read_bytes()
+                raw = _split_log(data)
+                raw[index] = _corruption(kind, lines[index])
+                log.write_bytes(b"\n".join(raw) + (b"\n" if data.endswith(b"\n") else b""))
+                lines[index] = _parsed(raw[index])
+            elif op[0] == "crash" and lines:
+                raw = _split_log(log.read_bytes())
+                if len(raw[-1]) > 1:
+                    raw[-1] = raw[-1][: 1 + op[1] % (len(raw[-1]) - 1)]
+                    log.write_bytes(b"\n".join(raw))
+                    lines[-1] = _parsed(raw[-1])
+                    reopen(False)
+
+            on_disk = _split_log(log.read_bytes()) if log.exists() else []
+            assert [_parsed(line) for line in on_disk] == lines
+            for endpoint in CACHE_ENDPOINTS:
+                for key in CACHE_KEYS:
+                    assert cache.load(endpoint, key) == _oracle_load(entries, endpoint, key)
+        reopened = JsonCache(tmp, "scholar")
+        final = _oracle_map(lines)
+        for endpoint in CACHE_ENDPOINTS:
+            for key in CACHE_KEYS:
+                assert reopened.load(endpoint, key) == _oracle_load(final, endpoint, key)
 
 
 def test_atomic_write_leaves_no_temp_files(tmp_path):

@@ -411,6 +411,45 @@ def test_resolve_bbl_order_wins():
     assert "Epsilon Works" in bibliography.entries[0].raw
 
 
+def _bbl(*keys):
+    works = {"brown": "Ann Brown. Beta Works. Venue B, 2002.",
+             "evans": "Eli Evans. Epsilon Works. Venue E, 2005."}
+    items = "".join(f"\\bibitem{{{key}}} {works[key]}\n" for key in keys)
+    return "\\begin{thebibliography}{9}\n" + items + "\\end{thebibliography}\n"
+
+
+def test_resolve_bbl_file_wins_over_a_bib():
+    # plain style would sort the .bib entries to brown, evans
+    bundle = {"main.bbl": _bbl("evans", "brown").encode(), **BIB_BUNDLE}
+    bibliography = resolve_bibliography(bundle, FIXTURE_TEX, ["evans", "brown"], "p", "main.tex")
+    assert [e.key for e in bibliography.entries] == ["evans", "brown"]
+
+
+def test_resolve_inline_bibliography_wins_over_a_bib():
+    tex = FIXTURE_TEX.replace("\\bibliography{refs}", _bbl("evans", "brown"))
+    bibliography = resolve_bibliography(BIB_BUNDLE, tex, ["evans", "brown"], "p", "main.tex")
+    assert [e.key for e in bibliography.entries] == ["evans", "brown"]
+
+
+def test_resolve_prefers_the_main_stem_bbl():
+    bundle = {"a.bbl": _bbl("brown", "evans").encode(), "paper.bbl": _bbl("evans", "brown").encode()}
+    cited = ["evans", "brown"]
+    stem = resolve_bibliography(bundle, FIXTURE_TEX, cited, "p", "paper.tex")
+    assert [e.key for e in stem.entries] == ["evans", "brown"]
+    # without a <main stem>.bbl, the first in listing order
+    first = resolve_bibliography(bundle, FIXTURE_TEX, cited, "p", "main.tex")
+    assert [e.key for e in first.entries] == ["brown", "evans"]
+
+
+def test_prepare_source_numbers_by_the_main_stem_bbl(tmp_path):
+    (tmp_path / "paper.tex").write_text(FIXTURE_TEX)
+    (tmp_path / "refs.bib").write_text(FIXTURE_BIB)
+    (tmp_path / "a.bbl").write_text(_bbl("brown", "evans"))
+    (tmp_path / "paper.bbl").write_text(_bbl("evans", "brown"))
+    prep = prepare_source(tmp_path)
+    assert [e.key for e in prep.bibliography.entries] == ["evans", "brown"]
+
+
 # ---------------------------------------------------------------------------
 # End-to-end preparation of a source bundle
 # ---------------------------------------------------------------------------

@@ -11,12 +11,14 @@ from importlib import resources
 from pathlib import Path
 from types import SimpleNamespace
 
+import jsonschema
 import pytest
 import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from citebias import cli
+from citebias import cli, pipeline
+from citebias.clients import dump_json, safe_filename
 from citebias.errors import ConfigError, PipelineError
 from citebias.llmgate import render_vanilla_prompt, store_mock_response
 from citebias.pipeline import (
@@ -49,6 +51,44 @@ def test_config_validation_rejects_bad_shapes(tmp_path):
     path.write_text(yaml.safe_dump({"corpus": {"window": ["nope"]}}))
     with pytest.raises(ConfigError):
         load_config(path)
+
+
+def test_config_schema_is_checked_once_across_loads(workspace, monkeypatch):
+    _, config_path = workspace
+    validator_cls = jsonschema.validators.validator_for(config_schema())
+    checks = []
+    original = validator_cls.check_schema.__func__
+    monkeypatch.setattr(
+        validator_cls,
+        "check_schema",
+        classmethod(lambda cls, schema, **kw: checks.append(1) or original(cls, schema, **kw)),
+    )
+    pipeline._config_validator.cache_clear()
+    load_config(config_path)
+    load_config(config_path)
+    assert len(checks) == 1
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda raw: raw["corpus"].update(window=["nope"]),
+        lambda raw: raw["runs"].update(vanilla=0),
+        lambda raw: raw.update(surprise=1),
+        lambda raw: raw["provider"].pop("model_id"),
+    ],
+)
+def test_config_error_message_is_that_of_jsonschema_validate(workspace, tmp_path, edit):
+    _, config_path = workspace
+    path = _config_copy(config_path, tmp_path, edit)
+    raw = yaml.safe_load(path.read_text())
+    with pytest.raises(jsonschema.ValidationError) as expected:
+        jsonschema.validate(raw, config_schema())
+    exc = expected.value
+    message = f"invalid config: {exc.message} (at {'/'.join(map(str, exc.path))})"
+    with pytest.raises(ConfigError) as got:
+        load_config(path)
+    assert str(got.value) == message
 
 
 def test_config_requires_index_backing(tmp_path):
@@ -535,14 +575,75 @@ def test_corrupt_cache_key_recomputed_on_stage_rerun(workspace, tmp_path):
     cache_dir = tmp_path / "cache_corrupt"
     config = load_config(config_path, {"out_dir": str(out_dir), "cache_dir": str(cache_dir)})
     run_pipeline(config, ["ingest"])
-    target = cache_dir / "scholar" / "a1.json"
-    other = cache_dir / "scholar" / "a2.json"
-    target.write_text("{broken")
-    before = (other.read_bytes(), other.stat().st_mtime_ns)
+    log = cache_dir / "scholar.jsonl"
+    lines = log.read_bytes().splitlines(keepends=True)
+    ids = [json.loads(line)["id"] for line in lines]
+    assert "a1" in ids and "a2" in ids
+    lines[ids.index("a1")] = b"{broken\n"
+    log.write_bytes(b"".join(lines))
+    before = log.read_bytes()
     (out_dir / "stages" / "ingest.json").unlink()
     run_pipeline(config, ["ingest"])
-    assert json.loads(target.read_text())["status"] == "ok"
-    assert (other.read_bytes(), other.stat().st_mtime_ns) == before
+    # a1 alone is fetched again, as one appended line; every other key,
+    # a2 included, is served from the log as it was
+    after = log.read_bytes()
+    assert after.startswith(before)
+    (appended,) = after[len(before) :].splitlines()
+    assert json.loads(appended)["id"] == "a1"
+    assert json.loads(appended)["status"] == "ok"
+
+
+def _envelopes(log):
+    """The envelopes of a cache log, parsed, in a canonical order."""
+    lines = log.read_bytes().splitlines()
+    return sorted(json.dumps(json.loads(line), sort_keys=True) for line in lines)
+
+
+def test_cold_run_leaves_one_cache_file(completed_run):
+    root, _, _ = completed_run
+    files = [p.relative_to(root / "cache").as_posix() for p in (root / "cache").rglob("*")]
+    assert files == ["scholar.jsonl"]
+
+
+def test_old_per_key_cache_tree_is_ignored_by_a_run(completed_run, tmp_path, monkeypatch):
+    # every envelope of the completed run, laid out one file per key as
+    # older versions wrote them: a run reads none of them and deletes none
+    root, config_path, _ = completed_run
+    old_dir = tmp_path / "cache" / "scholar"
+    old_dir.mkdir(parents=True)
+    for line in (root / "cache" / "scholar.jsonl").read_bytes().splitlines():
+        envelope = json.loads(line)
+        (old_dir / f"{safe_filename(envelope['id'])}.json").write_text(dump_json(envelope))
+    before = {p.name: p.read_bytes() for p in old_dir.iterdir()}
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
+    overrides = {"out_dir": str(tmp_path / "out"), "cache_dir": str(tmp_path / "cache")}
+    run_pipeline(load_config(config_path, overrides))
+    assert {p.name: p.read_bytes() for p in old_dir.iterdir()} == before
+    # every key was a miss, fetched and appended to the new log
+    log = tmp_path / "cache" / "scholar.jsonl"
+    assert _envelopes(log) == _envelopes(root / "cache" / "scholar.jsonl")
+
+
+def test_threaded_ingest_writes_the_same_outputs_and_cache(completed_run, tmp_path, monkeypatch):
+    # four enrichment threads share one cache: the same out/ bytes (the
+    # run identity aside, which holds max_in_flight) and the same envelopes
+    root, config_path, serial = completed_run
+    path = _config_copy(config_path, tmp_path, lambda raw: raw["index"].update(max_in_flight=4))
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
+    threaded = run_pipeline(load_config(path))
+
+    def tree(base, mhash):
+        return {
+            p.relative_to(base).as_posix(): p.read_bytes().replace(mhash.encode(), b"<hash>")
+            for p in sorted(base.rglob("*"))
+            if p.is_file() and p.name != "manifest.json"
+        }
+
+    assert threaded["manifest_hash"] != serial["manifest_hash"]
+    out = tree(tmp_path / "out", threaded["manifest_hash"])
+    assert out == tree(root / "out", serial["manifest_hash"])
+    log = tmp_path / "cache" / "scholar.jsonl"
+    assert _envelopes(log) == _envelopes(root / "cache" / "scholar.jsonl")
 
 
 # ---------------------------------------------------------------------------
