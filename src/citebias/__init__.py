@@ -20,7 +20,6 @@ from .corpus import PaperRecord, Venue, VenueTable
 from .docprep import (
     BracketGroup,
     MainContent,
-    clean_tex,
     extract_citations,
     locate_main_tex,
     prepare_source,
@@ -75,7 +74,6 @@ __all__ = [
     "calibrate",
     "categorize",
     "characteristics",
-    "clean_tex",
     "clustering_coefficient",
     "decide_existence",
     "edge_expansion",

@@ -332,7 +332,13 @@ class JsonCache:
             "id": cache_id,
             **entry,
         }
-        data = (json.dumps(envelope, sort_keys=True, ensure_ascii=False) + "\n").encode("utf-8")
+        try:
+            data = (json.dumps(envelope, sort_keys=True, ensure_ascii=False) + "\n").encode("utf-8")
+        except UnicodeEncodeError as exc:  # a lone surrogate, which json.loads accepts
+            raise IndexParseError(
+                f"the {endpoint} response for {cache_id!r} is not valid Unicode ({exc.reason})",
+                entry,
+            ) from exc
         flags = os.O_WRONLY | os.O_APPEND | os.O_CREAT
         with self._lock:
             entries = self._loaded()

@@ -1,12 +1,13 @@
-"""LaTeX source preparation: cleaned main content and the ground-truth
-intro reference list.
+"""LaTeX source preparation: the anonymized main content and the
+ground-truth intro reference list.
 
 A paper's source bundle is read once, with ``clients.read_tree`` (the
 listing the run's input digest hashes), and every later file lookup is a
-lookup in that listing. The bundle is reduced to the parts a reader
-would see first (title, authors, conference info, abstract,
-introduction) with every citation command rewritten to a numeric
-bracket group, e.g. ``[2,5]`` or ``[4-8]``, and flattened to plain text.
+lookup in that listing. ``render_text`` reads, in one pass over the main
+file, the parts a reader would see first (title, authors, conference
+info, abstract, introduction), drops figures, tables, cross references
+and footnotes, rewrites every citation command to a numeric bracket
+group, e.g. ``[2,5]`` or ``[4-8]``, and flattens each part to plain text.
 Numbering follows the compiled bibliography order: the order of
 ``\\bibitem`` entries when a .bbl is available, otherwise the order the
 bibliography style would produce from the .bib database (citation order
@@ -62,6 +63,7 @@ _STRIP_ENVS = (
     "tikzpicture",
     "wrapfigure",
 )
+_FOOTNOTE_RE = re.compile(r"\\footnote(mark|text)?(?![a-zA-Z])(?:\[[^\]]*\])?")
 _CONFERENCE_PKG_RE = re.compile(
     r"^\\usepackage(?:\[[^\]]*\])?\{[^}]*(?:neurips|icml|iclr|aaai|nips|corl|acl)[^}]*\}",
     re.IGNORECASE | re.MULTILINE,
@@ -120,7 +122,6 @@ class PreparedDocument:
     main_content: MainContent
     reference_texts: list[tuple[int, str]]
     bibliography: CompiledBibliography
-    cleaned_tex: str
 
 
 # ---------------------------------------------------------------------------
@@ -255,21 +256,23 @@ def _strip_environments(tex: str, names=_STRIP_ENVS) -> str:
     return tex
 
 
+def _strip_footnotes(tex: str) -> str:
+    """Remove each \\footnote, \\footnotemark and \\footnotetext whole:
+    its optional ``[n]`` and, but for a mark, its braced text. A longer
+    control word such as \\footnotesize is left alone."""
+    # footnotes can nest braces; remove with a balanced reader
+    while match := _FOOTNOTE_RE.search(tex):
+        end = match.end()
+        if match.group(1) != "mark" and tex.startswith("{", end):
+            _, end = _read_braced(tex, end)
+        tex = tex[: match.start()] + tex[end:]
+    return tex
+
+
 def _strip_crossrefs(tex: str) -> str:
     tex = re.sub(r"~?\\(?:auto|eq|c|C|v)?ref\{[^}]*\}", "", tex)
     tex = re.sub(r"\\label\{[^}]*\}", "", tex)
-    # footnotes can nest braces; remove with a balanced reader
-    while True:
-        idx = tex.find("\\footnote")
-        if idx < 0:
-            break
-        j = idx + len("\\footnote")
-        if j < len(tex) and tex[j] == "{":
-            _, end = _read_braced(tex, j)
-            tex = tex[:idx] + tex[end:]
-        else:
-            tex = tex[:idx] + tex[j:]
-    return tex
+    return _strip_footnotes(tex)
 
 
 def _compress_numbers(numbers: list[int]) -> str:
@@ -310,13 +313,6 @@ def _replace_citations(tex: str, numbering: dict[str, int]) -> str:
         return f"[{_compress_numbers(nums)}]"
 
     return _CITE_RE.sub(repl, tex)
-
-
-def _canonical_whitespace(text: str) -> str:
-    lines = [line.rstrip() for line in text.split("\n")]
-    text = "\n".join(lines)
-    text = re.sub(r"\n{3,}", "\n\n", text)
-    return text.strip()
 
 
 # ---------------------------------------------------------------------------
@@ -569,7 +565,7 @@ def run_latex_check(
 
 
 # ---------------------------------------------------------------------------
-# Cleaning
+# Text rendering (the compiled-PDF stand-in)
 # ---------------------------------------------------------------------------
 
 
@@ -608,110 +604,48 @@ def _extract_abstract(body: str) -> str:
     return arg or ""
 
 
-def _bib_machinery(tex: str) -> str:
-    inline = re.search(
-        r"\\begin\{thebibliography\}.*?\\end\{thebibliography\}", tex, re.DOTALL
-    )
-    if inline:
-        return inline.group()
-    lines = []
-    style = re.search(r"\\bibliographystyle\{[^}]*\}", tex)
-    if style:
-        lines.append(style.group())
-    bib = re.search(r"\\bibliography\{[^}]*\}", tex)
-    if bib:
-        lines.append(bib.group())
-    return "\n".join(lines)
+def render_text(tex: str, bibliography: CompiledBibliography) -> str:
+    """Flatten a main file's front matter (title, authors, conference
+    line, abstract, introduction) to plain text, mirroring what PDF text
+    extraction would yield for those pages.
 
-
-def clean_tex(tex: str, bibliography: CompiledBibliography | None = None) -> str:
-    """Reduce a main tex file to its anonymizable skeleton.
-
-    Keeps the document class and conference style lines, title, authors,
-    abstract, introduction, and the bibliography machinery; strips
-    comments, figures, tables, labels, and cross references; rewrites
-    every citation command to a numeric bracket group. Without an explicit
-    bibliography, numbers follow first-citation order.
-
-    The function is idempotent: cleaning a cleaned document is a no-op.
+    ``tex`` is the main file with comments stripped and inputs inlined.
+    Each part is read from it once: figures, tables, cross references
+    and footnotes are dropped, and every citation command becomes a
+    bracket group numbered in ``bibliography`` order. Raises TexError
+    when a document marker is missing or environments do not nest.
     """
     if "\\begin{document}" not in tex or "\\end{document}" not in tex:
         raise TexError("missing \\begin{document} or \\end{document}")
-    tex = _strip_comments(tex)
     check_environments(tex)
-
-    docclass = re.search(r"\\documentclass(?:\[[^\]]*\])?\{[^}]*\}", tex)
-    conference_lines = _CONFERENCE_PKG_RE.findall(tex)
-    title = _find_command_arg(tex, "title") or ""
-    author = _find_command_arg(tex, "author") or ""
+    docclass = re.search(r"\\documentclass(?:\[[^\]]*\])?\{([^}]*)\}", tex)
+    conference = _CONFERENCE_PKG_RE.findall(tex)
+    title = _strip_footnotes(_find_command_arg(tex, "title") or "")
+    author = _strip_footnotes(_find_command_arg(tex, "author") or "")
 
     body = tex.split("\\begin{document}", 1)[1].split("\\end{document}", 1)[0]
-    machinery = _bib_machinery(tex)
-
-    body = _strip_environments(body)
-    body = _strip_crossrefs(body)
-
-    if bibliography is not None:
-        numbering = bibliography.numbers
-    else:
-        numbering = {key: i + 1 for i, key in enumerate(cited_keys(body))}
-    abstract = _canonical_whitespace(_replace_citations(_extract_abstract(body), numbering))
-    intro = _canonical_whitespace(_replace_citations(_extract_intro(body), numbering))
-
-    blocks = []
-    if docclass:
-        blocks.append(docclass.group())
-    blocks.extend(conference_lines)
-    blocks.append("\\begin{document}")
-    if title:
-        blocks.append(f"\\title{{{title}}}")
-    if author:
-        blocks.append(f"\\author{{{author}}}")
-    if abstract:
-        blocks.append("\\begin{abstract}\n" + abstract + "\n\\end{abstract}")
-    blocks.append("\\section{Introduction}")
-    if intro:
-        blocks.append(intro)
-    if machinery:
-        blocks.append(machinery)
-    blocks.append("\\end{document}")
-    return "\n".join(blocks) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# Text rendering (the compiled-PDF stand-in)
-# ---------------------------------------------------------------------------
-
-def render_text(cleaned_tex: str) -> str:
-    """Flatten a cleaned document's front matter (title, authors,
-    conference line, abstract, introduction) to plain text, mirroring
-    what PDF text extraction would yield for those pages."""
-    docclass = re.search(r"\\documentclass(?:\[[^\]]*\])?\{([^}]*)\}", cleaned_tex)
-    conference = _CONFERENCE_PKG_RE.findall(cleaned_tex)
-    title = _find_command_arg(cleaned_tex, "title") or ""
-    author = _find_command_arg(cleaned_tex, "author") or ""
-    abstract = _extract_abstract(cleaned_tex)
-    intro = _extract_intro(cleaned_tex.split("\\begin{document}", 1)[-1])
+    body = _strip_crossrefs(_strip_environments(body))
+    numbering = bibliography.numbers
+    abstract = _replace_citations(_extract_abstract(body), numbering)
+    intro = _replace_citations(_extract_intro(body), numbering)
 
     lines: list[str] = []
     if title:
         lines.append(_latex_to_plain(title))
     if author:
-        author_text = re.sub(r"\\and\b", ", ", author)
-        lines.append(_latex_to_plain(author_text))
+        lines.append(_latex_to_plain(re.sub(r"\\and\b", ", ", author)))
     conf_bits = [m.split("{")[-1].rstrip("}") for m in conference]
     if docclass:
         conf_bits.append(docclass.group(1))
     if conf_bits:
         lines.append(" ".join(dict.fromkeys(conf_bits)))
     lines.append("")
-    if abstract:
+    if abstract.strip():
         lines.append("Abstract")
         lines.append(_latex_to_plain(abstract))
         lines.append("")
     lines.append("1 Introduction")
-    if intro:
-        lines.append(_latex_to_plain(intro))
+    lines.append(_latex_to_plain(intro))
     return "\n".join(lines).rstrip()
 
 
@@ -828,15 +762,13 @@ def prepare_source(
         bibliography = resolve_bibliography(bundle, tex, cited, source_dir.name, located)
         if isinstance(bibliography, Exclusion):
             return bibliography
-        cleaned = clean_tex(tex, bibliography)
-        text = render_text(cleaned)
+        text = render_text(tex, bibliography)
     except TexError as exc:
         return Exclusion(EXCL_COMPILE_ERROR, str(exc))
     return PreparedDocument(
         main_content=MainContent(text, extract_citations(text)),
         reference_texts=[(i, entry.raw) for i, entry in enumerate(bibliography.entries, 1)],
         bibliography=bibliography,
-        cleaned_tex=cleaned,
     )
 
 

@@ -45,19 +45,15 @@ REASK_MESSAGE = (
 )
 
 
-def _template(name: str) -> str:
-    return resources.files("citebias.templates").joinpath(f"{name}.txt").read_text("utf-8")
-
-
 def template_text(name: str) -> str:
     """Raw template text; names: vanilla, postprocess, iterative."""
-    return _template(name)
+    return resources.files("citebias.templates").joinpath(f"{name}.txt").read_text("utf-8")
 
 
 def template_hashes() -> dict[str, str]:
     """SHA-256 for each prompt template, recorded in run manifests."""
     return {
-        name: hashlib.sha256(_template(name).encode("utf-8")).hexdigest()
+        name: hashlib.sha256(template_text(name).encode("utf-8")).hexdigest()
         for name in ("vanilla", "postprocess", "iterative")
     }
 
@@ -83,7 +79,7 @@ def render_vanilla_prompt(main_content: str) -> list[Message]:
     """System + user pair for the reference-suggestion prompt."""
     if not main_content.strip():
         raise ValueError("main content must be non-empty")
-    user = _fill(_template("vanilla"), content=main_content)
+    user = _fill(template_text("vanilla"), content=main_content)
     return [("system", SYSTEM_MESSAGE), ("user", user)]
 
 
@@ -91,7 +87,7 @@ def render_postprocess_prompt(reference_list: str) -> list[Message]:
     """System + user pair for structuring a reference list."""
     if not reference_list.strip():
         raise ValueError("reference list must be non-empty")
-    user = _fill(_template("postprocess"), content=reference_list)
+    user = _fill(template_text("postprocess"), content=reference_list)
     return [("system", SYSTEM_MESSAGE), ("user", user)]
 
 
@@ -105,7 +101,7 @@ def render_iterative_prompt(
     if not parent.transcript or parent.transcript[-1][0] != "assistant":
         raise ValueError("parent transcript is incomplete")
     numbers = ", ".join(f"[{n}]" for n in sorted(nonexistent))
-    user = _fill(_template("iterative"), numbers=numbers, content=main_content)
+    user = _fill(template_text("iterative"), numbers=numbers, content=main_content)
     return [*parent.transcript, ("user", user)]
 
 
@@ -224,18 +220,6 @@ def generate(
     if not text.strip():
         raise ProviderRefusal(f"{run.model_id} {run.strategy} run {run.run_index}")
     return text
-
-
-def verify_replay(run: GenerationRun, provider) -> bool:
-    """True iff replaying the transcript reproduces every recorded
-    response byte-for-byte."""
-    for i, (role, content) in enumerate(run.transcript):
-        if role != "assistant":
-            continue
-        replayed = provider.send(run.transcript[:i], run.sampling_params)
-        if replayed != content:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -443,6 +443,24 @@ def test_old_per_key_cache_tree_is_ignored_and_left_in_place(fixture_client, tmp
     assert sorted(p.name for p in (tmp_path / "cache").iterdir()) == ["scholar", "scholar.jsonl"]
 
 
+def test_cache_rejects_a_lone_surrogate_without_appending(tmp_path):
+    # json.loads accepts "\ud800", which has no UTF-8 encoding
+    record = json.loads('{"title": "Broken \\ud800 title"}')
+    cache = JsonCache(tmp_path, "scholar")
+    cache.store("paper", "good-1", {"title": "Fine"})
+    before = cache.path.read_bytes()
+    with pytest.raises(IndexParseError, match=r"paper.*'bad-1'"):
+        cache.store("paper", "bad-1", record)
+    with pytest.raises(IndexParseError, match=r"search.*'q'"):
+        cache.store_not_found("search", "q", "reason \ud800")
+    assert cache.path.read_bytes() == before
+    assert cache.load("paper", "bad-1") is None
+    cache.store("paper", "good-2", {"title": "Also fine"})
+    reopened = JsonCache(tmp_path, "scholar")
+    assert reopened.load("paper", "good-2")["payload"] == {"title": "Also fine"}
+    assert len(cache.path.read_bytes().splitlines()) == 2
+
+
 def test_cache_stores_from_four_threads_lose_no_entry(tmp_path):
     # four threads open one cache at once and append to its log: every
     # entry is in the map and on its own line, and a reopened cache

@@ -1,5 +1,6 @@
 """Document preparation: bracket citations, main-file location from the
-bundle listing, cleaning, bibliography order, and whole bundles read once."""
+bundle listing, text rendering, bibliography order, and whole bundles
+read once."""
 
 import random
 from pathlib import Path
@@ -10,8 +11,8 @@ from citebias import docprep
 from citebias.clients import read_tree
 from citebias.docprep import (
     BracketGroup,
+    BibEntry,
     CompiledBibliography,
-    clean_tex,
     extract_citations,
     locate_main_tex,
     parse_bib,
@@ -190,7 +191,7 @@ def test_locate_no_main_excluded():
 
 
 # ---------------------------------------------------------------------------
-# Cleaning
+# Text rendering
 # ---------------------------------------------------------------------------
 
 FIXTURE_TEX = r"""
@@ -234,28 +235,37 @@ def _fixture_bibliography() -> CompiledBibliography:
     return CompiledBibliography(ordered)
 
 
+def _render(tex: str, bibliography: CompiledBibliography | None = None) -> str:
+    """render_text over ``tex`` with comments stripped, as prepare_source
+    hands it over."""
+    return render_text(docprep._strip_comments(tex), bibliography or _fixture_bibliography())
+
+
 def test_clean_strips_figure_bodies():
-    cleaned = clean_tex(FIXTURE_TEX)
-    assert "includegraphics" not in cleaned
-    assert "A figure body" not in cleaned
+    text = _render(FIXTURE_TEX)
+    assert "includegraphics" not in text
+    assert "plot.pdf" not in text
+    assert "A figure body" not in text
 
 
-def test_clean_strips_crossrefs_comments_and_later_sections():
-    cleaned = clean_tex(FIXTURE_TEX)
-    assert "sec:method" not in cleaned
-    assert "a comment" not in cleaned
-    assert "Hidden content" not in cleaned
-    assert "a footnote" not in cleaned
+def test_clean_strips_crossrefs_comments_and_later_sections(tmp_path):
+    _write_fixture_bundle(tmp_path)
+    text = prepare_source(tmp_path).main_content.text
+    assert "sec:method" not in text
+    assert "a comment" not in text
+    assert "Hidden content" not in text
+    assert "a footnote" not in text
+    assert text.endswith("See Section for details.")
 
 
 def test_clean_numbers_follow_compiled_bibliography_order():
     # alphabetical (plain style) order over cited keys: brown=1, evans=2
     bibliography = _fixture_bibliography()
     assert bibliography.numbers == {"brown": 1, "evans": 2}
-    cleaned = clean_tex(FIXTURE_TEX, bibliography)
-    assert "[1]" in cleaned  # \cite{brown}
-    assert "[1,2]" in cleaned  # \cite{brown,evans}
-    assert "\\cite" not in cleaned
+    text = _render(FIXTURE_TEX, bibliography)
+    assert "things [2]." in text  # \cite{evans} in the abstract
+    assert "Prior work [1] and [1,2] matter." in text  # \cite{brown}, \cite{brown,evans}
+    assert "\\cite" not in text
 
 
 def test_clean_multi_cite_in_five_entry_database():
@@ -267,9 +277,8 @@ def test_clean_multi_cite_in_five_entry_database():
     )
     entries = parse_bib(FIXTURE_BIB)
     ordered = sorted(entries.values(), key=lambda e: e.authors[0].split()[-1])
-    bibliography = CompiledBibliography(ordered)
-    cleaned = clean_tex(tex, bibliography)
-    assert "[2,5]" in cleaned
+    text = _render(tex, CompiledBibliography(ordered))
+    assert "Prior work [1][3][4] and [2,5] matter." in text
 
 
 def test_clean_range_compression():
@@ -278,20 +287,14 @@ def test_clean_range_compression():
     )
     entries = parse_bib(FIXTURE_BIB)
     ordered = sorted(entries.values(), key=lambda e: e.authors[0].split()[-1])
-    cleaned = clean_tex(tex, CompiledBibliography(ordered))
-    assert "[1-5]" in cleaned
-
-
-def test_clean_is_idempotent():
-    bibliography = _fixture_bibliography()
-    once = clean_tex(FIXTURE_TEX, bibliography)
-    assert clean_tex(once) == once
+    text = _render(tex, CompiledBibliography(ordered))
+    assert "[1-5]" in text
 
 
 def test_clean_unbalanced_environment_reports_line():
     bad = "\\begin{document}\ntext\n\\begin{figure}\nno closing\n\\end{document}\n"
     with pytest.raises(TexError) as err:
-        clean_tex(bad)
+        render_text(bad, CompiledBibliography([]))
     # the mismatch is detected at \end{document}, naming the open figure env
     assert err.value.line == 5
     assert "figure" in str(err.value) and "line 3" in str(err.value)
@@ -299,7 +302,9 @@ def test_clean_unbalanced_environment_reports_line():
 
 def test_clean_requires_document_markers():
     with pytest.raises(TexError):
-        clean_tex("just text")
+        render_text("just text", CompiledBibliography([]))
+    with pytest.raises(TexError):
+        render_text("\\begin{document}\nno end", CompiledBibliography([]))
 
 
 def test_clean_strips_comment_after_a_line_break():
@@ -307,16 +312,15 @@ def test_clean_strips_comment_after_a_line_break():
     tex = FIXTURE_TEX.replace(
         "Ada Author \\and", "Ada Author \\\\% affiliation TODO\n50\\% \\and"
     )
-    cleaned = clean_tex(tex)
-    assert "TODO" not in cleaned
-    assert "\\author{Ada Author \\\\\n50\\% \\and Ben Builder}" in cleaned
+    text = _render(tex)
+    assert "TODO" not in text
+    assert text.split("\n")[1] == "Ada Author \\\\ 50% , Ben Builder"
 
 
 def test_clean_brace_after_a_line_break_closes_its_group():
     # the } after \\ is not escaped, so the author group is balanced
     tex = FIXTURE_TEX.replace("Ben Builder}", "Ben Builder\\\\}")
-    cleaned = clean_tex(tex)
-    assert "\\author{Ada Author \\and Ben Builder\\\\}" in cleaned
+    assert _render(tex).split("\n")[1] == "Ada Author , Ben Builder\\\\"
 
 
 def test_clean_without_intro_heading_does_not_duplicate_abstract():
@@ -325,41 +329,80 @@ def test_clean_without_intro_heading_does_not_duplicate_abstract():
         "\\begin{document}\n\\begin{abstract}\nThe abstract sentence.\n\\end{abstract}\n"
         "Body text here.\n\\bibliographystyle{plain}\n\\bibliography{refs}\n\\end{document}\n"
     )
-    cleaned = clean_tex(doc)
-    assert cleaned.count("The abstract sentence.") == 1
-    assert "Body text here." in cleaned
-    assert clean_tex(cleaned) == cleaned
+    text = render_text(doc, CompiledBibliography([]))
+    assert text.count("The abstract sentence.") == 1
+    assert text.endswith("1 Introduction\nBody text here.")
 
 
-def test_clean_idempotent_on_randomized_documents():
+def test_render_reads_the_intro_after_an_abstract_holding_its_heading():
+    # the introduction is read from the main file, not from the rendered
+    # abstract, even when the abstract holds an introduction heading
+    doc = (
+        "\\documentclass{article}\n\\title{T}\n\\author{A}\n\\begin{document}\n"
+        "\\section{Introduction}\nThe real introduction \\cite{brown}.\n\\section{Method}\nM.\n"
+        "\\begin{abstract}\nLead. \\section{Introduction} x\n\\end{abstract}\n\\end{document}\n"
+    )
+    text = render_text(doc, _fixture_bibliography())
+    assert text.endswith("1 Introduction\nThe real introduction [1].")
+    assert "Abstract\nLead. Introduction x\n" in text
+
+
+def test_clean_strips_footnote_marks_texts_and_numbered_footnotes(tmp_path):
+    # \footnote[n]{..}, \footnotemark[n] and \footnotetext[n]{..} go whole;
+    # a leaked [1] would be read as a citation of reference 1
+    _write_fixture_bundle(tmp_path)
+    tex = FIXTURE_TEX.replace("Ada Author", "Ada Author\\footnotemark[1]").replace(
+        "for details\\footnote{a footnote}.",
+        "for details\\footnote[2]{Numbered note.}\\footnotemark."
+        "\\footnotetext[2]{Hidden {nested} note.} More\\footnotetext{Plain note.} text.",
+    )
+    (tmp_path / "main.tex").write_text(tex)
+    prep = prepare_source(tmp_path)
+    assert prep.main_content.text.split("\n")[1] == "Ada Author , Ben Builder"
+    assert prep.main_content.text.endswith("See Section for details. More text.")
+    assert [g.raw for g in prep.main_content.citation_occurrences] == ["[2]", "[1]", "[1,2]"]
+
+
+def _random_document(rng: random.Random, keys: list[str]) -> tuple[str, list[list[str]]]:
+    """A main file with comments stripped, plus the key lists of its
+    front-matter citations in reading order."""
+    cited: list[list[str]] = []
+
+    def cite() -> str:
+        group = rng.sample(keys, rng.randint(1, 4))
+        cited.append(group)
+        return "\\cite%s{%s}" % (rng.choice(["", "p", "t"]), ",".join(group))
+
+    parts = ["\\documentclass{article}", "\\title{Paper %d}" % rng.randint(1, 99)]
+    parts += ["\\author{Someone}", "\\begin{document}"]
+    if rng.random() < 0.7:
+        parts.append("\\maketitle")
+    if rng.random() < 0.8:
+        parts.append("\\begin{abstract}\nAbstract sentence %s.\n\\end{abstract}" % cite())
+    if rng.random() < 0.8:
+        parts.append("\\section{Introduction}\n\\label{sec:intro}")
+    for _ in range(rng.randint(1, 4)):
+        parts.append("Some intro text %s and more~\\ref{fig:x}." % cite())
+        if rng.random() < 0.3:
+            parts.append("\\begin{figure}\nfigure body \\cite{%s}\n\\end{figure}" % keys[0])
+    if rng.random() < 0.5:
+        parts.append("\\section{%s}\nhidden \\cite{%s}" % (rng.choice(["Method", "Results"]), keys[0]))
+    parts += ["\\bibliographystyle{plain}", "\\bibliography{refs}", "\\end{document}"]
+    return "\n".join(parts), cited
+
+
+def test_render_properties_on_randomized_documents():
     rng = random.Random(42)
-    sections = ["Method", "Results", "Related Work"]
-    for _ in range(25):
-        parts = [
-            "\\documentclass{article}",
-            "\\title{Paper %d}" % rng.randint(1, 99),
-            "\\author{Someone}",
-            "\\begin{document}",
-        ]
-        if rng.random() < 0.7:
-            parts.append("\\maketitle")
-        if rng.random() < 0.8:
-            parts.append("\\begin{abstract}\nAbstract %d.\n\\end{abstract}" % rng.randint(1, 9))
-        if rng.random() < 0.8:
-            parts.append("\\section{Introduction}")
-        parts.append("Some intro text [%d] and more [2,%d]." % (rng.randint(1, 5), rng.randint(6, 9)))
-        if rng.random() < 0.5:
-            parts.append(
-                "\\begin{figure}\nfigure body %d\n\\end{figure}" % rng.randint(1, 9)
-            )
-        if rng.random() < 0.5:
-            parts.append("\\section{%s}\nhidden" % rng.choice(sections))
-        parts.append("\\bibliographystyle{plain}")
-        parts.append("\\bibliography{refs}")
-        parts.append("\\end{document}")
-        doc = "\n".join(parts)
-        once = clean_tex(doc)
-        assert clean_tex(once) == once
+    keys = [f"k{i}" for i in range(1, 13)]
+    for _ in range(200):
+        order = rng.sample(keys, len(keys))
+        bibliography = CompiledBibliography([BibEntry(key=k, raw=k) for k in order])
+        doc, cited = _random_document(rng, keys)
+        text = render_text(doc, bibliography)
+        assert "\\cite" not in text and "figure body" not in text and "hidden" not in text
+        assert text.count("Abstract sentence") == doc.count("Abstract sentence")
+        expected = [frozenset(bibliography.numbers[k] for k in group) for group in cited]
+        assert [g.numbers for g in extract_citations(text)] == expected
 
 
 # ---------------------------------------------------------------------------
@@ -503,7 +546,7 @@ def test_prepare_source_reads_the_bundle_once_through_read_tree(tmp_path, monkey
 def test_render_text_is_the_front_matter_only(tmp_path):
     _write_fixture_bundle(tmp_path)
     prep = prepare_source(tmp_path)
-    text = render_text(prep.cleaned_tex)
+    text = _render(FIXTURE_TEX, prep.bibliography)
     assert text == prep.main_content.text
     assert text.startswith("A Fixture Paper\nAda Author , Ben Builder\n")
     assert text.endswith("Prior work [1] and [1,2] matter. See Section for details.")

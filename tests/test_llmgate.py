@@ -21,7 +21,6 @@ from citebias.llmgate import (
     store_mock_response,
     template_hashes,
     template_text,
-    verify_replay,
 )
 
 CONTENT = "A Fixture Paper\n\n1 Introduction\nWidgets [1] and gadgets [2,3]."
@@ -174,30 +173,6 @@ def test_generate_rejects_messages_that_fork_the_transcript(tmp_path):
     generate(run, messages, DirectoryMockProvider(tmp_path))
     with pytest.raises(ValueError):
         generate(run, [("user", "a different conversation")], DirectoryMockProvider(tmp_path))
-
-
-def test_transcript_replay_reproduces_responses(tmp_path):
-    mock_dir = tmp_path / "mock"
-    messages = render_vanilla_prompt(CONTENT)
-    store_mock_response(mock_dir, messages, "[1] First answer.")
-    provider = DirectoryMockProvider(mock_dir)
-    run = GenerationRun("m", VANILLA, 1)
-    generate(run, messages, provider)
-    followup = [*run.transcript, ("user", "and again?")]
-    store_mock_response(mock_dir, followup, "[1] Second answer.")
-    generate(run, followup, provider)
-    assert verify_replay(run, provider)
-
-
-def test_replay_detects_drift(tmp_path):
-    mock_dir = tmp_path / "mock"
-    messages = render_vanilla_prompt(CONTENT)
-    store_mock_response(mock_dir, messages, "[1] First answer.")
-    provider = DirectoryMockProvider(mock_dir)
-    run = GenerationRun("m", VANILLA, 1)
-    generate(run, messages, provider)
-    run.transcript[-1] = ("assistant", "tampered")
-    assert not verify_replay(run, provider)
 
 
 class FakePostSession:
