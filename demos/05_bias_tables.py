@@ -19,25 +19,26 @@ rng = random.Random(7)
 # Forty planted pairs spread over five decades; the generated side of
 # each pair has exactly 500 more citations than its counterpart.
 pairs = []
-rows = []
+cohorts = {"ground_truth": [], "generated_existing": []}
 for slot in range(40):
     year = rng.choice([1985, 1995, 2005, 2014, 2021])
     base = rng.choice([50, 120, 400, 900])
     gt = CharacteristicsRow(
-        cohort="ground_truth", title_chars=rng.randint(30, 90), year=year,
+        title_chars=rng.randint(30, 90), year=year,
         author_count=rng.randint(1, 6), venue=rng.choice(["NeurIPS", "ICML", "Others"]),
         citation_count=base,
     )
     gen = CharacteristicsRow(
-        cohort="generated_existing", title_chars=rng.randint(25, 80), year=year,
+        title_chars=rng.randint(25, 80), year=year,
         author_count=rng.randint(1, 4), venue=gt.venue, citation_count=base + 500,
     )
-    rows.extend([gt, gen])
+    cohorts["ground_truth"].append(gt)
+    cohorts["generated_existing"].append(gen)
     pairs.append(PairedRefs(paper_id="demo", citation_number=slot, generated=gen, ground_truth=gt))
 
 # -- per-cohort medians -------------------------------------------------------
-tables = characteristics(rows)
-for cohort in ("ground_truth", "generated_existing"):
+tables = characteristics(cohorts)
+for cohort in cohorts:
     hist = tables[cohort]["citation_count"]
     print(f"{cohort}: median citations {format_median(hist.median)} over {hist.n_known} refs")
 

@@ -14,13 +14,12 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from decimal import ROUND_HALF_EVEN, Decimal
 from fractions import Fraction
 from pathlib import Path
 
 from .clients import atomic_write_text
 from .corpus import PaperRecord
-from .stats import Histogram, count_distribution, write_csv
+from .stats import Histogram, count_distribution, format_fraction, write_csv
 
 logger = logging.getLogger(__name__)
 
@@ -235,16 +234,6 @@ def category_profiles(
 # ---------------------------------------------------------------------------
 
 
-def _format_fraction(value: Fraction | None) -> str:
-    if value is None:
-        return "NA"
-    return str(
-        (Decimal(value.numerator) / Decimal(value.denominator)).quantize(
-            Decimal("0.000001"), rounding=ROUND_HALF_EVEN
-        )
-    )
-
-
 def write_graph_files(out_dir: Path, graph: CitationGraph) -> None:
     """Edge list and node-tag sidecar for one paper."""
     edge_lines = [f"{citer}\t{cited}" for citer, cited in sorted(graph.edges)]
@@ -275,11 +264,11 @@ def metrics_row(graph: CitationGraph) -> dict:
     gt_nodes = graph.intro_ids - {graph.focal_id}
     return {
         "paper_id": graph.focal_id,
-        "boolean_edge_density": _format_fraction(boolean_edge_density(graph)),
-        "edge_expansion": _format_fraction(edge_expansion(graph)),
-        "avg_clustering_ground_truth": _format_fraction(avg_clustering(graph, gt_nodes)),
-        "avg_clustering_generated": _format_fraction(
-            avg_clustering(graph, graph.generated_ids - {graph.focal_id})
+        "boolean_edge_density": format_fraction(boolean_edge_density(graph), 6),
+        "edge_expansion": format_fraction(edge_expansion(graph), 6),
+        "avg_clustering_ground_truth": format_fraction(avg_clustering(graph, gt_nodes), 6),
+        "avg_clustering_generated": format_fraction(
+            avg_clustering(graph, graph.generated_ids - {graph.focal_id}), 6
         ),
         **{f"n_{cat}": counts[cat] for cat in GENERATED_CATEGORIES},
         f"n_{GT_UNCITED}": counts[GT_UNCITED],

@@ -5,9 +5,11 @@ A paper's source bundle is read once, with ``clients.read_tree`` (the
 listing the run's input digest hashes), and every later file lookup is a
 lookup in that listing. ``render_text`` reads, in one pass over the main
 file, the parts a reader would see first (title, authors, conference
-info, abstract, introduction), drops figures, tables, cross references
-and footnotes, rewrites every citation command to a numeric bracket
-group, e.g. ``[2,5]`` or ``[4-8]``, and flattens each part to plain text.
+info, abstract, introduction), drops figures, tables, cross references,
+footnotes and ``\\thanks`` notes, rewrites every citation command to a
+numeric bracket group, e.g. ``[2,5]`` or ``[4-8]``, and flattens each
+part to plain text; the ``\\begin``/``\\end`` markers of a kept
+environment and each ``\\item`` of a list leave only a word break.
 Numbering follows the compiled bibliography order: the order of
 ``\\bibitem`` entries when a .bbl is available, otherwise the order the
 bibliography style would produce from the .bib database (citation order
@@ -63,7 +65,9 @@ _STRIP_ENVS = (
     "tikzpicture",
     "wrapfigure",
 )
-_FOOTNOTE_RE = re.compile(r"\\footnote(mark|text)?(?![a-zA-Z])(?:\[[^\]]*\])?")
+_FOOTNOTE_RE = re.compile(r"\\(?:footnote(mark|text)?|thanks)(?![a-zA-Z])(?:\s*\[[^\]]*\])?")
+# a list environment's markers and items: \begin{…}, \end{…}, \item[label]
+_LIST_MARK_RE = re.compile(r"\\(?:begin|end)\{[^{}]*\}|\\item(?![a-zA-Z])(?:\s*\[[^\]]*\])?")
 _CONFERENCE_PKG_RE = re.compile(
     r"^\\usepackage(?:\[[^\]]*\])?\{[^}]*(?:neurips|icml|iclr|aaai|nips|corl|acl)[^}]*\}",
     re.IGNORECASE | re.MULTILINE,
@@ -257,15 +261,18 @@ def _strip_environments(tex: str, names=_STRIP_ENVS) -> str:
 
 
 def _strip_footnotes(tex: str) -> str:
-    """Remove each \\footnote, \\footnotemark and \\footnotetext whole:
-    its optional ``[n]`` and, but for a mark, its braced text. A longer
-    control word such as \\footnotesize is left alone."""
+    """Remove each \\footnote, \\footnotemark, \\footnotetext and \\thanks
+    whole: its optional ``[n]`` and, but for a mark, its braced text,
+    with any whitespace before them. Whitespace after a bare command
+    stays. A longer control word such as \\footnotesize is left alone."""
     # footnotes can nest braces; remove with a balanced reader
     while match := _FOOTNOTE_RE.search(tex):
-        end = match.end()
-        if match.group(1) != "mark" and tex.startswith("{", end):
-            _, end = _read_braced(tex, end)
-        tex = tex[: match.start()] + tex[end:]
+        rest = tex[match.end() :]
+        braced = rest.lstrip()
+        if match.group(1) != "mark" and braced.startswith("{"):
+            _, end = _read_braced(braced, 0)
+            rest = braced[end:]
+        tex = tex[: match.start()] + rest
     return tex
 
 
@@ -336,6 +343,7 @@ def _latex_to_plain(text: str) -> str:
     text = re.sub(r"\\url\{([^}]*)\}", r"\1", text)
     text = re.sub(r"\$([^$]*)\$", r"\1", text)
     text = re.sub(r"\\newblock\s*", "", text)
+    text = _LIST_MARK_RE.sub(" ", text)
     text = re.sub(r"\\[a-zA-Z]+\{([^{}]*)\}", r"\1", text)
     text = re.sub(r"\\[a-zA-Z]+\s*", "", text)
     text = text.replace("~", " ").replace("{", "").replace("}", "")
@@ -610,10 +618,11 @@ def render_text(tex: str, bibliography: CompiledBibliography) -> str:
     extraction would yield for those pages.
 
     ``tex`` is the main file with comments stripped and inputs inlined.
-    Each part is read from it once: figures, tables, cross references
-    and footnotes are dropped, and every citation command becomes a
-    bracket group numbered in ``bibliography`` order. Raises TexError
-    when a document marker is missing or environments do not nest.
+    Each part is read from it once: figures, tables, cross references,
+    footnotes and ``\\thanks`` notes are dropped, and every citation
+    command becomes a bracket group numbered in ``bibliography`` order.
+    Raises TexError when a document marker is missing or environments
+    do not nest.
     """
     if "\\begin{document}" not in tex or "\\end{document}" not in tex:
         raise TexError("missing \\begin{document} or \\end{document}")

@@ -28,7 +28,7 @@ import shutil
 import time
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
@@ -792,21 +792,11 @@ def _verify_refs(
 ) -> dict[int, MatchVerdict]:
     verdicts: dict[int, MatchVerdict] = {}
     for ref in refs:
-        if not ref.title.strip():
-            verdicts[ref.citation_number] = MatchVerdict(
-                exists=False,
-                matched_index_id=None,
-                best_candidate=None,
-                thresholds_used=ctx.config.thresholds.as_tuple(),
+        candidates = []  # a blank title is searched for nothing, so it never exists
+        if ref.title.strip():
+            candidates = search_candidates(
+                ctx.scholar, ref.title, ref.authors, et_al=ref.et_al, limit=ctx.config.search_limit
             )
-            continue
-        candidates = search_candidates(
-            ctx.scholar,
-            ref.title,
-            ref.authors,
-            et_al=ref.et_al,
-            limit=ctx.config.search_limit,
-        )
         verdict = decide_existence(candidates, ctx.config.thresholds)
         if verdict.exists:
             # matched records feed characteristics and the citation graphs
@@ -933,7 +923,6 @@ def stage_iterate(ctx: PipelineContext) -> dict:
 
 def _gt_row(gt: dict) -> stats.CharacteristicsRow:
     return stats.CharacteristicsRow(
-        cohort="ground_truth",
         title_chars=len(gt["title"]),
         year=gt["year"],
         author_count=gt["author_count"],
@@ -949,7 +938,6 @@ def _generated_row(
 ) -> stats.CharacteristicsRow:
     """A generated reference's row; its counts come from the matched record."""
     row = stats.CharacteristicsRow(
-        cohort="generated_existing" if verdict.exists else "generated_nonexistent",
         title_chars=len(ref.title),
         year=ref.year,
         author_count=ref.author_count,
@@ -968,13 +956,15 @@ def _collect_run(
     papers: list[PaperRecord],
     strategy: str,
     run_index: int,
-) -> dict:
-    """Flags for one run; for a vanilla run also its characteristics rows
-    and bias pairs, which only vanilla runs feed."""
+    cohorts: dict[str, list[stats.CharacteristicsRow]],
+    pairs: list[stats.PairedRefs],
+    counterpart: list[tuple[stats.RefFlags, stats.CharacteristicsRow]],
+) -> list[stats.RefFlags]:
+    """Flags for one run. A vanilla run also appends its characteristics
+    rows to the named ``cohorts``, its bias pairs to ``pairs`` and each
+    slot's flags and ground-truth row to ``counterpart``; only vanilla
+    runs feed them."""
     flags: list[stats.RefFlags] = []
-    char_rows: list[stats.CharacteristicsRow] = []
-    pairs: list[stats.PairedRefs] = []
-    counterpart: list[tuple[stats.RefFlags, stats.CharacteristicsRow]] = []
     for paper in papers:
         record = _load_record(ctx, paper)
         gt_by_num = {row["citation_number"]: row for row in record["gt_refs"]}
@@ -996,30 +986,16 @@ def _collect_run(
             gt = gt_by_num.get(number)
             gt_row = _gt_row(gt) if gt is not None else None
             if gt_row is not None:
-                char_rows.append(gt_row)
-                # cohort_split_by_counterpart copies it under its own cohorts
+                cohorts["ground_truth"].append(gt_row)
                 counterpart.append((flag, gt_row))
             if ref is not None and verdict is not None:
                 gen_row = _generated_row(ctx, ref, verdict)
-                char_rows += [replace(gen_row, cohort="generated_all"), gen_row]
+                cohorts["generated_all"].append(gen_row)
+                exists = "existing" if verdict.exists else "nonexistent"
+                cohorts[f"generated_{exists}"].append(gen_row)
                 if verdict.exists and gt_row is not None:
                     pairs.append(stats.PairedRefs(paper.index_id, number, gen_row, gt_row))
-    return {"flags": flags, "char_rows": char_rows, "pairs": pairs, "counterpart": counterpart}
-
-
-# analysis.json nests RunSummary's five ``<key>_pct`` fields under "pct"
-PCT_KEYS = tuple(key for key, *_ in stats.HEADLINE)
-
-
-def _summary_json(strategy: str, run_index: int, summary: stats.RunSummary) -> dict:
-    payload = to_json(summary)
-    pct = {key: payload.pop(f"{key}_pct") for key in PCT_KEYS}
-    return {"strategy": strategy, "run_index": run_index, "pct": pct, **payload}
-
-
-def _summary_from(payload: dict) -> stats.RunSummary:
-    pct = {f"{key}_pct": payload["pct"][key] for key in PCT_KEYS}
-    return from_json(stats.RunSummary, {**payload, **pct})
+    return flags
 
 
 def stage_analyze(ctx: PipelineContext) -> dict:
@@ -1029,22 +1005,21 @@ def stage_analyze(ctx: PipelineContext) -> dict:
     strategies = [VANILLA] + ([ITERATIVE] if cfg.iterative else [])
 
     run_flags: dict[tuple[str, int], list[stats.RefFlags]] = {}
-    all_char_rows: list[stats.CharacteristicsRow] = []
-    all_pairs: list[stats.PairedRefs] = []
-    all_counterpart: list[tuple[stats.RefFlags, stats.CharacteristicsRow]] = []
+    cohorts: dict[str, list[stats.CharacteristicsRow]] = {
+        name: []
+        for name in ("ground_truth", "generated_all", "generated_existing", "generated_nonexistent")
+    }
+    pairs: list[stats.PairedRefs] = []
+    counterpart: list[tuple[stats.RefFlags, stats.CharacteristicsRow]] = []
 
     summary_payload: dict = {}
     for strategy in strategies if papers else []:
         for run_index in range(1, cfg.vanilla_runs + 1):
-            collected = _collect_run(ctx, papers, strategy, run_index)
-            run_flags[(strategy, run_index)] = collected["flags"]
-            summary = stats.summarize_run(collected["flags"])
-            summary_payload[stats.run_label(strategy, run_index)] = _summary_json(
-                strategy, run_index, summary
-            )
-            all_char_rows.extend(collected["char_rows"])
-            all_pairs.extend(collected["pairs"])
-            all_counterpart.extend(collected["counterpart"])
+            flags = _collect_run(ctx, papers, strategy, run_index, cohorts, pairs, counterpart)
+            run_flags[(strategy, run_index)] = flags
+            summary_payload[stats.run_label(strategy, run_index)] = {
+                "strategy": strategy, "run_index": run_index, **to_json(stats.summarize_run(flags))
+            }
 
     overlap_payload = {
         f"{i}-{j}": to_json(stats.run_overlap(run_flags[(VANILLA, i)], run_flags[(VANILLA, j)]))
@@ -1052,26 +1027,21 @@ def stage_analyze(ctx: PipelineContext) -> dict:
         if run_flags.get((VANILLA, i))
     }
 
-    tables = stats.characteristics(all_char_rows)
-    split = stats.cohort_split_by_counterpart(all_counterpart)
-    counterpart_tables = stats.characteristics(
-        [row for rows in split.values() for row in rows]
-    )
-
+    split = stats.cohort_split_by_counterpart(counterpart)
     analysis = {
         "summaries": summary_payload,
         "overlaps": overlap_payload,
         "vanilla_runs": cfg.vanilla_runs,
         "iterative": cfg.iterative,
-        "histograms": to_json(tables),
-        "counterpart_histograms": to_json(counterpart_tables),
-        "bias": to_json(stats.bias_tables(all_pairs, cfg.subperiod_bins)),
+        "histograms": to_json(stats.characteristics(cohorts)),
+        "counterpart_histograms": to_json(stats.characteristics(split)),
+        "bias": to_json(stats.bias_tables(pairs, cfg.subperiod_bins)),
     }
     atomic_write_text(analysis_dir / "analysis.json", dump_json(analysis))
     return {
         "runs_analyzed": len(summary_payload),
-        "characteristics_rows": len(all_char_rows),
-        "bias_pairs": len(all_pairs),
+        "characteristics_rows": sum(len(rows) for rows in cohorts.values()),
+        "bias_pairs": len(pairs),
     }
 
 
@@ -1146,30 +1116,27 @@ def stage_report(ctx: PipelineContext) -> dict:
         "Headline percentages (see summary.csv):",
     ]
     summaries = {}
-    for label, payload in sorted(analysis["summaries"].items()):
-        summary = _summary_from(payload)
-        summaries[(payload["strategy"], payload["run_index"])] = summary
-        lines.append(f"  {label}: existence {stats.format_pct(summary.existence_pct)}%")
+    for label, entry in sorted(analysis["summaries"].items()):
+        summary = from_json(stats.RunSummary, entry)
+        summaries[(entry["strategy"], entry["run_index"])] = summary
+        lines.append(f"  {label}: existence {stats.format_pct(summary.pct['existence'])}%")
     stats.write_summary_csv(report_dir / "summary.csv", summaries, mhash)
     stats.write_summary_counts_csv(report_dir / "summary_counts.csv", summaries, mhash)
 
-    overlaps = {
-        tuple(int(x) for x in key.split("-")): value
-        for key, value in from_json(dict[str, Fraction], analysis["overlaps"]).items()
-    }
+    overlaps = from_json(dict[str, Fraction], analysis["overlaps"])
     run_indices = list(range(1, analysis["vanilla_runs"] + 1))
     stats.write_overlap_csv(report_dir / "overlap.csv", overlaps, run_indices, mhash)
 
     histograms = dict[str, dict[str, stats.Histogram]]
-    tables = from_json(histograms, analysis["histograms"])
-    stats.write_characteristics_csvs(report_dir / "characteristics", tables, mhash)
-    counterpart = from_json(histograms, analysis["counterpart_histograms"])
-    stats.write_characteristics_csvs(report_dir / "characteristics", counterpart, mhash)
+    for key in ("histograms", "counterpart_histograms"):
+        tables = from_json(histograms, analysis[key])
+        stats.write_characteristics_csvs(report_dir / "characteristics", tables, mhash)
 
     for name, table in sorted(from_json(dict[str, stats.BiasTable], analysis["bias"]).items()):
         stats.write_bias_csv(report_dir / "bias" / f"{name}.csv", table, mhash)
 
-    stats.write_histograms_json(report_dir / "histograms.json", tables, mhash)
+    histograms_json = {"manifest_hash": mhash, "histograms": analysis["histograms"]}
+    atomic_write_text(report_dir / "histograms.json", dump_json(histograms_json))
     atomic_write_text(report_dir / "summary.txt", "\n".join(lines) + "\n")
     return {"files": sum(1 for _ in report_dir.rglob("*") if _.is_file())}
 

@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import logging
 import statistics
-from dataclasses import dataclass, field, replace
-from decimal import ROUND_HALF_EVEN, Decimal, localcontext
+from dataclasses import dataclass, field
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable
 
-from .clients import atomic_write_text, dump_json, to_json
+from .clients import atomic_write_text
 from .corpus import CANONICAL_VENUES, PaperRecord
 from .llmgate import GeneratedReference
 from .matcher import MatchVerdict
@@ -35,7 +35,6 @@ HEADLINE = (
     ("pm_all", "PM all", "pm_all", "total_refs"),
     ("pm_unique", "PM unique", "pm_unique", "unique_refs"),
 )
-SUMMARY_ROWS = tuple((label, f"{key}_pct") for key, label, _, _ in HEADLINE)
 
 DEFAULT_SUBPERIOD_BINS: list[tuple[str, int | None, int | None]] = [
     ("<=1988", None, 1988),
@@ -68,13 +67,10 @@ class RefFlags:
 
 @dataclass
 class RunSummary:
-    """Headline percentages for one run; None marks a zero denominator."""
+    """Headline percentages for one run, keyed by ``HEADLINE`` key; None
+    marks a zero denominator. ``analysis.json`` stores it in this shape."""
 
-    existence_pct: Fraction | None
-    cited_in_paper_pct: Fraction | None
-    cited_in_intro_pct: Fraction | None
-    pm_all_pct: Fraction | None
-    pm_unique_pct: Fraction | None
+    pct: dict[str, Fraction | None]
     denominators: tuple[int, int]
     counts: dict[str, int] = field(default_factory=dict)
 
@@ -143,11 +139,11 @@ def summarize_run(flags: list[RefFlags]) -> RunSummary:
         "pm_unique": sum(1 for f in flags if f.pairwise_match and f.uniquely_identifiable),
     }
 
-    pcts = {
-        f"{key}_pct": Fraction(100 * counts[count], counts[denom]) if counts[denom] else None
+    pct = {
+        key: Fraction(100 * counts[count], counts[denom]) if counts[denom] else None
         for key, _, count, denom in HEADLINE
     }
-    return RunSummary(**pcts, denominators=(total, unique_total), counts=counts)
+    return RunSummary(pct=pct, denominators=(total, unique_total), counts=counts)
 
 
 def run_overlap(flags_a: list[RefFlags], flags_b: list[RefFlags]) -> Fraction:
@@ -175,9 +171,8 @@ def run_overlap(flags_a: list[RefFlags], flags_b: list[RefFlags]) -> Fraction:
 
 @dataclass
 class CharacteristicsRow:
-    """One reference's comparable properties, tagged by cohort."""
+    """One reference's comparable properties."""
 
-    cohort: str
     title_chars: int
     year: int | None
     author_count: int | None
@@ -257,17 +252,19 @@ NUMERIC_METRICS = (
 )
 
 
-def characteristics(rows: list[CharacteristicsRow]) -> dict[str, dict[str, Histogram]]:
-    """Per-cohort distribution tables for every comparable property.
+def characteristics(
+    cohorts: dict[str, list[CharacteristicsRow]],
+) -> dict[str, dict[str, Histogram]]:
+    """Distribution tables for every comparable property of each named
+    cohort, in name order; an empty cohort gets no table.
 
     Medians are computed over known values only; unknowns are tallied,
     never imputed, so every histogram's total equals the cohort size.
     """
-    by_cohort: dict[str, list[CharacteristicsRow]] = {}
-    for row in rows:
-        by_cohort.setdefault(row.cohort, []).append(row)
     tables: dict[str, dict[str, Histogram]] = {}
-    for cohort, members in sorted(by_cohort.items()):
+    for cohort, members in sorted(cohorts.items()):
+        if not members:
+            continue
         metrics: dict[str, Histogram] = {}
         for metric in NUMERIC_METRICS:
             values = [getattr(row, metric) for row in members]
@@ -408,29 +405,25 @@ def cohort_split_by_counterpart(
     """Group ground-truth rows by what happened to their slot's generation.
 
     Existing and non-existent form a partition; in-paper is the published
-    subset of existing and overlaps it by construction. Rows are copied
-    with the cohort tag rewritten, so members of two cohorts stay
-    independent.
+    subset of existing and overlaps it by construction, so an in-paper
+    slot's row object sits in both lists. The mapping is ready for
+    ``characteristics``.
     """
-    cohorts: dict[str, list[CharacteristicsRow]] = {
-        "counterpart_of_existing": [],
-        "counterpart_of_in_paper": [],
-        "counterpart_of_nonexistent": [],
-    }
+    existing: list[CharacteristicsRow] = []
+    in_paper: list[CharacteristicsRow] = []
+    nonexistent: list[CharacteristicsRow] = []
     for flags, gt_row in slot_rows:
         if flags.existing:
-            cohorts["counterpart_of_existing"].append(
-                replace(gt_row, cohort="counterpart_of_existing")
-            )
+            existing.append(gt_row)
             if flags.cited_in_paper:
-                cohorts["counterpart_of_in_paper"].append(
-                    replace(gt_row, cohort="counterpart_of_in_paper")
-                )
+                in_paper.append(gt_row)
         else:
-            cohorts["counterpart_of_nonexistent"].append(
-                replace(gt_row, cohort="counterpart_of_nonexistent")
-            )
-    return cohorts
+            nonexistent.append(gt_row)
+    return {
+        "counterpart_of_existing": existing,
+        "counterpart_of_in_paper": in_paper,
+        "counterpart_of_nonexistent": nonexistent,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -438,16 +431,17 @@ def cohort_split_by_counterpart(
 # ---------------------------------------------------------------------------
 
 
-def format_pct(value: Fraction | None) -> str:
-    """One decimal, round-half-to-even, computed from the exact rational."""
+def format_fraction(value: Fraction | None, places: int) -> str:
+    """``places`` decimals, round-half-to-even, computed from the exact
+    rational; ``NA`` for None."""
     if value is None:
         return "NA"
-    with localcontext() as ctx:
-        ctx.prec = 50
-        quantized = (Decimal(value.numerator) / Decimal(value.denominator)).quantize(
-            Decimal("0.1"), rounding=ROUND_HALF_EVEN
-        )
-    return str(quantized)
+    return str(Decimal(round(value * 10**places)).scaleb(-places))
+
+
+def format_pct(value: Fraction | None) -> str:
+    """A percentage to one decimal, as ``format_fraction`` rounds it."""
+    return format_fraction(value, 1)
 
 
 def format_median(value: float | None) -> str:
@@ -501,8 +495,8 @@ def write_summary_csv(
 ) -> None:
     """Table of the five headline metrics, one column per (run, strategy)."""
     _write_run_table(
-        path, "metric", summaries, list(SUMMARY_ROWS),
-        lambda summary, attr: format_pct(getattr(summary, attr)), manifest_hash,
+        path, "metric", summaries, [(label, key) for key, label, _, _ in HEADLINE],
+        lambda summary, key: format_pct(summary.pct[key]), manifest_hash,
     )
 
 
@@ -525,12 +519,13 @@ def write_summary_counts_csv(
 
 def write_overlap_csv(
     path: Path,
-    overlaps: dict[tuple[int, int], Fraction],
+    overlaps: dict[str, Fraction],
     run_indices: list[int],
     manifest_hash: str,
 ) -> None:
-    """Upper-triangular pairwise overlap matrix between runs; only the
-    ``run`` header without overlaps."""
+    """Upper-triangular pairwise overlap matrix between runs, from
+    overlaps keyed ``"<i>-<j>"`` with ``i < j``; only the ``run`` header
+    without overlaps."""
     shown = run_indices if overlaps else []
     header = ["run", *(f"run{i}" for i in shown[:-1])]
     rows = []
@@ -538,8 +533,7 @@ def write_overlap_csv(
         row = [f"run{j}"]
         for i in shown[:-1]:
             if i < j:
-                value = overlaps.get((i, j)) or overlaps.get((j, i))
-                row.append(format_pct(value))
+                row.append(format_pct(overlaps.get(f"{i}-{j}")))
             else:
                 row.append("")
         rows.append(row)
@@ -585,8 +579,3 @@ def write_bias_csv(path: Path, table: BiasTable, manifest_hash: str) -> None:
         )
     rows.append(["excluded_pairs", str(table.excluded_pairs), "", "", "", ""])
     write_csv(path, header, rows, manifest_hash)
-
-
-def write_histograms_json(path: Path, tables: dict, manifest_hash: str) -> None:
-    payload = {"manifest_hash": manifest_hash, "histograms": to_json(tables)}
-    atomic_write_text(path, dump_json(payload))

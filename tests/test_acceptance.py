@@ -300,7 +300,7 @@ def test_criterion_6_iterative_merge_contract(tmp_path):
         for slot in range(1, 11)
     ]
     summary = summarize_run(flags)
-    assert summary.existence_pct == Fraction(90)  # exactly 90%
+    assert summary.pct["existence"] == Fraction(90)  # exactly 90%
     elapsed = time.monotonic() - start
     _report("criterion 6: merged existence exactly 90%, parent untouched, gap logged", elapsed)
 
@@ -317,7 +317,6 @@ def test_criterion_7_planted_bias_gap(tmp_path):
     for slot, year in enumerate(bin_years, start=1):
         for base in (100, 250, 700):
             generated = CharacteristicsRow(
-                cohort="generated_existing",
                 title_chars=60,
                 year=year,
                 author_count=2,
@@ -325,7 +324,6 @@ def test_criterion_7_planted_bias_gap(tmp_path):
                 citation_count=base + 1326,
             )
             ground_truth = CharacteristicsRow(
-                cohort="ground_truth",
                 title_chars=60,
                 year=year,
                 author_count=3,

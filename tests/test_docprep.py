@@ -363,6 +363,31 @@ def test_clean_strips_footnote_marks_texts_and_numbered_footnotes(tmp_path):
     assert [g.raw for g in prep.main_content.citation_occurrences] == ["[2]", "[1]", "[1,2]"]
 
 
+
+def _tiny_document(title: str, intro: str) -> str:
+    return (
+        "\\documentclass{article}\n\\title{%s}\n\\author{A}\n\\begin{document}\n"
+        "\\section{Introduction}\n%s\n\\end{document}\n" % (title, intro)
+    )
+
+
+def test_render_leaves_a_word_break_for_list_markers():
+    # \begin/\end of a kept environment and each \item, with or without
+    # its [label], become a space; \itemsep is a longer control word
+    intro = (
+        "We list:\\begin{itemize}\\item one\\end{itemize}"
+        "\\begin{enumerate}\\itemsep\\item[(a)]two\\item three\\end{enumerate}done."
+    )
+    text = render_text(_tiny_document("T", intro), _fixture_bibliography())
+    assert text.endswith("1 Introduction\nWe list: one two three done.")
+
+
+def test_render_drops_thanks_and_spaced_footnotes():
+    intro = "a note\\footnote {spaced out}. b\\footnote\n[3] {numbered}, and\\footnotemark[2] x."
+    text = render_text(_tiny_document("T\\thanks{Funded}", intro), _fixture_bibliography())
+    assert text.split("\n")[0] == "T"
+    assert text.endswith("1 Introduction\na note. b, and x.")
+
 def _random_document(rng: random.Random, keys: list[str]) -> tuple[str, list[list[str]]]:
     """A main file with comments stripped, plus the key lists of its
     front-matter citations in reading order."""

@@ -892,7 +892,7 @@ def _random_artifacts(rng):
     from citebias.corpus import PaperRecord, Venue
     from citebias.llmgate import GeneratedReference
     from citebias.matcher import MatchCandidate, MatchVerdict
-    from citebias.stats import BiasBin, BiasTable, Histogram, RunSummary
+    from citebias.stats import HEADLINE, BiasBin, BiasTable, Histogram, RunSummary
 
     def maybe(value):
         return value if rng.random() < 0.7 else None
@@ -920,7 +920,7 @@ def _random_artifacts(rng):
         (MatchVerdict, MatchVerdict(True, candidate.index_id, candidate, (rng.random(), 0.5))),
         (MatchVerdict, MatchVerdict(False, None, None, (0.9, rng.random()))),
         (RunSummary, RunSummary(
-            pct(), pct(), pct(), pct(), None, (rng.randint(0, 9), 0),
+            {key: pct() for key, *_ in HEADLINE}, (rng.randint(0, 9), 0),
             {"total_refs": rng.randint(0, 9)},
         )),
         (Histogram, Histogram(

@@ -21,6 +21,7 @@ from citebias.stats import (
     format_pct,
     run_overlap,
     summarize_run,
+    write_overlap_csv,
     write_summary_csv,
 )
 
@@ -115,9 +116,9 @@ def _flag(n, existing=False, paper=False, intro=False, pm=False, unique=False, i
 def test_summary_percentages_are_exact():
     flags = [_flag(i, existing=i <= 6) for i in range(1, 11)]
     summary = summarize_run(flags)
-    assert summary.existence_pct == Fraction(60)
+    assert summary.pct["existence"] == Fraction(60)
     assert summary.denominators == (10, 0)
-    assert summary.pm_unique_pct is None  # no uniquely identifiable slots
+    assert summary.pct["pm_unique"] is None  # no uniquely identifiable slots
 
 
 def test_summary_all_pairwise_matched_is_all_hundred():
@@ -126,11 +127,11 @@ def test_summary_all_pairwise_matched_is_all_hundred():
     ]
     summary = summarize_run(flags)
     for value in (
-        summary.existence_pct,
-        summary.cited_in_paper_pct,
-        summary.cited_in_intro_pct,
-        summary.pm_all_pct,
-        summary.pm_unique_pct,
+        summary.pct["existence"],
+        summary.pct["cited_in_paper"],
+        summary.pct["cited_in_intro"],
+        summary.pct["pm_all"],
+        summary.pct["pm_unique"],
     ):
         assert value == Fraction(100)
 
@@ -150,21 +151,21 @@ def test_summary_monotone_chain_on_random_fixtures():
         summary = summarize_run(flags)
         total = len(flags)
         # oracle recount, straight off the flag lists
-        assert summary.existence_pct == Fraction(
+        assert summary.pct["existence"] == Fraction(
             100 * sum(f.existing for f in flags), total
         )
         assert (
-            summary.pm_all_pct
-            <= summary.cited_in_intro_pct
-            <= summary.cited_in_paper_pct
-            <= summary.existence_pct
+            summary.pct["pm_all"]
+            <= summary.pct["cited_in_intro"]
+            <= summary.pct["cited_in_paper"]
+            <= summary.pct["existence"]
         )
 
 
 def test_summary_zero_denominator_markers():
     summary = summarize_run([])
-    assert summary.existence_pct is None
-    assert summary.pm_unique_pct is None
+    assert summary.pct["existence"] is None
+    assert summary.pct["pm_unique"] is None
     assert summary.denominators == (0, 0)
 
 
@@ -202,9 +203,8 @@ def test_overlap_requires_same_corpus():
 # ---------------------------------------------------------------------------
 
 
-def _row(cohort, citations=None, year=2020, title="x" * 60, authors=3, venue="NeurIPS"):
+def _row(citations=None, year=2020, title="x" * 60, authors=3, venue="NeurIPS"):
     return CharacteristicsRow(
-        cohort=cohort,
         title_chars=len(title),
         year=year,
         author_count=authors,
@@ -214,27 +214,22 @@ def _row(cohort, citations=None, year=2020, title="x" * 60, authors=3, venue="Ne
 
 
 def test_single_row_cohort_median_is_that_value():
-    tables = characteristics([_row("ground_truth", citations=42)])
+    tables = characteristics({"ground_truth": [_row(citations=42)]})
     assert tables["ground_truth"]["citation_count"].median == 42
 
 
 def test_median_over_known_values_only():
-    rows = [
-        _row("ground_truth", citations=1),
-        _row("ground_truth", citations=2),
-        _row("ground_truth", citations=100),
-        _row("ground_truth", citations=None),
-    ]
-    hist = characteristics(rows)["ground_truth"]["citation_count"]
+    rows = [_row(citations=1), _row(citations=2), _row(citations=100), _row(citations=None)]
+    hist = characteristics({"ground_truth": rows})["ground_truth"]["citation_count"]
     assert hist.median == 2
     assert hist.unknown == 1
     assert hist.total() == 4
 
 
 def test_planted_median_difference_of_1326():
-    gt = [_row("ground_truth", citations=c) for c in (100, 200, 300)]
-    gen = [_row("generated_existing", citations=c + 1326) for c in (100, 200, 300)]
-    tables = characteristics(gt + gen)
+    gt = [_row(citations=c) for c in (100, 200, 300)]
+    gen = [_row(citations=c + 1326) for c in (100, 200, 300)]
+    tables = characteristics({"ground_truth": gt, "generated_existing": gen})
     diff = (
         tables["generated_existing"]["citation_count"].median
         - tables["ground_truth"]["citation_count"].median
@@ -243,8 +238,8 @@ def test_planted_median_difference_of_1326():
 
 
 def test_histogram_bins_are_total_below_first_edge():
-    rows = [_row("c", citations=5, year=1949), _row("c", citations=5, year=1951)]
-    hist = characteristics(rows)["c"]["year"]
+    rows = [_row(citations=5, year=1949), _row(citations=5, year=1951)]
+    hist = characteristics({"c": rows})["c"]["year"]
     assert dict(hist.bins) == {"<1950": 1, "1950-1954": 1}
     assert hist.total() == 2
 
@@ -255,12 +250,11 @@ def test_histogram_totals_equal_cohort_sizes():
     for _ in range(57):
         rows.append(
             _row(
-                "generated_all",
                 citations=rng.choice([None, rng.randint(0, 5000)]),
                 year=rng.choice([None, rng.randint(1980, 2023)]),
             )
         )
-    tables = characteristics(rows)
+    tables = characteristics({"generated_all": rows})
     for metric in ("citation_count", "year", "venue", "title_chars"):
         assert tables["generated_all"][metric].total() == 57
 
@@ -268,8 +262,8 @@ def test_histogram_totals_equal_cohort_sizes():
 def test_count_distribution_is_shared_with_characteristics():
     values = [0, 1, 10, 100, None]
     hist = count_distribution(values, "citation_count")
-    rows = [_row("c", citations=v) for v in values]
-    assert characteristics(rows)["c"]["citation_count"].bins == hist.bins
+    rows = [_row(citations=v) for v in values]
+    assert characteristics({"c": rows})["c"]["citation_count"].bins == hist.bins
 
 
 # ---------------------------------------------------------------------------
@@ -281,8 +275,8 @@ def _pair(paper, slot, gen_citations, gt_citations, gen_year=2020, gt_year=2020)
     return PairedRefs(
         paper_id=paper,
         citation_number=slot,
-        generated=_row("generated_existing", citations=gen_citations, year=gen_year),
-        ground_truth=_row("ground_truth", citations=gt_citations, year=gt_year),
+        generated=_row(citations=gen_citations, year=gen_year),
+        ground_truth=_row(citations=gt_citations, year=gt_year),
     )
 
 
@@ -354,9 +348,9 @@ def test_bias_venue_facet_uses_canonical_labels():
 
 
 def test_bias_influential_metric_runs_same_machinery():
-    gen = _row("generated_existing", citations=None)
+    gen = _row(citations=None)
     gen.influential_citation_count = 60
-    gt = _row("ground_truth", citations=None)
+    gt = _row(citations=None)
     gt.influential_citation_count = 10
     pairs = [PairedRefs(paper_id="p", citation_number=1, generated=gen, ground_truth=gt)]
     table = bias_breakdown(pairs, "subperiod", metric="influential_citation_count")
@@ -370,7 +364,7 @@ def test_bias_influential_metric_runs_same_machinery():
 
 
 def test_counterpart_all_nonexistent_single_cohort():
-    rows = [( _flag(i), _row("gt", citations=i)) for i in range(1, 5)]
+    rows = [( _flag(i), _row(citations=i)) for i in range(1, 5)]
     split = cohort_split_by_counterpart(rows)
     assert len(split["counterpart_of_nonexistent"]) == 4
     assert not split["counterpart_of_existing"]
@@ -381,13 +375,13 @@ def test_counterpart_planted_ordering_reproduced():
     rows = []
     # in-paper counterparts: high citations; existing-only: medium; nonexistent: low
     for c in (5000, 6000, 7000):
-        rows.append((_flag(1, existing=True, paper=True), _row("gt", citations=c)))
+        rows.append((_flag(1, existing=True, paper=True), _row(citations=c)))
     for c in (500, 600, 700):
-        rows.append((_flag(2, existing=True), _row("gt", citations=c)))
+        rows.append((_flag(2, existing=True), _row(citations=c)))
     for c in (5, 6, 7):
-        rows.append((_flag(3), _row("gt", citations=c)))
+        rows.append((_flag(3), _row(citations=c)))
     split = cohort_split_by_counterpart(rows)
-    tables = characteristics([row for rows_ in split.values() for row in rows_])
+    tables = characteristics(split)
     med = lambda c: tables[c]["citation_count"].median  # noqa: E731
     assert med("counterpart_of_in_paper") > med("counterpart_of_existing") > med(
         "counterpart_of_nonexistent"
@@ -400,7 +394,7 @@ def test_counterpart_assignment_matches_brute_force():
     for i in range(60):
         exists = rng.random() < 0.6
         paper = exists and rng.random() < 0.5
-        rows.append((_flag(i, existing=exists, paper=paper), _row("gt", citations=i)))
+        rows.append((_flag(i, existing=exists, paper=paper), _row(citations=i)))
     split = cohort_split_by_counterpart(rows)
     assert len(split["counterpart_of_existing"]) == sum(1 for f, _ in rows if f.existing)
     assert len(split["counterpart_of_in_paper"]) == sum(1 for f, _ in rows if f.cited_in_paper)
@@ -421,6 +415,11 @@ def test_format_pct_round_half_even():
     assert format_pct(Fraction(200, 3)) == "66.7"
     assert format_pct(None) == "NA"
 
+
+def test_zero_overlap_writes_zero_not_na(tmp_path):
+    path = tmp_path / "overlap.csv"
+    write_overlap_csv(path, {"1-2": Fraction(0)}, [1, 2], "h")
+    assert path.read_text().splitlines()[2:] == ["run2,0.0"]
 
 def test_format_median_keeps_large_counts_exact():
     assert format_median(135000.5) == "135000.5"
