@@ -8,8 +8,9 @@ file, the parts a reader would see first (title, authors, conference
 info, abstract, introduction), drops figures, tables, cross references,
 footnotes and ``\\thanks`` notes, rewrites every citation command to a
 numeric bracket group, e.g. ``[2,5]`` or ``[4-8]``, and flattens each
-part to plain text; the ``\\begin``/``\\end`` markers of a kept
-environment and each ``\\item`` of a list leave only a word break.
+part to plain text; in the abstract and introduction, the
+``\\begin``/``\\end`` markers of a kept environment and each ``\\item``
+of a list leave only a word break.
 Numbering follows the compiled bibliography order: the order of
 ``\\bibitem`` entries when a .bbl is available, otherwise the order the
 bibliography style would produce from the .bib database (citation order
@@ -343,7 +344,6 @@ def _latex_to_plain(text: str) -> str:
     text = re.sub(r"\\url\{([^}]*)\}", r"\1", text)
     text = re.sub(r"\$([^$]*)\$", r"\1", text)
     text = re.sub(r"\\newblock\s*", "", text)
-    text = _LIST_MARK_RE.sub(" ", text)
     text = re.sub(r"\\[a-zA-Z]+\{([^{}]*)\}", r"\1", text)
     text = re.sub(r"\\[a-zA-Z]+\s*", "", text)
     text = text.replace("~", " ").replace("{", "").replace("}", "")
@@ -634,9 +634,12 @@ def render_text(tex: str, bibliography: CompiledBibliography) -> str:
 
     body = tex.split("\\begin{document}", 1)[1].split("\\end{document}", 1)[0]
     body = _strip_crossrefs(_strip_environments(body))
-    numbering = bibliography.numbers
-    abstract = _replace_citations(_extract_abstract(body), numbering)
-    intro = _replace_citations(_extract_intro(body), numbering)
+    # list markers go before citations are numbered, so an \item label
+    # cannot swallow a citation's bracket group
+    abstract, intro = (
+        _replace_citations(_LIST_MARK_RE.sub(" ", part), bibliography.numbers)
+        for part in (_extract_abstract(body), _extract_intro(body))
+    )
 
     lines: list[str] = []
     if title:

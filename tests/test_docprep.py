@@ -363,7 +363,6 @@ def test_clean_strips_footnote_marks_texts_and_numbered_footnotes(tmp_path):
     assert [g.raw for g in prep.main_content.citation_occurrences] == ["[2]", "[1]", "[1,2]"]
 
 
-
 def _tiny_document(title: str, intro: str) -> str:
     return (
         "\\documentclass{article}\n\\title{%s}\n\\author{A}\n\\begin{document}\n"
@@ -380,6 +379,14 @@ def test_render_leaves_a_word_break_for_list_markers():
     )
     text = render_text(_tiny_document("T", intro), _fixture_bibliography())
     assert text.endswith("1 Introduction\nWe list: one two three done.")
+
+
+def test_render_keeps_a_citation_that_opens_a_list_item():
+    # the item's optional label is read before citations become bracket
+    # groups, so [1] is not taken for a label
+    intro = "\\begin{itemize}\\item \\citet{brown} show X\\item[(b)] \\cite{evans}.\\end{itemize}"
+    text = render_text(_tiny_document("T", intro), _fixture_bibliography())
+    assert text.endswith("1 Introduction\n[1] show X [2].")
 
 
 def test_render_drops_thanks_and_spaced_footnotes():
