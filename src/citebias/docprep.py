@@ -328,9 +328,16 @@ def _replace_citations(tex: str, numbering: dict[str, int]) -> str:
 # ---------------------------------------------------------------------------
 
 
+# spacing commands go with their arguments, which are lengths, not text
+_LAYOUT_RE = re.compile(
+    r"\\(?:(?:[vh]space|addvspace|enlargethispage|linespread)\*?\s*\{[^{}]*\}"
+    r"|(?:set|addto)length\*?\s*(?:\{[^{}]*\}|\\[a-zA-Z]+)\s*\{[^{}]*\})"
+)
+
+
 def _latex_to_plain(text: str) -> str:
     """Best-effort plain-text rendering of LaTeX fragments."""
-    text = _strip_comments(text)
+    text = _LAYOUT_RE.sub("", _strip_comments(text))
     for _ in range(3):  # formatting commands may nest
         new = re.sub(
             r"\\(?:textbf|textit|textsc|texttt|textrm|emph|mbox|text|underline)\{([^{}]*)\}",

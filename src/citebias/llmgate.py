@@ -27,6 +27,7 @@ from pathlib import Path
 from .clients import HttpService, atomic_write_text
 from .corpus import Venue, VenueTable
 from .errors import MockResponseMissing, ProviderRefusal, TableParseError, TransportError
+from .textnorm import ET_AL_RE
 
 logger = logging.getLogger(__name__)
 
@@ -258,7 +259,6 @@ class ParsedTable:
 
 
 _SEPARATOR_ROW_RE = re.compile(r"^\s*\|?\s*:?-{2,}:?\s*(\|\s*:?-{2,}:?\s*)+\|?\s*$")
-_ET_AL_RE = re.compile(r"\bet\.?\s*al\.?", re.IGNORECASE)
 _YEAR_RE = re.compile(r"\b(1[5-9]\d{2}|20\d{2})\b")
 _NUM_RANGE_RE = re.compile(r"^(\d+)\s*[-–—]\s*(\d+)$")
 
@@ -295,8 +295,8 @@ def _map_columns(header: list[str]) -> dict[str, int] | None:
 
 
 def _parse_authors(cell: str) -> tuple[list[str], bool]:
-    et_al = bool(_ET_AL_RE.search(cell))
-    cleaned = _ET_AL_RE.sub("", cell)
+    et_al = bool(ET_AL_RE.search(cell))
+    cleaned = ET_AL_RE.sub("", cell)
     parts = re.split(r",| and |;|&", cleaned)
     authors = [p.strip().strip(".") for p in parts if p.strip().strip(".")]
     if et_al:

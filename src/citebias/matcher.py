@@ -13,11 +13,20 @@ are pooled into deduplicated word tokens and the score is the mean, over
 the generated tokens, of each token's best ratio against any candidate
 token; a generated "et al." restricts both sides to the first author.
 
-Both scores take their LCS lengths from one bit-parallel kernel: the
-shorter string's character masks are built once (once per title, not per
-window) and each character of the other string costs one word-parallel
-step. The kernel is exact, not an approximation: it gives the same LCS
-length as the textbook O(mn) table, so the same scores and verdicts.
+Both scores count LCS lengths bit-parallel (Allison & Dix 1986, in
+Hyyrö's 2004 form) with many comparisons packed as lanes of one integer.
+Each lane holds one pattern's bits followed by a clear guard bit; the
+guard is masked off after every step, so an addition's carry dies at its
+lane's edge and the lanes never mix. Within a lane each clear bit marks
+one more character of LCS, so the clear bits count the LCS length. A title packs every window of the
+longer string as a lane of the shorter one's bits: window j reads
+character j + t at step t, so each step's character mask is the last one
+slid down a lane with the next character's mask entering the top lane,
+and the shorter title's length in steps scores all windows. An author
+list packs the candidate tokens as the lanes, so one mask table serves
+every candidate token and each generated token's characters are read
+once. The kernels are exact, not approximations: they give the same LCS
+lengths as the textbook O(mn) table, so the same scores and verdicts.
 
 Thresholds ship as calibrated defaults (from the bundled labelled pair
 set) and every verdict records the thresholds used.
@@ -30,10 +39,11 @@ import json
 import logging
 from dataclasses import dataclass, field
 from importlib import resources
+from itertools import repeat
 from pathlib import Path
 
 from .errors import CalibrationError
-from .textnorm import normalize, tokens
+from .textnorm import ET_AL_RE, normalize, tokens
 
 logger = logging.getLogger(__name__)
 
@@ -41,40 +51,6 @@ logger = logging.getLogger(__name__)
 # ---------------------------------------------------------------------------
 # Similarity scores
 # ---------------------------------------------------------------------------
-
-
-def _match_masks(pattern: str) -> dict[str, int]:
-    """Each character of ``pattern`` mapped to the bitmask of its positions."""
-    masks: dict[str, int] = {}
-    for i, ch in enumerate(pattern):
-        masks[ch] = masks.get(ch, 0) | (1 << i)
-    return masks
-
-
-def _bit_lcs(masks: dict[str, int], n: int, text: str) -> int:
-    """LCS length of ``text`` and the ``n``-character pattern behind ``masks``.
-
-    Bit-parallel (Allison & Dix 1986, in Hyyrö's 2004 form): bit i of
-    ``v`` is clear when the text read so far has a longer LCS with the
-    pattern's first i+1 characters than with its first i, so the clear
-    bits count the LCS length. One big-integer step per character of
-    ``text``.
-    """
-    full = (1 << n) - 1
-    v = full
-    for ch in text:
-        u = v & masks.get(ch, 0)
-        v = ((v + u) | (v - u)) & full
-    return n - v.bit_count()
-
-
-def _char_ratio(a: str, b: str) -> float:
-    """Symmetric similarity of two strings in [0, 1]."""
-    if not a and not b:
-        return 1.0
-    if not a or not b:
-        return 0.0
-    return 2.0 * _bit_lcs(_match_masks(a), len(a), b) / (len(a) + len(b))
 
 
 def title_similarity(a: str, b: str) -> float:
@@ -91,10 +67,57 @@ def title_similarity(a: str, b: str) -> float:
     short, long = (na, nb) if len(na) <= len(nb) else (nb, na)
     if short in long:
         return 1.0
+    # window j is the lane at bit j*w, with a guard bit above it, and
+    # reads long[j + t] at step t: each step's mask is the last one slid
+    # down a lane, with the next character's mask entering the top lane,
+    # where the masks are built; the first k - 1 characters only fill
+    # the lanes below it
     n = len(short)
-    masks = _match_masks(short)
-    best = max(_bit_lcs(masks, n, long[start : start + n]) for start in range(len(long) - n + 1))
-    return best / n
+    k = len(long) - n + 1
+    w = n + 1
+    masks: dict[str, int] = {}
+    for i, ch in enumerate(short, (k - 1) * w):
+        masks[ch] = masks.get(ch, 0) | (1 << i)
+    lane = (1 << n) - 1
+    full = lane * (((1 << (k * w)) - 1) // ((1 << w) - 1))
+    get = masks.get
+    step = 0
+    for m in map(get, long[: k - 1], repeat(0)):
+        step = (step >> w) | m
+    v = full
+    for m in map(get, long[k - 1 :], repeat(0)):
+        step = (step >> w) | m
+        u = v & step
+        v = ((v + u) | (v - u)) & full
+    fewest = min(((v >> s) & lane).bit_count() for s in range(0, k * w, w))
+    return (n - fewest) / n
+
+
+def _lane_lcs(patterns: list[str], texts: list[str]) -> list[list[int]]:
+    """LCS length of every text against every pattern, one row per text.
+
+    The patterns are the lanes of one integer, so one mask table serves
+    them all and each text's characters are read once for all of them.
+    """
+    masks: dict[str, int] = {}
+    lanes = []
+    full = offset = 0
+    for pattern in patterns:
+        for i, ch in enumerate(pattern, offset):
+            masks[ch] = masks.get(ch, 0) | (1 << i)
+        lane = (1 << len(pattern)) - 1
+        lanes.append((offset, lane, len(pattern)))
+        full |= lane << offset
+        offset += len(pattern) + 1
+    get = masks.get
+    rows = []
+    for text in texts:
+        v = full
+        for m in map(get, text, repeat(0)):
+            u = v & m
+            v = ((v + u) | (v - u)) & full
+        rows.append([n - ((v >> s) & lane).bit_count() for s, lane, n in lanes])
+    return rows
 
 
 def author_similarity(
@@ -116,9 +139,11 @@ def author_similarity(
     cand_tokens = sorted({t for name in candidate for t in tokens(name)})
     if not gen_tokens or not cand_tokens:
         return 0.0
+    cand_lens = [len(c) for c in cand_tokens]
     total = 0.0
-    for g in gen_tokens:
-        total += max(_char_ratio(g, c) for c in cand_tokens)
+    for g, row in zip(gen_tokens, _lane_lcs(cand_tokens, gen_tokens)):
+        n = len(g)
+        total += max(2.0 * lcs / (n + m) for lcs, m in zip(row, cand_lens))
     return total / len(gen_tokens)
 
 
@@ -350,9 +375,13 @@ _AUTHOR_SEP = ";"
 
 
 def _parse_authors_cell(cell: str) -> tuple[list[str], bool]:
-    et_al = "et al" in cell.lower()
-    parts = [p.strip() for p in cell.split(_AUTHOR_SEP)]
-    authors = [p for p in parts if p and "et al" not in p.lower()]
+    authors, et_al = [], False
+    for part in cell.split(_AUTHOR_SEP):
+        part = part.strip()
+        if ET_AL_RE.fullmatch(part):
+            et_al = True
+        elif part:
+            authors.append(part)
     return authors, et_al
 
 

@@ -29,6 +29,8 @@ _SPECIAL = {
 _WS_RE = re.compile(r"\s+")
 _TERMINAL_PUNCT_RE = re.compile(r"[\s.,;:!?]+$")
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
+# "et al." as words of their own, so that no name ("Etalle") holds it
+ET_AL_RE = re.compile(r"\bet\.?\s*al\b\.?", re.IGNORECASE)
 
 
 def strip_accents(text: str) -> str:

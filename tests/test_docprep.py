@@ -381,6 +381,16 @@ def test_render_leaves_a_word_break_for_list_markers():
     assert text.endswith("1 Introduction\nWe list: one two three done.")
 
 
+def test_render_drops_spacing_commands_with_their_lengths():
+    intro = (
+        "one\\setlength{\\itemsep}{0pt} two\\vspace{2mm} x\\vspace* {-1ex}y "
+        "\\hspace*{1em}three \\addtolength\\parskip{0.5\\baselineskip}four "
+        "\\linespread{0.95}five\\enlargethispage*{2\\baselineskip} six\\addvspace{3pt}."
+    )
+    text = render_text(_tiny_document("T", intro), _fixture_bibliography())
+    assert text.endswith("1 Introduction\none two xy three four five six.")
+
+
 def test_render_keeps_a_citation_that_opens_a_list_item():
     # the item's optional label is read before citations become bracket
     # groups, so [1] is not taken for a label

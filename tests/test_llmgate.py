@@ -276,15 +276,20 @@ def test_parse_skips_trailing_ellipsis_row():
 
 
 def test_parse_et_al_yields_unknown_count_and_first_author():
+    # "et al" inside a surname ("Etalle") is part of the name
     table = (
         "| Citation Number | Authors | Number of Authors | Title | Publication Year | Publication Venue |\n"
         "|---|---|---|---|---|---|\n"
         "| 3 | Grace Hopper et al. | 5 | Compiling Thoughts | 1952 | Others |\n"
+        "| 4 | Sandro Etalle et.al | 5 | Trust Revisited | 2006 | Others |\n"
+        "| 5 | Sandro Etalle, Jerry den Hartog | 2 | Trust Management | 2004 | Others |\n"
     )
-    (ref,) = parse_reference_table(table).references
-    assert ref.authors == ["Grace Hopper"]
-    assert ref.author_count is None
-    assert ref.et_al is True
+    refs = parse_reference_table(table).references
+    assert [(r.authors, r.author_count, r.et_al) for r in refs] == [
+        (["Grace Hopper"], None, True),
+        (["Sandro Etalle"], None, True),
+        (["Sandro Etalle", "Jerry den Hartog"], 2, False),
+    ]
 
 
 def test_parse_unreadable_year_is_unknown():
