@@ -6,7 +6,9 @@ search). Both sit behind small client interfaces so tests and offline runs
 substitute a directory of canned JSON for the network. That directory is
 read in one pass by ``read_tree``, which also feeds the run's input
 digest, so a run reads each fixture file once and its digest and its
-records come from the same bytes.
+records come from the same bytes. ``to_json`` and ``from_json``, the
+codec of every stage artifact, are compiled once per type, so a call
+inspects no annotation.
 
 Wire formats (JSON):
 
@@ -34,6 +36,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import heapq
 import json
 import logging
 import os
@@ -83,17 +86,28 @@ def to_json(obj: Any) -> Any:
     ``[numerator, denominator]``, sets become sorted lists and tuples
     lists; ``from_json`` inverts it given the declared type.
     """
-    if dataclasses.is_dataclass(obj):
-        return {name: to_json(getattr(obj, name)) for name, _ in _field_types(type(obj))}
-    if isinstance(obj, Fraction):
-        return [obj.numerator, obj.denominator]
-    if isinstance(obj, (set, frozenset)):
-        return sorted(to_json(item) for item in obj)
-    if isinstance(obj, (list, tuple)):
-        return [to_json(item) for item in obj]
-    if isinstance(obj, dict):
-        return {key: to_json(value) for key, value in obj.items()}
-    return obj
+    return _encoder(type(obj))(obj)
+
+
+def _identity(value: Any) -> Any:
+    return value
+
+
+@functools.cache
+def _encoder(cls: type) -> Callable[[Any], Any]:
+    """``to_json`` for instances of ``cls``, chosen once per class."""
+    if dataclasses.is_dataclass(cls):
+        names = tuple(name for name, _ in _field_types(cls))
+        return lambda obj: {name: to_json(getattr(obj, name)) for name in names}
+    if issubclass(cls, Fraction):
+        return lambda obj: [obj.numerator, obj.denominator]
+    if issubclass(cls, (set, frozenset)):
+        return lambda obj: sorted(to_json(item) for item in obj)
+    if issubclass(cls, (list, tuple)):
+        return lambda obj: [to_json(item) for item in obj]
+    if issubclass(cls, dict):
+        return lambda obj: {key: to_json(value) for key, value in obj.items()}
+    return _identity
 
 
 @functools.cache
@@ -109,43 +123,63 @@ def from_json(tp: Any, data: Any) -> Any:
     Dataclass fields missing from ``data`` take their defaults; keys
     that name no field are ignored.
     """
+    return _decoder(tp)(data)
+
+
+@functools.cache
+def _decoder(tp: Any) -> Callable[[Any], Any]:
+    """``from_json`` for type ``tp``, composed once from the decoders of
+    its parts; a type with no parts to rebuild decodes as the identity."""
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if origin in (types.UnionType, typing.Union):
-        if data is None:
-            return None
         (inner,) = [arg for arg in args if arg is not type(None)]
-        return from_json(inner, data)
+        decode = _decoder(inner)
+        return lambda data: None if data is None else decode(data)
     if dataclasses.is_dataclass(tp):
-        return tp(
-            **{
-                name: from_json(field_tp, data[name])
-                for name, field_tp in _field_types(tp)
-                if name in data
-            }
+        fields = tuple((name, _decoder(field_tp)) for name, field_tp in _field_types(tp))
+        return lambda data: tp(
+            **{name: decode(data[name]) for name, decode in fields if name in data}
         )
     if tp is Fraction:
-        return Fraction(*data)
+        return lambda data: Fraction(*data)
     if origin in (list, set):
-        return origin(from_json(args[0], item) for item in data)
+        decode = _decoder(args[0])
+        return origin if decode is _identity else lambda data: origin(map(decode, data))
     if origin is tuple:
         if len(args) == 2 and args[1] is Ellipsis:
-            return tuple(from_json(args[0], item) for item in data)
-        return tuple(from_json(arg, item) for arg, item in zip(args, data))
+            decode = _decoder(args[0])
+            return tuple if decode is _identity else lambda data: tuple(map(decode, data))
+        decoders = tuple(_decoder(arg) for arg in args)
+        return lambda data: tuple(decode(item) for decode, item in zip(decoders, data))
     if origin is dict:
-        return {key: from_json(args[1], value) for key, value in data.items()}
-    return data
+        decode = _decoder(args[1])
+        return lambda data: {key: decode(value) for key, value in data.items()}
+    return _identity
 
 
 def atomic_write_text(path: Path, text: str) -> None:
     """Write via a sibling temp file and rename; readers see old or new, never partial.
 
     The temp name carries the process and thread ids, so two threads
-    writing the same path never share a temp file.
+    writing the same path never share a temp file. The text is encoded
+    before the temp file exists, and the temp file is removed on any
+    failure, so a text that is not valid Unicode leaves nothing behind.
     """
+    data = text.encode("utf-8")
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + f".tmp.{os.getpid()}.{threading.get_ident()}")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+        try:
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view) :]
+        finally:
+            os.close(fd)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def read_tree(root: Path | str) -> list[tuple[str, bytes]]:
@@ -158,7 +192,7 @@ def read_tree(root: Path | str) -> list[tuple[str, bytes]]:
     """
     root = Path(root)
     if root.is_file():
-        return [(".", root.read_bytes())]
+        return [(".", _read_file(root))]
     files: list[tuple[str, bytes]] = []
     if root.is_dir():
         _read_dir(str(root), "", files)
@@ -176,8 +210,23 @@ def _read_dir(directory: str, prefix: str, files: list[tuple[str, bytes]]) -> No
         if entry.is_dir(follow_symlinks=False):
             _read_dir(entry.path, prefix + entry.name + "/", files)
         elif entry.is_file():
-            with open(entry.path, "rb") as fh:
-                files.append((prefix + entry.name, fh.read()))
+            files.append((prefix + entry.name, _read_file(entry.path)))
+
+
+_READ_SIZE = 1 << 16
+
+
+def _read_file(path: str | Path) -> bytes:
+    """A file's bytes, read on its descriptor: no ``fstat``, no tty check
+    and no buffered file object, as ``open`` would add."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        chunks = []
+        while chunk := os.read(fd, _READ_SIZE):
+            chunks.append(chunk)
+    finally:
+        os.close(fd)
+    return b"".join(chunks)
 
 
 class TokenBucket:
@@ -402,7 +451,8 @@ class FixtureIndexClient:
     hold it, and each title's distinct-token count. A query then scores
     only the records its tokens' postings reach, as ``shared / (size +
     query size - shared)``, the same integers and so the same float as
-    the set-based Jaccard, and ranks on the same ``(-jaccard, id)`` key.
+    the set-based Jaccard, and keeps the ``limit`` smallest of the same
+    ``(-jaccard, id)`` keys, without sorting the rest.
     Loading the papers does not build the index, so a client that only
     looks papers up never tokenizes a title.
     """
@@ -483,12 +533,15 @@ class FixtureIndexClient:
         for token in query_tokens:
             shared.update(postings.get(token, ()))
         q = len(query_tokens)
-        ranked = sorted(
-            (-inter / (sizes[index_id] + q - inter), index_id)
-            for index_id, inter in shared.items()
+        ranked = heapq.nsmallest(
+            limit,
+            (
+                (-inter / (sizes[index_id] + q - inter), index_id)
+                for index_id, inter in shared.items()
+            ),
         )
         papers = self._load_papers()
-        return [papers[index_id] for _, index_id in ranked[:limit]]
+        return [papers[index_id] for _, index_id in ranked]
 
     def get_paper(self, index_id: str) -> dict | None:
         return self._load_papers().get(index_id)

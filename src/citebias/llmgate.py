@@ -191,7 +191,12 @@ class OpenAIChatProvider(HttpService):
                 f"provider HTTP {resp.status_code}: {resp.text[:200]}", retryable=False
             )
         try:
-            return resp.json()["choices"][0]["message"]["content"] or ""
+            content = resp.json()["choices"][0]["message"]["content"] or ""
+            # JSON admits a lone surrogate, which no file can hold: the
+            # UnicodeEncodeError is a ValueError, and content that is no
+            # string a TypeError
+            str.encode(content, "utf-8")
+            return content
         except (ValueError, LookupError, TypeError) as exc:
             raise TransportError(
                 f"{self.base_url}/chat/completions -> malformed response body ({exc!r})",

@@ -63,6 +63,12 @@ def normalize(text: str) -> str:
 
 def tokens(text: str) -> list[str]:
     """Alphanumeric word tokens of the normalized text, in order."""
+    if not text:
+        return []
+    if text.isascii():
+        # exact: on ASCII, normalize only lowercases, then changes or cuts
+        # runs of whitespace and punctuation, none of which is in a token
+        return _TOKEN_RE.findall(text.lower())
     return _TOKEN_RE.findall(normalize(text))
 
 

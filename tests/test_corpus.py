@@ -647,6 +647,38 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
     assert [p.name for p in target.parent.iterdir()] == ["file.json"]
 
 
+def test_atomic_write_of_invalid_unicode_leaves_nothing_behind(tmp_path):
+    # a lone surrogate cannot be encoded: no temp file is created, and the
+    # file already there is left as it was
+    target = tmp_path / "out.txt"
+    target.write_text("old")
+    with pytest.raises(UnicodeEncodeError):
+        atomic_write_text(target, "bad \ud800 text")
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+    assert target.read_text() == "old"
+
+
+def test_atomic_write_removes_its_temp_file_when_the_rename_fails(tmp_path):
+    target = tmp_path / "taken"
+    (target / "inner").mkdir(parents=True)  # a non-empty directory cannot be replaced
+    with pytest.raises(OSError):
+        atomic_write_text(target, "contents")
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+
+
+def test_read_tree_matches_read_bytes(tmp_path):
+    # files of no bytes, of one read and of more than one 64 KiB read
+    from citebias.clients import read_tree
+
+    sizes = {"empty": 0, "one": 5, "two.bin": (1 << 16) + 7, "three.bin": 3 << 16}
+    for name, size in sizes.items():
+        (tmp_path / name).write_bytes(bytes(i % 251 for i in range(size)))
+    assert read_tree(tmp_path) == [(p.name, p.read_bytes()) for p in sorted(tmp_path.iterdir())]
+    for name in sizes:
+        assert read_tree(tmp_path / name) == [(".", (tmp_path / name).read_bytes())]
+    assert read_tree(tmp_path / "missing") == []
+
+
 def test_read_tree_result_is_freed_with_its_last_reference(tmp_path):
     # the index client drops the fixture bytes once parsed; nothing else
     # may hold them until the cyclic collector runs
@@ -872,7 +904,15 @@ def test_preprint_client_404_is_transport_error():
 
 
 @pytest.mark.parametrize(
-    "payload", [None, {"error": "x"}, {"choices": []}], ids=["non-json", "error", "no-choices"]
+    "payload",
+    [
+        None,
+        {"error": "x"},
+        {"choices": []},
+        {"choices": [{"message": {"content": "a \ud800 b"}}]},
+        {"choices": [{"message": {"content": 7}}]},
+    ],
+    ids=["non-json", "error", "no-choices", "lone-surrogate", "non-string"],
 )
 def test_provider_malformed_success_body_is_transport_error(payload):
     from citebias.errors import TransportError

@@ -962,6 +962,133 @@ def test_codec_missing_field_takes_default():
     assert ref.venue.canonical == "ICML" and ref.authors == ["A"]
 
 
+def oracle_to_json(obj):
+    """The reflective encoder: each value's kind tested where it is met."""
+    import dataclasses
+    from fractions import Fraction
+
+    if dataclasses.is_dataclass(obj):
+        return {f.name: oracle_to_json(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    if isinstance(obj, Fraction):
+        return [obj.numerator, obj.denominator]
+    if isinstance(obj, (set, frozenset)):
+        return sorted(oracle_to_json(item) for item in obj)
+    if isinstance(obj, (list, tuple)):
+        return [oracle_to_json(item) for item in obj]
+    if isinstance(obj, dict):
+        return {key: oracle_to_json(value) for key, value in obj.items()}
+    return obj
+
+
+def oracle_from_json(tp, data):
+    """The reflective decoder: the declared type inspected for every value."""
+    import dataclasses
+    import types
+    import typing
+    from fractions import Fraction
+
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin in (types.UnionType, typing.Union):
+        if data is None:
+            return None
+        (inner,) = [arg for arg in args if arg is not type(None)]
+        return oracle_from_json(inner, data)
+    if dataclasses.is_dataclass(tp):
+        hints = typing.get_type_hints(tp)
+        return tp(
+            **{
+                f.name: oracle_from_json(hints[f.name], data[f.name])
+                for f in dataclasses.fields(tp)
+                if f.name in data
+            }
+        )
+    if tp is Fraction:
+        return Fraction(*data)
+    if origin in (list, set):
+        return origin(oracle_from_json(args[0], item) for item in data)
+    if origin is tuple:
+        if len(args) == 2 and args[1] is Ellipsis:
+            return tuple(oracle_from_json(args[0], item) for item in data)
+        return tuple(oracle_from_json(arg, item) for arg, item in zip(args, data))
+    if origin is dict:
+        return {key: oracle_from_json(args[1], value) for key, value in data.items()}
+    return data
+
+
+def assert_same(actual, expected, where="value"):
+    """Equal, with the same type and key order at every level."""
+    import dataclasses
+
+    assert type(actual) is type(expected), (where, type(actual), type(expected))
+    if dataclasses.is_dataclass(expected):
+        for f in dataclasses.fields(expected):
+            assert_same(getattr(actual, f.name), getattr(expected, f.name), f"{where}.{f.name}")
+    elif isinstance(expected, dict):
+        assert list(actual) == list(expected), where
+        for key in expected:
+            assert_same(actual[key], expected[key], f"{where}[{key!r}]")
+    elif isinstance(expected, (list, tuple)):
+        assert len(actual) == len(expected), where
+        for i, (item, wanted) in enumerate(zip(actual, expected)):
+            assert_same(item, wanted, f"{where}[{i}]")
+    else:
+        assert actual == expected, where
+
+
+def _codec_cases(workspace):
+    """(declared type, value) for every stage artifact of seeds 0-199 and
+    for a loaded config, also with subperiod bins set."""
+    import dataclasses
+    import random
+
+    _, config_path = workspace
+    config = load_config(config_path)
+    bins = [("<2019", None, 2018), ("2019-2020", 2019, 2020), (">2020", 2021, None)]
+    binned = dataclasses.replace(config, subperiod_bins=bins)
+    cases = [(type(config), config), (type(config), binned)]
+    for seed in range(200):
+        cases.extend(_random_artifacts(random.Random(seed)))
+    return cases
+
+
+def test_encoder_matches_reflective_oracle(workspace):
+    # run_identity hashes to_json(config), so the JSON text must agree too
+    from citebias.clients import to_json
+
+    for cls, value in _codec_cases(workspace):
+        encoded, expected = to_json(value), oracle_to_json(value)
+        assert_same(encoded, expected, cls.__name__)
+        assert json.dumps(encoded, default=str) == json.dumps(expected, default=str)
+
+
+def test_decoder_matches_reflective_oracle(workspace):
+    from citebias.clients import from_json
+
+    for cls, value in _codec_cases(workspace):
+        data = json.loads(json.dumps(oracle_to_json(value), default=str))
+        decoded = from_json(cls, data)
+        assert_same(decoded, oracle_from_json(cls, data), cls.__name__)
+        assert json.loads(json.dumps(oracle_to_json(value), default=str)) == data  # not mutated
+
+
+def test_decoder_returns_new_containers():
+    from citebias.clients import from_json
+    from citebias.corpus import PaperRecord
+
+    data = ["a", "b"]
+    assert from_json(list[str], data) == data
+    assert from_json(list[str], data) is not data
+    assert from_json(tuple[str, ...], data) == ("a", "b")
+    row = {
+        "preprint_id": "2203.01234", "index_id": "p1", "title": "T",
+        "venue": {"canonical": "ICML", "raw": "ICML"}, "year": 2022, "posted_date": "2022-03-05",
+        "authors": data, "intro_reference_numbers": [3, 1],
+    }
+    record = from_json(PaperRecord, row)
+    assert record.authors == data and record.authors is not data
+    assert record.reference_ids == [] and record.intro_reference_numbers == {1, 3}
+
+
 # ---------------------------------------------------------------------------
 # Input digest and the fixture read
 # ---------------------------------------------------------------------------
@@ -1043,7 +1170,9 @@ def test_inputs_digest_matches_rglob_sort(sources, index, link_at):
 
 
 def test_full_run_reads_each_fixture_file_once(workspace, tmp_path, monkeypatch):
-    # the run identity and the index client share one read of the tree
+    # the run identity and the index client share one read of the tree;
+    # read_tree opens each file with os.open, and a read through the
+    # built-in open would be counted too
     import builtins
     import io
     from collections import Counter
@@ -1054,17 +1183,20 @@ def test_full_run_reads_each_fixture_file_once(workspace, tmp_path, monkeypatch)
     )
     index = config.fixture_dir.resolve()
     opened = Counter()
-    original = io.open
 
-    def counting_open(file, *args, **kwargs):
-        if isinstance(file, (str, os.PathLike)):
-            path = Path(file).resolve()
-            if index in path.parents:
-                opened[path.relative_to(index).as_posix()] += 1
-        return original(file, *args, **kwargs)
+    def counting(original):
+        def opener(file, *args, **kwargs):
+            if isinstance(file, (str, os.PathLike)):
+                path = Path(file).resolve()
+                if index in path.parents:
+                    opened[path.relative_to(index).as_posix()] += 1
+            return original(file, *args, **kwargs)
 
-    monkeypatch.setattr(io, "open", counting_open)
-    monkeypatch.setattr(builtins, "open", counting_open)
+        return opener
+
+    monkeypatch.setattr(os, "open", counting(os.open))
+    monkeypatch.setattr(io, "open", counting(io.open))
+    monkeypatch.setattr(builtins, "open", counting(builtins.open))
     manifest = run_pipeline(config)
     assert manifest["stages"]["ingest"]["status"] == "ok"
     files = [p.relative_to(index).as_posix() for p in index.rglob("*") if p.is_file()]

@@ -6,7 +6,7 @@ import unicodedata
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from citebias.textnorm import _DASHES, _QUOTES, _SPECIAL, normalize
+from citebias.textnorm import _DASHES, _QUOTES, _SPECIAL, _TOKEN_RE, normalize, tokens
 
 # ---------------------------------------------------------------------------
 # Independent oracle
@@ -68,3 +68,15 @@ def test_normalize_ascii_matches_unicode_path(text):
 @example("e\u0301 \ufb01ne\u00a0.")
 def test_normalize_mixed_text_matches_unicode_path(text):
     assert normalize(text) == oracle_normalize(text)
+
+
+@settings(max_examples=300)
+@given(st.one_of(ascii_text, mixed_text))
+@example("")
+@example(None)  # a record's null title
+@example("A\x0bB.")
+@example(" \x1cX-Y ;!? ")
+@example("\u00e9")
+@example("Na\u00efve Bayes, \u201cRevisited\u201d.")
+def test_tokens_match_normalized_tokens(text):
+    assert tokens(text) == _TOKEN_RE.findall(normalize(text))
