@@ -39,6 +39,7 @@ import functools
 import heapq
 import json
 import logging
+import operator
 import os
 import re
 import threading
@@ -186,7 +187,9 @@ def read_tree(root: Path | str) -> list[tuple[str, bytes]]:
     """Every file under ``root`` as (POSIX relative path, bytes), in
     path-component order, the order ``sorted`` gives the ``Path`` objects.
 
-    Symlinked files are read through; a symlinked directory is not
+    Each directory is opened once and its entries are opened relative to
+    its descriptor (``dir_fd``), so no path is resolved again from the
+    root. Symlinked files are read through; a symlinked directory is not
     entered, as ``Path.rglob`` does not enter it. A file root is one
     entry named ``"."``; a missing root has none.
     """
@@ -195,31 +198,40 @@ def read_tree(root: Path | str) -> list[tuple[str, bytes]]:
         return [(".", _read_file(root))]
     files: list[tuple[str, bytes]] = []
     if root.is_dir():
-        _read_dir(str(root), "", files)
+        _read_dir(os.open(root, _DIR_FLAGS), "", files)
     return files
 
 
-def _read_dir(directory: str, prefix: str, files: list[tuple[str, bytes]]) -> None:
+_DIR_FLAGS = os.O_RDONLY | os.O_DIRECTORY
+_entry_name = operator.attrgetter("name")
+
+
+def _read_dir(dir_fd: int, prefix: str, files: list[tuple[str, bytes]]) -> None:
     # names sorted per directory, depth first: the order of the component
-    # tuples, since a directory's files share its prefix. Not a closure: a
-    # recursive one is a reference cycle that keeps ``files`` alive until
-    # the cyclic collector runs
-    with os.scandir(directory) as it:
-        entries = sorted(it, key=lambda entry: entry.name)
-    for entry in entries:
-        if entry.is_dir(follow_symlinks=False):
-            _read_dir(entry.path, prefix + entry.name + "/", files)
-        elif entry.is_file():
-            files.append((prefix + entry.name, _read_file(entry.path)))
+    # tuples, since a directory's files share its prefix. Closes
+    # ``dir_fd``. Not a closure: a recursive one is a reference cycle that
+    # keeps ``files`` alive until the cyclic collector runs
+    try:
+        with os.scandir(dir_fd) as it:
+            entries = sorted(it, key=_entry_name)
+        for entry in entries:
+            name = entry.name
+            if entry.is_dir(follow_symlinks=False):
+                _read_dir(os.open(name, _DIR_FLAGS, dir_fd=dir_fd), prefix + name + "/", files)
+            elif entry.is_file():
+                files.append((prefix + name, _read_file(name, dir_fd)))
+    finally:
+        os.close(dir_fd)
 
 
 _READ_SIZE = 1 << 16
 
 
-def _read_file(path: str | Path) -> bytes:
+def _read_file(path: str | Path, dir_fd: int | None = None) -> bytes:
     """A file's bytes, read on its descriptor: no ``fstat``, no tty check
-    and no buffered file object, as ``open`` would add."""
-    fd = os.open(path, os.O_RDONLY)
+    and no buffered file object, as ``open`` would add. A relative
+    ``path`` is taken from the directory ``dir_fd`` when given."""
+    fd = os.open(path, os.O_RDONLY, dir_fd=dir_fd)
     try:
         chunks = []
         while chunk := os.read(fd, _READ_SIZE):
@@ -429,6 +441,30 @@ def _is_paper_file(rel: str) -> bool:
     return head == "scholar/papers" and name.endswith(".json")
 
 
+_scan_value = json.JSONDecoder().scan_once
+_skip_space = json.decoder.WHITESPACE.match
+_BOM_UTF8 = b"\xef\xbb\xbf"
+
+
+def parse_record(data: bytes) -> Any:
+    """``json.loads(data)``, decoded on ``json``'s C scanner without its
+    Python wrapper: UTF-8 text, whitespace around one value, nothing
+    after it. Bytes that need more than that go to ``json.loads``, so the
+    value or the error is always its own: a BOM, UTF-16/32 (a NUL in the
+    first two bytes), invalid UTF-8 (encoded surrogates included), and
+    every malformed document."""
+    if data.startswith(_BOM_UTF8) or 0 in data[:2]:
+        return json.loads(data)
+    try:
+        text = data.decode("utf-8")
+        value, end = _scan_value(text, _skip_space(text, 0).end())
+    except (UnicodeDecodeError, StopIteration, ValueError):
+        return json.loads(data)
+    if _skip_space(text, end).end() != len(text):
+        return json.loads(data)  # raises "Extra data"
+    return value
+
+
 class FixtureIndexClient:
     """Directory of canned JSON standing in for both services.
 
@@ -442,7 +478,9 @@ class FixtureIndexClient:
     identity and the index); without it the client reads the tree on
     first use. Each part is parsed once, on first use, and its bytes are
     then dropped: the records on the first listing, the papers on the
-    first lookup or search.
+    first lookup or search. Each file is parsed by ``parse_record`` on
+    ``json``'s C scanner, falling back to ``json.loads`` for any bytes
+    that are not plain UTF-8 JSON, so values and errors are ``json.loads``'s.
 
     Title search ranks by token overlap (Jaccard) with the query, ties
     broken by id, which is a deliberately different notion of relevance
@@ -472,8 +510,14 @@ class FixtureIndexClient:
         are then dropped. Called under the lock."""
         if self._files is None:
             self._files = read_tree(self.root)
-        taken = [data for rel, data in self._files if wanted(rel)]
-        self._files = [entry for entry in self._files if not wanted(entry[0])]
+        taken: list[bytes] = []
+        kept: list[tuple[str, bytes]] = []
+        for rel, data in self._files:
+            if wanted(rel):
+                taken.append(data)
+            else:
+                kept.append((rel, data))
+        self._files = kept
         return taken
 
     # -- preprint side -------------------------------------------------
@@ -484,7 +528,7 @@ class FixtureIndexClient:
                 taken = self._take(lambda rel: rel == "preprint/records.json")
                 if not taken:
                     raise FileNotFoundError(self.root / "preprint" / "records.json")
-                self._records = json.loads(taken[0])
+                self._records = parse_record(taken[0])
         out = []
         for rec in self._records:
             posted = rec.get("posted_date", "")
@@ -505,7 +549,7 @@ class FixtureIndexClient:
                 # index is never held twice
                 taken = deque(self._take(_is_paper_file))
                 while taken:
-                    rec = json.loads(taken.popleft())
+                    rec = parse_record(taken.popleft())
                     papers[rec["index_id"]] = rec
                 self._papers = papers
         return self._papers

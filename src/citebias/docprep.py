@@ -174,6 +174,9 @@ def locate_main_tex(bundle: dict[str, bytes], name: str) -> str | Exclusion:
 # ---------------------------------------------------------------------------
 
 
+_BRACE_RE = re.compile(r"[{}]")
+
+
 def _escaped(text: str, i: int) -> bool:
     """Whether ``text[i]`` is escaped: preceded by an odd run of
     backslashes (``\\\\%`` is a line break and then a comment)."""
@@ -185,6 +188,8 @@ def _escaped(text: str, i: int) -> bool:
 
 def _strip_comments(tex: str) -> str:
     # % starts a comment unless escaped as \%
+    if "%" not in tex:
+        return tex
     out = []
     for line in tex.split("\n"):
         j = line.find("%")
@@ -200,9 +205,10 @@ def _read_braced(text: str, start: int) -> tuple[str, int]:
     if start >= len(text) or text[start] != "{":
         raise TexError(f"expected '{{' at offset {start}")
     depth = 0
-    for i in range(start, len(text)):
-        if text[i] in "{}" and not _escaped(text, i):
-            depth += 1 if text[i] == "{" else -1
+    for brace in _BRACE_RE.finditer(text, start):
+        i = brace.start()
+        if not _escaped(text, i):
+            depth += 1 if brace.group() == "{" else -1
             if depth == 0:
                 return text[start + 1 : i], i + 1
     raise TexError("unbalanced braces")
@@ -228,27 +234,37 @@ def _find_command_arg(text: str, command: str) -> str | None:
     return None
 
 
+_ENV_MARK_RE = re.compile(r"\\(begin|end)\{([^}]*)\}")
+
+
 def check_environments(tex: str) -> None:
     """Verify begin/end nesting; raises TexError with the offending line."""
+    # (name, offset) of each open environment; a line is counted only
+    # for the error raised
     stack: list[tuple[str, int]] = []
-    for match in re.finditer(r"\\(begin|end)\{([^}]*)\}", tex):
+
+    def line(offset: int) -> int:
+        return tex.count("\n", 0, offset) + 1
+
+    for match in _ENV_MARK_RE.finditer(tex):
         kind, name = match.group(1), match.group(2)
-        line = tex.count("\n", 0, match.start()) + 1
         if kind == "begin":
-            stack.append((name, line))
+            stack.append((name, match.start()))
         else:
             if not stack:
-                raise TexError(f"\\end{{{name}}} without a matching \\begin", line)
-            if stack[-1][0] != name:
-                open_name, open_line = stack[-1]
                 raise TexError(
-                    f"\\end{{{name}}} closes \\begin{{{open_name}}} from line {open_line}",
-                    line,
+                    f"\\end{{{name}}} without a matching \\begin", line(match.start())
+                )
+            if stack[-1][0] != name:
+                open_name, open_at = stack[-1]
+                raise TexError(
+                    f"\\end{{{name}}} closes \\begin{{{open_name}}} from line {line(open_at)}",
+                    line(match.start()),
                 )
             stack.pop()
     if stack:
-        name, line = stack[-1]
-        raise TexError(f"\\begin{{{name}}} is never closed", line)
+        name, open_at = stack[-1]
+        raise TexError(f"\\begin{{{name}}} is never closed", line(open_at))
 
 
 def _strip_environments(tex: str, names=_STRIP_ENVS) -> str:
@@ -335,33 +351,63 @@ _LAYOUT_RE = re.compile(
 )
 
 
+_FORMAT_RE = re.compile(
+    r"\\(?:textbf|textit|textsc|texttt|textrm|emph|mbox|text|underline)\{([^{}]*)\}"
+)
+_HREF_RE = re.compile(r"\\href\{[^}]*\}\{([^{}]*)\}")
+_URL_RE = re.compile(r"\\url\{([^}]*)\}")
+_NEWBLOCK_RE = re.compile(r"\\newblock\s*")
+_COMMAND_ARG_RE = re.compile(r"\\[a-zA-Z]+\{([^{}]*)\}")
+_COMMAND_RE = re.compile(r"\\[a-zA-Z]+\s*")
+_INLINE_MATH_RE = re.compile(r"\$([^$]*)\$")
+_SPACE_RUN_RE = re.compile(r"\s+")
+
+
 def _latex_to_plain(text: str) -> str:
     """Best-effort plain-text rendering of LaTeX fragments."""
-    text = _LAYOUT_RE.sub("", _strip_comments(text))
-    for _ in range(3):  # formatting commands may nest
-        new = re.sub(
-            r"\\(?:textbf|textit|textsc|texttt|textrm|emph|mbox|text|underline)\{([^{}]*)\}",
-            r"\1",
-            text,
-        )
-        if new == text:
-            break
-        text = new
-    text = re.sub(r"\\href\{[^}]*\}\{([^{}]*)\}", r"\1", text)
-    text = re.sub(r"\\url\{([^}]*)\}", r"\1", text)
-    text = re.sub(r"\$([^$]*)\$", r"\1", text)
-    text = re.sub(r"\\newblock\s*", "", text)
-    text = re.sub(r"\\[a-zA-Z]+\{([^{}]*)\}", r"\1", text)
-    text = re.sub(r"\\[a-zA-Z]+\s*", "", text)
+    text = _strip_comments(text)
+    # each rewrite needs its trigger character, and none adds one
+    commands = "\\" in text
+    if commands:
+        text = _LAYOUT_RE.sub("", text)
+        for _ in range(3):  # formatting commands may nest
+            new = _FORMAT_RE.sub(r"\1", text)
+            if new == text:
+                break
+            text = new
+        text = _HREF_RE.sub(r"\1", text)
+        text = _URL_RE.sub(r"\1", text)
+    if "$" in text:
+        text = _INLINE_MATH_RE.sub(r"\1", text)
+    if commands:
+        text = _NEWBLOCK_RE.sub("", text)
+        text = _COMMAND_ARG_RE.sub(r"\1", text)
+        text = _COMMAND_RE.sub("", text)
     text = text.replace("~", " ").replace("{", "").replace("}", "")
     text = text.replace("\\&", "&").replace("\\%", "%").replace("\\_", "_")
     text = text.replace("``", '"').replace("''", '"').replace("--", "-")
-    return re.sub(r"\s+", " ", text).strip()
+    return _SPACE_RUN_RE.sub(" ", text).strip()
+
+
+# an author list splits on an "and" outside braces: {Barnes and Noble}
+# is one name
+_AUTHOR_SPLIT_RE = re.compile(r"[{}]|\s+and\s+")
 
 
 def _split_bib_authors(author_field: str) -> list[str]:
+    parts, depth, begin = [], 0, 0
+    for match in _AUTHOR_SPLIT_RE.finditer(author_field):
+        token = match.group()
+        if token == "{":
+            depth += 1
+        elif token == "}":
+            depth -= 1
+        elif depth == 0:
+            parts.append(author_field[begin : match.start()])
+            begin = match.end()
+    parts.append(author_field[begin:])
     names = []
-    for part in re.split(r"\s+and\s+", author_field):
+    for part in parts:
         part = part.strip()
         if not part:
             continue
@@ -370,6 +416,12 @@ def _split_bib_authors(author_field: str) -> list[str]:
             part = f"{first.strip()} {last.strip()}".strip()
         names.append(_latex_to_plain(part))
     return names
+
+
+_BIB_ENTRY_RE = re.compile(r"@(\w+)\s*\{")
+_BIB_FIELD_RE = re.compile(r"\s*(\w+)\s*=\s*")
+_BIB_BARE_VALUE_RE = re.compile(r"[^,]*")
+_YEAR_RE = re.compile(r"\d{4}")
 
 
 def parse_bib(text: str) -> dict[str, BibEntry]:
@@ -384,14 +436,14 @@ def parse_bib(text: str) -> dict[str, BibEntry]:
         at = text.find("@", idx)
         if at < 0:
             break
-        match = re.match(r"@(\w+)\s*\{", text[at:])
+        match = _BIB_ENTRY_RE.match(text, at)
         if not match:
             idx = at + 1
             continue
         if match.group(1).lower() in ("comment", "preamble", "string"):
             idx = at + 1
             continue
-        body, end = _read_braced(text, at + match.end() - 1)
+        body, end = _read_braced(text, match.end() - 1)
         idx = end
         key, _, fields_text = body.partition(",")
         key = key.strip()
@@ -405,7 +457,7 @@ def parse_bib(text: str) -> dict[str, BibEntry]:
             or fields.get("howpublished", "")
         )
         year = None
-        year_match = re.search(r"\d{4}", fields.get("year", ""))
+        year_match = _YEAR_RE.search(fields.get("year", ""))
         if year_match:
             year = int(year_match.group())
         entry = BibEntry(
@@ -425,7 +477,7 @@ def _parse_bib_fields(text: str) -> dict[str, str]:
     fields: dict[str, str] = {}
     i = 0
     while i < len(text):
-        match = re.compile(r"\s*(\w+)\s*=\s*").match(text, i)
+        match = _BIB_FIELD_RE.match(text, i)
         if not match:
             i += 1
             continue
@@ -440,7 +492,7 @@ def _parse_bib_fields(text: str) -> dict[str, str]:
             value = text[i + 1 : close] if close > 0 else text[i + 1 :]
             i = close + 1 if close > 0 else len(text)
         else:
-            match = re.compile(r"[^,]*").match(text, i)
+            match = _BIB_BARE_VALUE_RE.match(text, i)
             value = match.group().strip()
             i = match.end()
         fields[name] = value

@@ -166,8 +166,13 @@ OVERRIDABLE = {
 }
 
 
+# libyaml's parser where PyYAML was built with it; the same safe schema
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 def load_config(path: Path | str, overrides: dict | None = None) -> PipelineConfig:
-    """Load, validate, and normalize a YAML config file.
+    """Load, validate, and normalize a YAML config file, read with
+    libyaml's safe loader when PyYAML has it.
 
     Each override, named as in ``OVERRIDABLE``, replaces the value at its
     key path before the schema check, so an override is validated like the
@@ -177,8 +182,8 @@ def load_config(path: Path | str, overrides: dict | None = None) -> PipelineConf
     """
     path = Path(path)
     try:
-        raw = yaml.safe_load(path.read_text(encoding="utf-8"))
-    except (OSError, yaml.YAMLError) as exc:
+        raw = yaml.load(path.read_text(encoding="utf-8"), Loader=_YAML_LOADER)
+    except (OSError, UnicodeDecodeError, yaml.YAMLError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a mapping")

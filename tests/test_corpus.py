@@ -7,7 +7,7 @@ import threading
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from citebias.clients import (
@@ -192,6 +192,54 @@ def test_lookup_during_the_paper_load_waits_for_the_record(fixture_client, monke
         thread.join(timeout=10)
         assert not thread.is_alive()
     assert found["second"] == found["first"] == SCHOLAR_PAPERS[0]
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+_space = st.sampled_from([b"", b" ", b"\n", b"\t\r\n ", b"\x0c", b"\xc2\xa0"])
+
+
+@st.composite
+def _record_bytes(draw):
+    """JSON documents in the shapes a fixture file may take, good and bad."""
+    text = json.dumps(draw(_json_values), ensure_ascii=draw(st.booleans()))
+    encoding = draw(st.sampled_from(["utf-8", "utf-8", "utf-8-sig", "utf-16", "utf-16-le",
+                                     "utf-32", "utf-32-be"]))
+    body = draw(_space) + text.encode(encoding, "surrogatepass") + draw(_space)
+    cut = draw(st.integers(0, len(body)))
+    insert = draw(st.sampled_from([b"", b"\xed\xa0\x80", b"\x00", b"\xef\xbb\xbf",
+                                   b'"\xed\xb0\x80"', b"{}", b"1", b" x", b"\xff"]))
+    if draw(st.booleans()):
+        body = body[:cut] + insert + body[cut:]
+    return body
+
+
+def _parse_outcome(parse, data):
+    try:
+        return "value", repr(parse(data))
+    except Exception as exc:  # compared, not swallowed
+        return type(exc), str(exc)
+
+
+@settings(max_examples=600, deadline=None)
+@given(_record_bytes() | st.binary(max_size=12))
+@example(b"\xef\xbb\xbf{}")
+@example(b'"\xed\xa0\x80"')
+@example(b"\x00{")
+@example(b"{}\x00")
+@example(b' {"a": 1}  \n')
+@example(b'{"a": 1} {"b": 2}')
+@example(b"[1] x")
+@example(b"")
+@example(b"NaN")
+@example(b"  ")
+def test_parse_record_is_json_loads(data):
+    from citebias.clients import parse_record
+
+    assert _parse_outcome(parse_record, data) == _parse_outcome(json.loads, data)
 
 
 # ---------------------------------------------------------------------------
@@ -677,6 +725,33 @@ def test_read_tree_matches_read_bytes(tmp_path):
     for name in sizes:
         assert read_tree(tmp_path / name) == [(".", (tmp_path / name).read_bytes())]
     assert read_tree(tmp_path / "missing") == []
+
+
+def test_read_tree_order_and_links_match_sorted_rglob(tmp_path):
+    # path-component order, symlinked files read through, symlinked
+    # directories not entered, and every descriptor closed again
+    import os
+
+    from citebias.clients import read_tree
+
+    root = tmp_path / "root"
+    for rel in ["b/z.json", "b/a.json", "a-b.json", "a/c/d.json", "a/e.json", "a.json"]:
+        (root / rel).parent.mkdir(parents=True, exist_ok=True)
+        (root / rel).write_bytes(rel.encode())
+    (tmp_path / "outside").mkdir()
+    (tmp_path / "outside" / "x.json").write_bytes(b"x")
+    (root / "linked.json").symlink_to(root / "a.json")
+    (root / "linkdir").symlink_to(tmp_path / "outside")
+    (root / "dangling.json").symlink_to(tmp_path / "missing.json")
+    expected = [
+        (p.relative_to(root).as_posix(), p.read_bytes())
+        for p in sorted(root.rglob("*"))
+        if p.is_file() and "linkdir" not in p.parts
+    ]
+    fds = set(os.listdir("/proc/self/fd"))
+    assert read_tree(root) == expected
+    assert [rel for rel, _ in expected][:3] == ["a/c/d.json", "a/e.json", "a-b.json"]
+    assert set(os.listdir("/proc/self/fd")) == fds
 
 
 def test_read_tree_result_is_freed_with_its_last_reference(tmp_path):

@@ -3,9 +3,12 @@ bundle listing, text rendering, bibliography order, and whole bundles
 read once."""
 
 import random
+import re
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from citebias import docprep
 from citebias.clients import read_tree
@@ -724,3 +727,155 @@ def test_prepare_source_latex_gate_success(tmp_path):
     gate.chmod(0o755)
     prep = prepare_source(tmp_path, latex_command=[str(gate)])
     assert not isinstance(prep, Exclusion)
+
+
+# ---------------------------------------------------------------------------
+# Compiled scans against their per-character references
+# ---------------------------------------------------------------------------
+
+
+def _read_braced_reference(text, start):
+    # the per-character reader the brace scan replaced
+    if start >= len(text) or text[start] != "{":
+        raise TexError(f"expected '{{' at offset {start}")
+    depth = 0
+    for i in range(start, len(text)):
+        if text[i] in "{}" and not docprep._escaped(text, i):
+            depth += 1 if text[i] == "{" else -1
+            if depth == 0:
+                return text[start + 1 : i], i + 1
+    raise TexError("unbalanced braces")
+
+
+def _strip_comments_reference(tex):
+    out = []
+    for line in tex.split("\n"):
+        j = line.find("%")
+        while j >= 0 and docprep._escaped(line, j):
+            j = line.find("%", j + 1)
+        out.append(line if j < 0 else line[:j])
+    return "\n".join(out)
+
+
+def _latex_to_plain_reference(text):
+    # every rewrite, whether or not its trigger character is present
+    text = docprep._LAYOUT_RE.sub("", _strip_comments_reference(text))
+    for _ in range(3):
+        new = re.sub(
+            r"\\(?:textbf|textit|textsc|texttt|textrm|emph|mbox|text|underline)\{([^{}]*)\}",
+            r"\1",
+            text,
+        )
+        if new == text:
+            break
+        text = new
+    text = re.sub(r"\\href\{[^}]*\}\{([^{}]*)\}", r"\1", text)
+    text = re.sub(r"\\url\{([^}]*)\}", r"\1", text)
+    text = re.sub(r"\$([^$]*)\$", r"\1", text)
+    text = re.sub(r"\\newblock\s*", "", text)
+    text = re.sub(r"\\[a-zA-Z]+\{([^{}]*)\}", r"\1", text)
+    text = re.sub(r"\\[a-zA-Z]+\s*", "", text)
+    text = text.replace("~", " ").replace("{", "").replace("}", "")
+    text = text.replace("\\&", "&").replace("\\%", "%").replace("\\_", "_")
+    text = text.replace("``", '"').replace("''", '"').replace("--", "-")
+    return re.sub(r"\s+", " ", text).strip()
+
+
+def _check_environments_reference(tex):
+    # counts the line of every marker, as before errors alone did
+    stack = []
+    for match in re.finditer(r"\\(begin|end)\{([^}]*)\}", tex):
+        kind, name = match.group(1), match.group(2)
+        line = tex.count("\n", 0, match.start()) + 1
+        if kind == "begin":
+            stack.append((name, line))
+        else:
+            if not stack:
+                raise TexError(f"\\end{{{name}}} without a matching \\begin", line)
+            if stack[-1][0] != name:
+                open_name, open_line = stack[-1]
+                raise TexError(
+                    f"\\end{{{name}}} closes \\begin{{{open_name}}} from line {open_line}", line
+                )
+            stack.pop()
+    if stack:
+        name, line = stack[-1]
+        raise TexError(f"\\begin{{{name}}} is never closed", line)
+
+
+def _outcome(fn, *args):
+    """(value, None) or (None, (exception type, message))."""
+    try:
+        return fn(*args), None
+    except Exception as exc:  # compared, not swallowed
+        return None, (type(exc), str(exc))
+
+
+LATEX_PIECES = [
+    "\\", "\\\\", "{", "}", "%", "\\%", "$", "~", "\n", " ", "\t", "a", "Z", "é", "0pt",
+    "and", " and ", "\\textbf", "\\emph", "\\text", "\\url", "\\href", "\\newblock",
+    "\\vspace", "\\setlength", "\\itemsep", "\\&", "\\_", "``", "''", "--", "\\begin{a}",
+    "\\end{a}", "\\begin{b}", "\\end{b}",
+]
+latex_like = st.lists(st.sampled_from(LATEX_PIECES), max_size=40).map("".join)
+
+
+@settings(max_examples=400, deadline=None)
+@given(latex_like, st.data())
+@example("\\{a}{b}", None)
+@example("x{a\\}b}", None)
+def test_read_braced_agrees_with_the_per_character_reader(text, data):
+    starts = range(len(text) + 1)
+    picked = starts if data is None else [data.draw(st.sampled_from(starts))]
+    for start in picked:
+        assert _outcome(docprep._read_braced, text, start) == _outcome(
+            _read_braced_reference, text, start
+        )
+
+
+@settings(max_examples=400, deadline=None)
+@given(latex_like)
+@example("no markers at all")
+@example("\\textbf{\\emph{x}} $y$ 50\\% % gone")
+def test_latex_to_plain_and_strip_comments_agree_with_the_unguarded_rewrites(text):
+    assert docprep._strip_comments(text) == _strip_comments_reference(text)
+    assert docprep._latex_to_plain(text) == _latex_to_plain_reference(text)
+
+
+@settings(max_examples=400, deadline=None)
+@given(latex_like)
+@example("\\begin{a}\n\\begin{b}\n\\end{a}")
+@example("\n\n\\end{b}")
+@example("\\begin{a}\n\n")
+def test_check_environments_agrees_with_counting_every_line(text):
+    assert _outcome(docprep.check_environments, text) == _outcome(
+        _check_environments_reference, text
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(["Ann", " ", "  ", "and", " and ", "\t", "Lee,", "Bo", "\n"]),
+                max_size=20).map("".join))
+def test_unbraced_author_list_splits_as_before(field):
+    # without braces every "and" is at depth 0, so the split is re.split's
+    expected = []
+    for part in re.split(r"\s+and\s+", field):
+        part = part.strip()
+        if part:
+            if "," in part:
+                last, _, first = part.partition(",")
+                part = f"{first.strip()} {last.strip()}".strip()
+            expected.append(docprep._latex_to_plain(part))
+    assert docprep._split_bib_authors(field) == expected
+
+
+def test_braced_and_does_not_split_a_bib_author():
+    entries = parse_bib(
+        "@article{k1, author={Doe, Jane and {Barnes and Noble}}, year={2020}}"
+    )
+    assert entries["k1"].authors == ["Jane Doe", "Barnes and Noble"]
+    assert docprep._split_bib_authors("{A and B} and C and {D {and} E}") == [
+        "A and B",
+        "C",
+        "D and E",
+    ]

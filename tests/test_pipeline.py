@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -67,6 +68,67 @@ def test_config_schema_is_checked_once_across_loads(workspace, monkeypatch):
     load_config(config_path)
     load_config(config_path)
     assert len(checks) == 1
+
+
+def test_config_loader_is_libyaml_where_pyyaml_has_it():
+    expected = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+    assert pipeline._YAML_LOADER is expected
+
+
+def test_config_loader_reads_the_workspace_config_as_the_pure_python_loader(workspace):
+    _, config_path = workspace
+    text = config_path.read_text(encoding="utf-8")
+    assert yaml.load(text, Loader=pipeline._YAML_LOADER) == yaml.load(text, Loader=yaml.SafeLoader)
+
+
+_yaml_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False)
+    | st.text(max_size=12)
+    | st.sampled_from(["yes", "no", "on", "null", "~", "1e3", "0x1f", "2022-03-01", "a: b", "#x"])
+)
+_yaml_keys = st.text(max_size=8) | st.sampled_from(["corpus", "window", "runs", "vanilla"])
+_config_shaped = st.dictionaries(
+    _yaml_keys,
+    st.recursive(
+        _yaml_scalars,
+        lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_yaml_keys, inner, max_size=4),
+        max_leaves=12,
+    ),
+    max_size=6,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_config_shaped, st.booleans(), st.sampled_from([None, False, True]))
+def test_config_loader_reads_dumped_configs_as_the_pure_python_loader(raw, unicode, flow):
+    text = yaml.safe_dump(raw, allow_unicode=unicode, default_flow_style=flow)
+    assert yaml.load(text, Loader=pipeline._YAML_LOADER) == yaml.load(text, Loader=yaml.SafeLoader)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        b"corpus: [unclosed\n",
+        b"a: b\n  c: d\n",
+        b"key: \"open\n",
+        b"corpus:\n\t- tab\n",
+        b"\xff\xfe not utf-8\n",
+    ],
+)
+def test_unreadable_config_is_a_config_error_naming_the_path(tmp_path, data):
+    path = tmp_path / "broken.yaml"
+    path.write_bytes(data)
+    with pytest.raises(ConfigError, match=f"^cannot read config {re.escape(str(path))}: "):
+        load_config(path)
+
+
+def test_missing_config_is_a_config_error_naming_the_path(tmp_path):
+    path = tmp_path / "absent.yaml"
+    with pytest.raises(ConfigError, match=f"^cannot read config {re.escape(str(path))}: "):
+        load_config(path)
 
 
 @pytest.mark.parametrize(
@@ -1171,8 +1233,10 @@ def test_inputs_digest_matches_rglob_sort(sources, index, link_at):
 
 def test_full_run_reads_each_fixture_file_once(workspace, tmp_path, monkeypatch):
     # the run identity and the index client share one read of the tree;
-    # read_tree opens each file with os.open, and a read through the
-    # built-in open would be counted too
+    # read_tree opens each file with os.open relative to its directory's
+    # descriptor, and a read through the built-in open would be counted
+    # too. Directories are opened to be listed, not read, so only files
+    # count
     import builtins
     import io
     from collections import Counter
@@ -1185,11 +1249,14 @@ def test_full_run_reads_each_fixture_file_once(workspace, tmp_path, monkeypatch)
     opened = Counter()
 
     def counting(original):
-        def opener(file, *args, **kwargs):
+        def opener(file, *args, dir_fd=None, **kwargs):
             if isinstance(file, (str, os.PathLike)):
-                path = Path(file).resolve()
-                if index in path.parents:
+                base = Path.cwd() if dir_fd is None else Path(os.readlink(f"/proc/self/fd/{dir_fd}"))
+                path = (base / file).resolve()
+                if index in path.parents and not path.is_dir():
                     opened[path.relative_to(index).as_posix()] += 1
+            if dir_fd is not None:
+                kwargs["dir_fd"] = dir_fd
             return original(file, *args, **kwargs)
 
         return opener
