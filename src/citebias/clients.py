@@ -8,7 +8,9 @@ read in one pass by ``read_tree``, which also feeds the run's input
 digest, so a run reads each fixture file once and its digest and its
 records come from the same bytes. ``to_json`` and ``from_json``, the
 codec of every stage artifact, are compiled once per type, so a call
-inspects no annotation.
+inspects no annotation. ``requests`` is imported by ``HttpService``
+when a live client is built, so an offline run never loads the HTTP
+stack.
 
 Wire formats (JSON):
 
@@ -50,12 +52,13 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Callable, Protocol
-
-import requests
+from typing import TYPE_CHECKING, Any, Callable, Protocol
 
 from .errors import IndexParseError, TransportError
 from .textnorm import title_key, tokens
+
+if TYPE_CHECKING:
+    import requests
 
 logger = logging.getLogger(__name__)
 
@@ -614,6 +617,8 @@ class HttpService:
         retry: RetryPolicy | None = None,
         api_key_env: str = "",
     ):
+        import requests
+
         self.base_url = base_url.rstrip("/")
         self.session = session or requests.Session()
         self.limiter = limiter
@@ -624,6 +629,8 @@ class HttpService:
 
     def request(self, method: str, path: str, **kwargs: Any) -> requests.Response:
         """Send under the rate limiter; TransportError once the attempts run out."""
+        import requests
+
         url = self.base_url + path
         send = getattr(self.session, method.lower())
         last: Exception | None = None

@@ -18,9 +18,10 @@ for unsrt-family styles, alphabetical otherwise). The numbered reference
 list is those entries in that order. Papers that cannot be processed are
 excluded with a reason code, never dropped silently.
 
-An external LaTeX toolchain can be plugged in as a compile check (success
-or failure gates inclusion); numbering itself is always computed here so
-runs are reproducible on machines without TeX.
+No TeX toolchain is run: every check (balanced braces and environments,
+defined citation keys, a well-formed .bib) and the numbering are
+computed here from the bundle's bytes, so runs are reproducible on
+machines without TeX and never write into a source bundle.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from __future__ import annotations
 import logging
 import posixpath
 import re
-import subprocess
 from collections.abc import Container
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -610,27 +610,6 @@ def resolve_bibliography(
     return CompiledBibliography(selected)
 
 
-def run_latex_check(
-    latex_command: list[str], source_dir: Path, main_tex_path: Path
-) -> Exclusion | None:
-    """Run an external toolchain as a pass/fail compile gate."""
-    try:
-        proc = subprocess.run(
-            [*latex_command, str(main_tex_path)],
-            cwd=source_dir,
-            capture_output=True,
-            text=True,
-            timeout=300,
-        )
-    except (OSError, subprocess.TimeoutExpired) as exc:
-        return Exclusion(EXCL_COMPILE_ERROR, f"{latex_command[0]}: {exc}")
-    if proc.returncode != 0:
-        tail = (proc.stderr or proc.stdout or "").strip().splitlines()
-        detail = tail[-1] if tail else f"exit {proc.returncode}"
-        return Exclusion(EXCL_COMPILE_ERROR, detail)
-    return None
-
-
 # ---------------------------------------------------------------------------
 # Text rendering (the compiled-PDF stand-in)
 # ---------------------------------------------------------------------------
@@ -798,10 +777,7 @@ def uniquely_identifiable_numbers(groups: list[BracketGroup]) -> set[int]:
 # ---------------------------------------------------------------------------
 
 
-def prepare_source(
-    source_dir: Path | str,
-    latex_command: list[str] | None = None,
-) -> PreparedDocument | Exclusion:
+def prepare_source(source_dir: Path | str) -> PreparedDocument | Exclusion:
     """Run the full preparation for one source bundle.
 
     The bundle is read once, with ``read_tree``, so what preparation can
@@ -812,8 +788,10 @@ def prepare_source(
 
     Returns a PreparedDocument, or an Exclusion naming why the paper
     cannot enter the corpus (no main file, multiple mains, no
-    bibliography, compile failure). Any TexError, a malformed .bib
-    included, is a compile failure; an unreadable file raises OSError.
+    bibliography, compile error). A compile error comes from the checks
+    here only: unbalanced braces or environments, a missing document
+    environment, a malformed .bib (each a TexError) or a citation key the
+    bibliography lacks; an unreadable file raises OSError.
     """
     source_dir = Path(source_dir)
     bundle = dict(read_tree(source_dir))
@@ -823,11 +801,6 @@ def prepare_source(
     try:
         # a commented-out \input or bibliography command must not act
         tex = _inline_inputs(_strip_comments(_decode(bundle[located])), bundle)
-
-        if latex_command:
-            failed = run_latex_check(latex_command, source_dir, source_dir / located)
-            if failed is not None:
-                return failed
 
         cited = cited_keys(tex)
         bibliography = resolve_bibliography(bundle, tex, cited, source_dir.name, located)

@@ -127,7 +127,6 @@ class PipelineConfig:
     subperiod_bins: list[tuple[str, int | None, int | None]] | None
     graph_strategy: str
     graph_run_index: int
-    latex_command: list[str] | None
     cache_dir: Path
     out_dir: Path
     mock_dir: Path | None
@@ -214,7 +213,6 @@ def load_config(path: Path | str, overrides: dict | None = None) -> PipelineConf
     matching_cfg = raw.get("matching", {})
     analysis_cfg = raw.get("analysis", {})
     graph_cfg = raw.get("graph", {})
-    docprep_cfg = raw.get("docprep", {})
 
     thresholds_cfg = matching_cfg.get("thresholds")
     thresholds = matcher.default_thresholds()
@@ -257,7 +255,6 @@ def load_config(path: Path | str, overrides: dict | None = None) -> PipelineConf
         subperiod_bins=subperiod_bins,
         graph_strategy=graph_cfg.get("strategy", VANILLA),
         graph_run_index=graph_cfg.get("run_index", 1),
-        latex_command=docprep_cfg.get("latex_command"),
         cache_dir=respath(raw.get("cache_dir", "cache")),
         out_dir=respath(raw.get("out_dir", "out")),
         mock_dir=respath(raw.get("mock_dir")),
@@ -559,7 +556,7 @@ def stage_prepare(ctx: PipelineContext) -> dict:
 
     for paper in papers:
         source_dir = cfg.sources_dir / paper.preprint_id
-        prep = docprep.prepare_source(source_dir, cfg.latex_command)
+        prep = docprep.prepare_source(source_dir)
         if isinstance(prep, Exclusion):
             excluded.append(
                 {"preprint_id": paper.preprint_id, "code": prep.code, "detail": prep.detail}

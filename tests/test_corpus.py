@@ -847,8 +847,8 @@ class FakeResponse:
 
 
 class FakeSession:
-    """Yields scripted responses; records each request's URL and params
-    (for a POST, its JSON body)."""
+    """Yields scripted responses, raising any that is an exception;
+    records each request's URL and params (for a POST, its JSON body)."""
 
     def __init__(self, responses):
         self.responses = list(responses)
@@ -856,15 +856,21 @@ class FakeSession:
         self.sent = []
         self.headers = {}
 
+    def _next(self):
+        response = self.responses.pop(0)
+        if isinstance(response, Exception):
+            raise response
+        return response
+
     def get(self, url, params=None, timeout=None):
         self.calls += 1
         self.sent.append((url, params))
-        return self.responses.pop(0)
+        return self._next()
 
     def post(self, url, json=None, timeout=None):
         self.calls += 1
         self.sent.append((url, json))
-        return self.responses.pop(0)
+        return self._next()
 
 
 def test_http_client_retries_rate_limit_then_succeeds(monkeypatch):
@@ -893,6 +899,53 @@ def test_http_client_hard_fails_after_configured_attempts(monkeypatch):
     with pytest.raises(TransportError):
         client.get_paper("x")
     assert session.calls == 3
+
+
+def test_http_client_connection_errors_exhaust_the_attempts(monkeypatch):
+    import requests
+
+    import citebias.clients as clients_mod
+    from citebias.clients import HttpScholarClient, RetryPolicy
+    from citebias.errors import TransportError
+
+    sleeps = []
+    monkeypatch.setattr(clients_mod.time, "sleep", sleeps.append)
+    session = FakeSession([requests.ConnectionError(f"refused #{i}") for i in range(1, 4)])
+    client = HttpScholarClient(
+        "http://index.test", session=session, retry=RetryPolicy(max_attempts=3, backoff_base=0.5)
+    )
+    with pytest.raises(TransportError) as err:
+        client.get_paper("x")
+    assert str(err.value) == "http://index.test/papers/x failed after 3 attempts: refused #3"
+    assert err.value.retryable
+    assert session.calls == 3
+    assert sleeps == [0.5, 1.0]
+
+
+def test_http_client_retries_connection_error_then_succeeds(monkeypatch):
+    import requests
+
+    import citebias.clients as clients_mod
+    from citebias.clients import HttpScholarClient, RetryPolicy
+
+    monkeypatch.setattr(clients_mod.time, "sleep", lambda s: None)
+    session = FakeSession([requests.ConnectionError("reset"), FakeResponse(200, {"index_id": "x"})])
+    client = HttpScholarClient(
+        "http://index.test", session=session, retry=RetryPolicy(max_attempts=3, backoff_base=0)
+    )
+    assert client.get_paper("x") == {"index_id": "x"}
+    assert session.calls == 2
+
+
+def test_http_client_without_a_session_builds_one(monkeypatch):
+    import requests
+
+    from citebias.clients import HttpScholarClient
+
+    monkeypatch.setenv("TEST_SCHOLAR_KEY", "s2-fixture")
+    client = HttpScholarClient("http://index.test", api_key_env="TEST_SCHOLAR_KEY")
+    assert isinstance(client.session, requests.Session)
+    assert client.session.headers["x-api-key"] == "s2-fixture"
 
 
 def test_http_client_404_is_not_found_not_error():

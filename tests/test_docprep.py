@@ -711,24 +711,6 @@ def test_prepare_source_compile_error(tmp_path):
     assert isinstance(result, Exclusion) and result.code == "compile-error"
 
 
-def test_prepare_source_latex_gate_failure(tmp_path):
-    _write_fixture_bundle(tmp_path)
-    gate = tmp_path / "failgate.sh"
-    gate.write_text("#!/bin/sh\nexit 1\n")
-    gate.chmod(0o755)
-    result = prepare_source(tmp_path, latex_command=[str(gate)])
-    assert isinstance(result, Exclusion) and result.code == "compile-error"
-
-
-def test_prepare_source_latex_gate_success(tmp_path):
-    _write_fixture_bundle(tmp_path)
-    gate = tmp_path / "okgate.sh"
-    gate.write_text("#!/bin/sh\nexit 0\n")
-    gate.chmod(0o755)
-    prep = prepare_source(tmp_path, latex_command=[str(gate)])
-    assert not isinstance(prep, Exclusion)
-
-
 # ---------------------------------------------------------------------------
 # Compiled scans against their per-character references
 # ---------------------------------------------------------------------------

@@ -219,6 +219,17 @@ def test_override_into_a_non_mapping_section_is_a_config_error(workspace, tmp_pa
         load_config(path, {"vanilla_runs": 2})
 
 
+def test_config_with_a_docprep_section_is_a_config_error(workspace, tmp_path):
+    # the LaTeX compile gate and its only key are gone; a config that still
+    # sets it must fail rather than run without the gate it asked for
+    _, config_path = workspace
+    path = _config_copy(
+        config_path, tmp_path, lambda raw: raw.update(docprep={"latex_command": ["pdflatex"]})
+    )
+    with pytest.raises(ConfigError, match="docprep"):
+        load_config(path)
+
+
 def test_overridable_keys_are_schema_properties():
     schema = config_schema()
     for name, keys in OVERRIDABLE.items():
@@ -245,6 +256,63 @@ def test_all_stages_completed(completed_run):
     assert manifest["failure"] is None
     for stage in ("ingest", "prepare", "generate", "verify", "iterate", "analyze", "graph", "report"):
         assert manifest["stages"][stage]["status"] == "ok"
+
+
+# the HTTP stack and process spawning: an offline run loads none of them
+OFFLINE_FORBIDDEN = ("requests", "urllib3", "ssl", "http.client", "subprocess")
+
+# run in a fresh interpreter: argv is the config, then the module names
+OFFLINE_RUN = """
+import json, sys
+from citebias.pipeline import load_config, run_pipeline
+manifest = run_pipeline(load_config(sys.argv[1]))
+print(json.dumps({
+    "statuses": sorted({stage["status"] for stage in manifest["stages"].values()}),
+    "loaded": [name for name in sys.argv[2:] if name in sys.modules],
+}))
+"""
+
+
+def test_offline_run_loads_no_http_stack_and_no_subprocess(workspace, tmp_path):
+    root, config_path = workspace
+    copy = tmp_path / "offline"
+    shutil.copytree(root, copy, ignore=shutil.ignore_patterns("out", "cache"))
+    src = str(Path(pipeline.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    config = str(copy / config_path.relative_to(root))
+    child = subprocess.run(
+        [sys.executable, "-c", OFFLINE_RUN, config, *OFFLINE_FORBIDDEN],
+        cwd=tmp_path, env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert child.returncode == 0, child.stderr
+    report = json.loads(child.stdout.splitlines()[-1])
+    assert report == {"statuses": ["ok"], "loaded": []}
+
+
+def test_full_run_leaves_every_hashed_input_unchanged(workspace, tmp_path):
+    # the roots inputs_digest hashes are read-only: a run that wrote into
+    # one would change its own identity, and the next run would redo
+    # every stage
+    from citebias.clients import read_tree
+
+    root, config_path = workspace
+    copy = tmp_path / "inputs"
+    shutil.copytree(root, copy, ignore=shutil.ignore_patterns("out", "cache"))
+    aliases = resources.files("citebias.data").joinpath("venue_aliases.json").read_bytes()
+    (copy / "venue_aliases.json").write_bytes(aliases)
+    aliased = _config_copy(
+        copy / config_path.relative_to(root),
+        tmp_path,
+        lambda raw: raw["corpus"].update(venue_aliases_path=str(copy / "venue_aliases.json")),
+    )
+    config = load_config(aliased)
+    roots = (config.sources_dir, config.fixture_dir, config.mock_dir, config.venue_aliases_path)
+    before = [read_tree(path) for path in roots]
+    assert all(before)
+    manifest = run_pipeline(config)
+    assert {stage["status"] for stage in manifest["stages"].values()} == {"ok"}
+    assert [read_tree(path) for path in roots] == before
 
 
 def test_ingest_outcomes(completed_run):
