@@ -104,6 +104,8 @@ class BibEntry:
     authors: list[str] = field(default_factory=list)
     venue: str = ""
     year: int | None = None
+    # the first author's last name, which alphabetical styles sort by
+    sort_name: str = ""
 
 
 @dataclass
@@ -395,6 +397,11 @@ _AUTHOR_SPLIT_RE = re.compile(r"[{}]|\s+and\s+")
 
 
 def _split_bib_authors(author_field: str) -> list[str]:
+    return [name for name, _ in _bib_names(author_field)]
+
+
+def _bib_names(author_field: str) -> list[tuple[str, str]]:
+    """Each author of a BibTeX author field as (First Last, Last)."""
     parts, depth, begin = [], 0, 0
     for match in _AUTHOR_SPLIT_RE.finditer(author_field):
         token = match.group()
@@ -406,16 +413,31 @@ def _split_bib_authors(author_field: str) -> list[str]:
             parts.append(author_field[begin : match.start()])
             begin = match.end()
     parts.append(author_field[begin:])
-    names = []
-    for part in parts:
-        part = part.strip()
-        if not part:
-            continue
-        if "," in part:
-            last, _, first = part.partition(",")
-            part = f"{first.strip()} {last.strip()}".strip()
-        names.append(_latex_to_plain(part))
-    return names
+    return [_bib_name(part) for part in map(str.strip, parts) if part]
+
+
+# a name's parts split at a comma, a space or a tie (~) outside braces:
+# {Smith, Ltd} is one last name
+_NAME_SPLIT_RE = re.compile(r"[{},]|[\s~]+")
+
+
+def _bib_name(name: str) -> tuple[str, str]:
+    """A "Last, First" or "First Last" name as (First Last, Last): the
+    last name is the part before the first comma outside braces, or else
+    the last word outside braces, a braced group counting as one word."""
+    depth, word = 0, 0
+    for match in _NAME_SPLIT_RE.finditer(name):
+        token = match.group()
+        if token == "{":
+            depth += 1
+        elif token == "}":
+            depth -= 1
+        elif depth == 0 and token == ",":
+            last, first = name[: match.start()].strip(), name[match.end() :].strip()
+            return _latex_to_plain(f"{first} {last}".strip()), _latex_to_plain(last)
+        elif depth == 0:
+            word = match.end()
+    return _latex_to_plain(name), _latex_to_plain(name[word:])
 
 
 _BIB_ENTRY_RE = re.compile(r"@(\w+)\s*\{")
@@ -460,13 +482,15 @@ def parse_bib(text: str) -> dict[str, BibEntry]:
         year_match = _YEAR_RE.search(fields.get("year", ""))
         if year_match:
             year = int(year_match.group())
+        names = _bib_names(fields.get("author", ""))
         entry = BibEntry(
             key=key,
             raw="",
             title=_latex_to_plain(fields.get("title", "")),
-            authors=_split_bib_authors(fields.get("author", "")),
+            authors=[name for name, _ in names],
             venue=_latex_to_plain(venue),
             year=year,
+            sort_name=names[0][1] if names else "",
         )
         entry.raw = render_entry(entry)
         entries[key] = entry
@@ -535,10 +559,8 @@ def parse_bbl(text: str) -> list[BibEntry]:
 
 
 def _alpha_sort_key(entry: BibEntry) -> tuple:
-    first_author = entry.authors[0] if entry.authors else ""
-    last_name = first_author.split()[-1] if first_author.split() else ""
     return (
-        normalize(last_name),
+        normalize(entry.sort_name),
         normalize(" ".join(entry.authors)),
         entry.year or 0,
         normalize(entry.title),

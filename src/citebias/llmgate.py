@@ -16,6 +16,7 @@ Replay store contract: a response lives at ``<store>/<digest>.txt`` where
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import logging
@@ -46,17 +47,25 @@ REASK_MESSAGE = (
 )
 
 
+@functools.cache
 def template_text(name: str) -> str:
-    """Raw template text; names: vanilla, postprocess, iterative."""
+    """Raw template text, read once per process; names: vanilla,
+    postprocess, iterative."""
     return resources.files("citebias.templates").joinpath(f"{name}.txt").read_text("utf-8")
 
 
-def template_hashes() -> dict[str, str]:
-    """SHA-256 for each prompt template, recorded in run manifests."""
+@functools.cache
+def _template_hashes() -> dict[str, str]:
     return {
         name: hashlib.sha256(template_text(name).encode("utf-8")).hexdigest()
         for name in ("vanilla", "postprocess", "iterative")
     }
+
+
+def template_hashes() -> dict[str, str]:
+    """SHA-256 for each prompt template, recorded in run manifests; the
+    prompts are rendered from the same read of each template."""
+    return dict(_template_hashes())
 
 
 def _fill(template: str, **slots: str) -> str:

@@ -35,6 +35,7 @@ set) and every verdict records the thresholds used.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import logging
 from dataclasses import dataclass, field
@@ -419,8 +420,9 @@ def bundled_labelled_pairs() -> list[LabelledPair]:
         return load_labelled_csv(path)
 
 
+@functools.cache
 def default_thresholds() -> Thresholds:
-    """Calibrated defaults shipped with the package."""
+    """Calibrated defaults shipped with the package, read once per process."""
     text = resources.files("citebias.data").joinpath("default_thresholds.json").read_text("utf-8")
     payload = json.loads(text)
     return Thresholds(

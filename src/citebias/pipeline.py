@@ -24,6 +24,7 @@ import hashlib
 import json
 import logging
 import os
+import re
 import shutil
 import time
 from collections import Counter
@@ -34,7 +35,6 @@ from itertools import combinations
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-import jsonschema
 import yaml
 from importlib import resources
 
@@ -149,12 +149,128 @@ def config_schema() -> dict:
 
 @functools.cache
 def _config_validator():
-    """A validator of the bundled schema, checked against its metaschema
-    once per process rather than on every ``load_config``."""
+    """A ``jsonschema`` validator of the bundled schema, checked against its
+    metaschema once per process. Only a config the built-in check does not
+    admit reaches it, so a valid config never imports ``jsonschema``."""
+    import jsonschema
+
     schema = config_schema()
     cls = jsonschema.validators.validator_for(schema)
     cls.check_schema(schema)
     return cls(schema)
+
+
+# The built-in check answers "valid" only where jsonschema finds no error:
+# it follows draft 2020-12 for the keywords below, and leaves every config
+# to jsonschema if the schema uses another.
+_DRAFT_2020_12 = "https://json-schema.org/draft/2020-12/schema"
+_CHECKED_KEYWORDS = frozenset({
+    "type", "properties", "required", "additionalProperties", "items", "prefixItems",
+    "minItems", "maxItems", "minLength", "pattern", "enum", "minimum", "maximum",
+    "exclusiveMinimum", "oneOf",
+})
+# a bool is neither an integer nor a number; an integral float is an integer
+_JSON_TYPES = {
+    "array": lambda v: isinstance(v, list),
+    "boolean": lambda v: isinstance(v, bool),
+    "integer": lambda v: not isinstance(v, bool) and (
+        isinstance(v, int) or isinstance(v, float) and v.is_integer()
+    ),
+    "null": lambda v: v is None,
+    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "object": lambda v: isinstance(v, dict),
+    "string": lambda v: isinstance(v, str),
+}
+
+
+def _types(schema: dict) -> list:
+    types = schema.get("type", [])
+    return types if isinstance(types, list) else [types]
+
+
+def _type_disjoint(branches: list) -> bool:
+    """Whether no value can have the types of two branches, so that a
+    stricter check of each branch still counts at most jsonschema's one."""
+    seen = set()
+    for branch in branches:
+        kinds = set(_types(branch))
+        if "number" in kinds:
+            kinds.add("integer")
+        if "type" not in branch or kinds & seen:
+            return False
+        seen |= kinds
+    return True
+
+
+def _checkable(schema) -> bool:
+    """Whether ``_admits`` implements every keyword of ``schema``."""
+    if not isinstance(schema, dict):
+        return False
+    subschemas = [
+        *schema.get("properties", {}).values(), *schema.get("prefixItems", []),
+        *schema.get("oneOf", []), *([schema["items"]] if "items" in schema else []),
+    ]
+    return (
+        set(schema) - {"title", "$schema"} <= _CHECKED_KEYWORDS
+        and schema.get("$schema", _DRAFT_2020_12) == _DRAFT_2020_12
+        and all(name in _JSON_TYPES for name in _types(schema))
+        and schema.get("additionalProperties", False) is False
+        and all(isinstance(each, str) for each in schema.get("enum", []))
+        and all(_checkable(sub) for sub in subschemas)
+        and ("oneOf" not in schema or _type_disjoint(schema["oneOf"]))
+    )
+
+
+def _admits(schema: dict, value) -> bool:
+    """Whether ``value`` meets ``schema``, one of the schemas ``_checkable``
+    accepts; a value of a type JSON lacks is never admitted."""
+    if "type" in schema and not any(_JSON_TYPES[name](value) for name in _types(schema)):
+        return False
+    if isinstance(value, dict):
+        properties = schema.get("properties", {})
+        if any(key not in value for key in schema.get("required", [])):
+            return False
+        if "additionalProperties" in schema and any(key not in properties for key in value):
+            return False
+        if not all(_admits(sub, value[key]) for key, sub in properties.items() if key in value):
+            return False
+    elif isinstance(value, list):
+        if len(value) < schema.get("minItems", 0) or len(value) > schema.get("maxItems", len(value)):
+            return False
+        prefix, rest = schema.get("prefixItems", []), schema.get("items")
+        for index, item in enumerate(value):
+            sub = prefix[index] if index < len(prefix) else rest
+            if sub is not None and not _admits(sub, item):
+                return False
+    elif isinstance(value, str):
+        if len(value) < schema.get("minLength", 0):
+            return False
+        if "pattern" in schema and not re.search(schema["pattern"], value):
+            return False
+    elif _JSON_TYPES["number"](value):
+        if value < schema.get("minimum", value) or value > schema.get("maximum", value):
+            return False
+        if "exclusiveMinimum" in schema and value <= schema["exclusiveMinimum"]:
+            return False
+    elif not isinstance(value, bool) and value is not None:
+        return False
+    if "enum" in schema and not (isinstance(value, str) and value in schema["enum"]):
+        return False
+    return "oneOf" not in schema or sum(_admits(sub, value) for sub in schema["oneOf"]) == 1
+
+
+@functools.cache
+def _checked_schema() -> dict | None:
+    """The bundled schema, parsed once per process, if ``_admits`` covers it."""
+    schema = config_schema()
+    return schema if _checkable(schema) else None
+
+
+def _schema_admits(raw) -> bool:
+    """Whether the built-in check admits ``raw``; False leaves the verdict
+    to jsonschema."""
+    schema = _checked_schema()
+    return schema is not None and _admits(schema, raw)
 
 
 # each load_config override and the config key path it sets
@@ -175,9 +291,12 @@ def load_config(path: Path | str, overrides: dict | None = None) -> PipelineConf
 
     Each override, named as in ``OVERRIDABLE``, replaces the value at its
     key path before the schema check, so an override is validated like the
-    file. Relative paths, overridden or not, resolve against the config
-    file's directory. Without configured thresholds the bundled calibrated
-    defaults apply.
+    file. The built-in check admits a valid config without importing
+    ``jsonschema``; any other config goes to ``jsonschema``, which raises
+    its best match as a ``ConfigError`` or, if it finds no error, lets the
+    config load. Relative paths, overridden or not, resolve against the
+    config file's directory. Without configured thresholds the bundled
+    calibrated defaults apply.
     """
     path = Path(path)
     try:
@@ -193,10 +312,13 @@ def load_config(path: Path | str, overrides: dict | None = None) -> PipelineConf
             node = node.setdefault(section, {})
         if isinstance(node, dict):  # otherwise the schema check names the section
             node[key] = str(value) if isinstance(value, Path) else value
-    # the error jsonschema.validate would raise
-    exc = jsonschema.exceptions.best_match(_config_validator().iter_errors(raw))
-    if exc is not None:
-        raise ConfigError(f"invalid config: {exc.message} (at {'/'.join(map(str, exc.path))})") from exc
+    if not _schema_admits(raw):
+        import jsonschema
+
+        # the error jsonschema.validate would raise
+        exc = jsonschema.exceptions.best_match(_config_validator().iter_errors(raw))
+        if exc is not None:
+            raise ConfigError(f"invalid config: {exc.message} (at {'/'.join(map(str, exc.path))})") from exc
 
     base = path.parent
 

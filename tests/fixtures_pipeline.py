@@ -533,6 +533,28 @@ def _verify_plan_verdicts(index_dir: Path) -> None:
 # ---------------------------------------------------------------------------
 
 
+def workspace_config() -> dict:
+    """The workspace's config.yaml as a fresh dict, paths relative to the
+    workspace root."""
+    return {
+        "corpus": {
+            "window": ["2022-03-01", "2023-10-31"],
+            "category": "cs.LG",
+            "venue_keywords": ["AAAI", "NeurIPS", "ICLR", "ICML"],
+            "blacklist": ["workshop", "tiny paper", "2020", "2021",
+                          "track on datasets and benchmarks", "bridge"],
+            "sources_dir": "sources",
+        },
+        "index": {"fixture_dir": "index"},
+        "provider": {"model_id": MODEL_ID, "kind": "mock"},
+        "runs": {"vanilla": VANILLA_RUNS, "iterative": True},
+        "graph": {"strategy": "vanilla", "run_index": 1},
+        "cache_dir": "cache",
+        "out_dir": "out",
+        "mock_dir": "mock",
+    }
+
+
 def build_workspace(root: Path) -> Path:
     """Create sources/, index/, mock/, and config.yaml under ``root``.
 
@@ -631,23 +653,7 @@ def build_workspace(root: Path) -> Path:
 
     _verify_plan_verdicts(index_dir)
 
-    config = {
-        "corpus": {
-            "window": ["2022-03-01", "2023-10-31"],
-            "category": "cs.LG",
-            "venue_keywords": ["AAAI", "NeurIPS", "ICLR", "ICML"],
-            "blacklist": ["workshop", "tiny paper", "2020", "2021",
-                          "track on datasets and benchmarks", "bridge"],
-            "sources_dir": "sources",
-        },
-        "index": {"fixture_dir": "index"},
-        "provider": {"model_id": MODEL_ID, "kind": "mock"},
-        "runs": {"vanilla": VANILLA_RUNS, "iterative": True},
-        "graph": {"strategy": "vanilla", "run_index": 1},
-        "cache_dir": "cache",
-        "out_dir": "out",
-        "mock_dir": "mock",
-    }
+    config = workspace_config()
     config_path = root / "config.yaml"
     config_path.write_text(yaml.safe_dump(config, sort_keys=True), encoding="utf-8")
     return config_path

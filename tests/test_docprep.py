@@ -861,3 +861,40 @@ def test_braced_and_does_not_split_a_bib_author():
         "C",
         "D and E",
     ]
+
+
+def test_braced_comma_does_not_split_a_bib_name():
+    assert docprep._split_bib_authors("{Smith, Ltd}") == ["Smith, Ltd"]
+    assert docprep._split_bib_authors("Doe, Jane and {Smith, Ltd}") == ["Jane Doe", "Smith, Ltd"]
+    entries = parse_bib("@article{k1, author={{Smith, Ltd} and {van Dyke}, Dick}, year={2020}}")
+    assert entries["k1"].authors == ["Smith, Ltd", "Dick van Dyke"]
+
+
+@pytest.mark.parametrize(
+    "author, sort_name",
+    [
+        ("Doe, Jane", "Doe"),
+        ("Jane Doe", "Doe"),
+        ("Jane~Doe", "Doe"),
+        ("Ludwig van Beethoven", "Beethoven"),
+        ("{Smith, Ltd}", "Smith, Ltd"),
+        ("{Barnes and Noble}", "Barnes and Noble"),
+        ("Jane {De la Cruz}", "De la Cruz"),
+        ("{van Dyke}, Dick", "van Dyke"),
+    ],
+)
+def test_sort_name_is_the_last_name_outside_braces(author, sort_name):
+    entry = parse_bib(f"@article{{k1, author={{{author} and Ann Other}}, year={{2020}}}}")["k1"]
+    assert entry.sort_name == sort_name
+
+
+def test_plain_style_sorts_a_braced_name_as_one_last_name():
+    # {Smith, Ltd} sorts under "smith, ltd": after Nolan, not under "ltd"
+    bib = (
+        "@article{corp, author={{Smith, Ltd}}, title={A}, year={2020}}\n"
+        "@article{nolan, author={Mary Nolan}, title={B}, year={2020}}\n"
+    )
+    tex = "\\bibliographystyle{plain}\n\\bibliography{refs}\n"
+    bibliography = resolve_bibliography({"refs.bib": bib.encode()}, tex, ["corp", "nolan"], "paper")
+    assert [e.key for e in bibliography.entries] == ["nolan", "corp"]
+    assert docprep._alpha_sort_key(bibliography.entries[1])[0] == "smith, ltd"

@@ -1,5 +1,6 @@
 """Orchestrator integration: stages, artifacts, reports, and resumability."""
 
+import copy
 import hashlib
 import json
 import os
@@ -8,6 +9,9 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from datetime import date
+from decimal import Decimal
+from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 from types import SimpleNamespace
@@ -31,7 +35,7 @@ from citebias.pipeline import (
     output_lock,
     run_pipeline,
 )
-from fixtures_pipeline import MODEL_ID
+from fixtures_pipeline import MODEL_ID, workspace_config
 
 
 def _read_csv(path):
@@ -54,8 +58,11 @@ def test_config_validation_rejects_bad_shapes(tmp_path):
         load_config(path)
 
 
-def test_config_schema_is_checked_once_across_loads(workspace, monkeypatch):
+def test_config_schema_is_checked_once_across_loads(workspace, tmp_path, monkeypatch):
+    # a valid config never builds the jsonschema validator; the first
+    # rejected one builds it, and later rejections reuse it
     _, config_path = workspace
+    rejected = _config_copy(config_path, tmp_path, lambda raw: raw["runs"].update(vanilla=0))
     validator_cls = jsonschema.validators.validator_for(config_schema())
     checks = []
     original = validator_cls.check_schema.__func__
@@ -66,8 +73,47 @@ def test_config_schema_is_checked_once_across_loads(workspace, monkeypatch):
     )
     pipeline._config_validator.cache_clear()
     load_config(config_path)
-    load_config(config_path)
+    assert checks == []
+    for _ in range(2):
+        with pytest.raises(ConfigError, match="^invalid config: "):
+            load_config(rejected)
     assert len(checks) == 1
+
+
+def test_bundled_config_schema_passes_its_metaschema():
+    schema = config_schema()
+    jsonschema.validators.validator_for(schema).check_schema(schema)
+
+
+def test_bundled_config_schema_passes_the_built_in_checks_keyword_guard():
+    assert pipeline._checkable(config_schema())
+    assert pipeline._checked_schema() == config_schema()
+
+
+@pytest.mark.parametrize(
+    "schema",
+    [
+        {"type": "string", "format": "date"},
+        {"type": "object", "additionalProperties": {"type": "string"}},
+        {"enum": [1, "a"]},
+        {"type": "madeup"},
+        {"oneOf": [{"type": "number"}, {"type": "integer"}]},
+        {"oneOf": [{"type": "null"}, {"minimum": 0}]},
+        {"type": "array", "items": False},
+        {"$schema": "http://json-schema.org/draft-07/schema#", "type": "integer"},
+    ],
+)
+def test_keyword_guard_leaves_unimplemented_schemas_to_jsonschema(schema):
+    assert not pipeline._checkable(schema)
+
+
+@pytest.mark.parametrize("value", [Decimal("-1"), Fraction(-1, 2), (1, 2), date(2022, 3, 1)])
+def test_built_in_check_leaves_values_json_lacks_to_jsonschema(value):
+    # jsonschema counts a Decimal or a Fraction as a number, so a check that
+    # skipped what it does not know would admit -1 against a minimum of 0
+    schema = {"minimum": 0, "maxItems": 1}
+    assert pipeline._checkable(schema)
+    assert not pipeline._admits(schema, value)
 
 
 def test_config_loader_is_libyaml_where_pyyaml_has_it():
@@ -106,6 +152,135 @@ _config_shaped = st.dictionaries(
 def test_config_loader_reads_dumped_configs_as_the_pure_python_loader(raw, unicode, flow):
     text = yaml.safe_dump(raw, allow_unicode=unicode, default_flow_style=flow)
     assert yaml.load(text, Loader=pipeline._YAML_LOADER) == yaml.load(text, Loader=yaml.SafeLoader)
+
+
+def _schema_keys(schema):
+    """Every property name the schema declares, at any depth."""
+    if isinstance(schema, dict):
+        yield from schema.get("properties", {})
+        for value in schema.values():
+            yield from _schema_keys(value)
+    elif isinstance(schema, list):
+        for value in schema:
+            yield from _schema_keys(value)
+
+
+_SCHEMA_KEYS = sorted(set(_schema_keys(config_schema())))
+_THRESHOLDS = {"title_threshold": 0.5, "author_threshold": 0.9}
+_config_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-2, 12)
+    | st.floats(-0.5, 1.5)
+    | st.text(max_size=4)
+    | st.sampled_from([
+        0.0, 1.0, 2.0, 1e300, float("nan"), float("inf"), -float("inf"), "", "mock", "openai",
+        "vanilla", "iterative", "2022-03-01", "2022-3-1", date(2022, 3, 1),
+        _THRESHOLDS, {"thresholds": _THRESHOLDS}, {"thresholds": None, "search_limit": 2},
+        ["early", None, 2022], {"subperiod_bins": [["early", None, 2022], ["late", 2023.0, None]]},
+    ]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.sampled_from(_SCHEMA_KEYS) | st.text(max_size=4), inner, max_size=3
+    ),
+    max_leaves=6,
+)
+
+
+def _full_config():
+    """The tier-1 config with every optional key set, each section's
+    ``oneOf`` on its object branch."""
+    raw = workspace_config()
+    raw["corpus"].update(resolve_fuzzy_threshold=0.8, venue_aliases_path=None)
+    raw["index"].update(
+        preprint_url=None, scholar_url=None, scholar_api_key_env="KEY", rate_limit_per_sec=3.0,
+        max_in_flight=2,
+    )
+    raw["provider"].update(
+        base_url=None, api_key_env="KEY", sampling_params={"temperature": 0.7}, rate_limit_per_sec=1
+    )
+    raw["runs"]["vanilla"] = 2
+    raw.update(
+        matching={"thresholds": dict(_THRESHOLDS), "search_limit": 3},
+        analysis={"subperiod_bins": [["early", None, 2022], ["late", 2023, None]]},
+        refresh=False,
+    )
+    return raw
+
+
+def _leaves(node):
+    if isinstance(node, dict):
+        node = list(node.values())
+    if not isinstance(node, list):
+        return [node]
+    return [leaf for value in node for leaf in _leaves(value)]
+
+
+_CONFIG_LEAVES = _leaves(_full_config())
+
+
+@st.composite
+def _mutated_configs(draw):
+    """The tier-1 config, bare or with every optional key, with up to three
+    values changed, keys dropped or keys added anywhere in its tree."""
+    raw = draw(st.sampled_from([workspace_config, _full_config]))()
+    for _ in range(draw(st.integers(0, 3))):
+        containers, stack = [], [raw]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, (dict, list)):
+                containers.append(node)
+                stack.extend(node.values() if isinstance(node, dict) else node)
+        node = draw(st.sampled_from(containers))
+        keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+        action = draw(st.sampled_from(["change", "drop", "add"] if keys else ["add"]))
+        if action == "add":
+            key = (
+                draw(st.sampled_from(_SCHEMA_KEYS) | st.text(max_size=4))
+                if isinstance(node, dict) else len(node)
+            )
+            if isinstance(node, list):
+                node.append(None)
+        else:
+            key = draw(st.sampled_from(keys))
+        if action == "drop":
+            del node[key]
+        else:
+            # drawn values share dicts; a leaf of the config often keeps it valid
+            node[key] = copy.deepcopy(draw(_config_values | st.sampled_from(_CONFIG_LEAVES)))
+    return raw
+
+
+def _edited(edit):
+    raw = workspace_config()
+    edit(raw)
+    return raw
+
+
+_CONFIG_ORACLE = jsonschema.validators.validator_for(config_schema())(config_schema())
+
+
+@settings(max_examples=500, deadline=None)
+@given(_mutated_configs() | _config_shaped)
+@example(workspace_config())
+@example(_edited(lambda raw: raw["corpus"].update(window=yaml.safe_load("[2022-03-01, 2023-10-31]"))))
+@example(_edited(lambda raw: raw["runs"].update(vanilla=True)))
+@example(_edited(lambda raw: raw.update(matching={"search_limit": 2.0})))
+@example(_edited(lambda raw: raw.update(matching={"search_limit": 2.5})))
+@example(_edited(lambda raw: raw.update(matching={"thresholds": {**_THRESHOLDS, "title_threshold": float("nan")}})))
+@example(_edited(lambda raw: raw.update(matching={"thresholds": {**_THRESHOLDS, "author_threshold": float("inf")}})))
+@example(_edited(lambda raw: raw.update(matching={"thresholds": None})))
+@example(_edited(lambda raw: raw.update(matching={"thresholds": _THRESHOLDS})))
+@example(_edited(lambda raw: raw["corpus"].update(resolve_fuzzy_threshold=None)))
+@example(_edited(lambda raw: raw["corpus"].update(resolve_fuzzy_threshold=0.8)))
+@example(_edited(lambda raw: raw["corpus"].update(resolve_fuzzy_threshold=True)))
+@example(_edited(lambda raw: raw.update(analysis={"subperiod_bins": [["early", None, 2022]]})))
+@example(_edited(lambda raw: raw.update(analysis={"subperiod_bins": [["early", None]]})))
+@example(_edited(lambda raw: raw.update(surprise=1)))
+def test_built_in_config_check_agrees_with_jsonschema(raw):
+    # sound: a config the check admits has no jsonschema error; complete
+    # on these configs: every config jsonschema accepts is admitted, so a
+    # valid load never needs jsonschema
+    assert pipeline._schema_admits(raw) == _CONFIG_ORACLE.is_valid(raw)
 
 
 @pytest.mark.parametrize(
@@ -258,8 +433,11 @@ def test_all_stages_completed(completed_run):
         assert manifest["stages"][stage]["status"] == "ok"
 
 
-# the HTTP stack and process spawning: an offline run loads none of them
-OFFLINE_FORBIDDEN = ("requests", "urllib3", "ssl", "http.client", "subprocess")
+# the HTTP stack, process spawning and the schema engine, which only a
+# rejected config needs: an offline run loads none of them
+OFFLINE_FORBIDDEN = (
+    "requests", "urllib3", "ssl", "http.client", "subprocess", "jsonschema", "referencing", "rpds",
+)
 
 # run in a fresh interpreter: argv is the config, then the module names
 OFFLINE_RUN = """
@@ -1303,10 +1481,7 @@ def test_full_run_reads_each_fixture_file_once(workspace, tmp_path, monkeypatch)
     # the run identity and the index client share one read of the tree;
     # read_tree opens each file with os.open relative to its directory's
     # descriptor, and a read through the built-in open would be counted
-    # too. Directories are opened to be listed, not read, so only files
-    # count
-    import builtins
-    import io
+    # too
     from collections import Counter
 
     _, config_path = workspace
@@ -1314,6 +1489,43 @@ def test_full_run_reads_each_fixture_file_once(workspace, tmp_path, monkeypatch)
         config_path, {"out_dir": str(tmp_path / "out"), "cache_dir": str(tmp_path / "cache")}
     )
     index = config.fixture_dir.resolve()
+    opened = _count_opens(monkeypatch, index)
+    manifest = run_pipeline(config)
+    assert manifest["stages"]["ingest"]["status"] == "ok"
+    files = [p.relative_to(index).as_posix() for p in index.rglob("*") if p.is_file()]
+    assert len(files) > 1
+    assert opened == Counter(files)
+
+
+def test_full_run_reads_each_template_at_most_once(workspace, tmp_path, monkeypatch):
+    # the prompts and the recorded template hashes come from one read of
+    # each template per process
+    from collections import Counter
+
+    from citebias import llmgate
+
+    _, config_path = workspace
+    config = load_config(
+        config_path, {"out_dir": str(tmp_path / "out"), "cache_dir": str(tmp_path / "cache")}
+    )
+    templates = Path(llmgate.__file__).resolve().with_name("templates")
+    llmgate.template_text.cache_clear()
+    llmgate._template_hashes.cache_clear()
+    opened = _count_opens(monkeypatch, templates)
+    manifest = run_pipeline(config)
+    assert {stage["status"] for stage in manifest["stages"].values()} == {"ok"}
+    assert opened == Counter({"vanilla.txt": 1, "postprocess.txt": 1, "iterative.txt": 1})
+
+
+def _count_opens(monkeypatch, root):
+    """A Counter of the files under ``root`` that ``os.open``, ``io.open``
+    or the built-in ``open`` opens from now on, by path relative to root.
+    A descriptor-relative open resolves through ``/proc/self/fd``;
+    directories are opened to be listed, not read, so only files count."""
+    import builtins
+    import io
+    from collections import Counter
+
     opened = Counter()
 
     def counting(original):
@@ -1321,8 +1533,8 @@ def test_full_run_reads_each_fixture_file_once(workspace, tmp_path, monkeypatch)
             if isinstance(file, (str, os.PathLike)):
                 base = Path.cwd() if dir_fd is None else Path(os.readlink(f"/proc/self/fd/{dir_fd}"))
                 path = (base / file).resolve()
-                if index in path.parents and not path.is_dir():
-                    opened[path.relative_to(index).as_posix()] += 1
+                if root in path.parents and not path.is_dir():
+                    opened[path.relative_to(root).as_posix()] += 1
             if dir_fd is not None:
                 kwargs["dir_fd"] = dir_fd
             return original(file, *args, **kwargs)
@@ -1332,11 +1544,7 @@ def test_full_run_reads_each_fixture_file_once(workspace, tmp_path, monkeypatch)
     monkeypatch.setattr(os, "open", counting(os.open))
     monkeypatch.setattr(io, "open", counting(io.open))
     monkeypatch.setattr(builtins, "open", counting(builtins.open))
-    manifest = run_pipeline(config)
-    assert manifest["stages"]["ingest"]["status"] == "ok"
-    files = [p.relative_to(index).as_posix() for p in index.rglob("*") if p.is_file()]
-    assert len(files) > 1
-    assert opened == Counter(files)
+    return opened
 
 
 # ---------------------------------------------------------------------------
