@@ -48,7 +48,7 @@ import threading
 import time
 import types
 import typing
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -168,12 +168,20 @@ def atomic_write_text(path: Path, text: str) -> None:
     writing the same path never share a temp file. The text is encoded
     before the temp file exists, and the temp file is removed on any
     failure, so a text that is not valid Unicode leaves nothing behind.
+    The parent directories are made only when the temp file cannot be
+    created for want of them.
     """
     data = text.encode("utf-8")
-    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + f".tmp.{os.getpid()}.{threading.get_ident()}")
+    flags = os.O_WRONLY | os.O_CREAT | os.O_TRUNC
     try:
-        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+        try:
+            fd = os.open(tmp, flags, 0o666)
+        except FileNotFoundError:
+            # makedirs looks before it makes, so each missing directory
+            # costs one mkdir and an existing one none
+            os.makedirs(path.parent, exist_ok=True)
+            fd = os.open(tmp, flags, 0o666)
         try:
             view = memoryview(data)
             while view:
@@ -411,7 +419,7 @@ class JsonCache:
             try:
                 fd = os.open(self.path, flags, 0o666)
             except FileNotFoundError:
-                self.path.parent.mkdir(parents=True, exist_ok=True)
+                os.makedirs(self.path.parent, exist_ok=True)
                 fd = os.open(self.path, flags, 0o666)
             try:
                 os.write(fd, data)
@@ -468,6 +476,19 @@ def parse_record(data: bytes) -> Any:
     return value
 
 
+def _id_and_title(rel: str, rec: Any) -> tuple[str, str]:
+    """The ``index_id`` and title ("" for none) of the scholar record in
+    fixture file ``rel``, or an ``IndexParseError`` naming the file."""
+    if not isinstance(rec, dict):
+        raise IndexParseError(f"{rel}: a scholar record must be a JSON object", rec)
+    index_id, title = rec.get("index_id"), rec.get("title")
+    if not isinstance(index_id, str):
+        raise IndexParseError(f"{rel}: index_id is missing or not a string", rec)
+    if title is not None and not isinstance(title, str):
+        raise IndexParseError(f"{rel}: title is neither a string nor null", rec)
+    return index_id, title or ""
+
+
 class FixtureIndexClient:
     """Directory of canned JSON standing in for both services.
 
@@ -479,11 +500,18 @@ class FixtureIndexClient:
     ``files`` is the tree as ``read_tree(root)`` gives it, for a caller
     that has read it already (``run_pipeline`` reads it once for the run
     identity and the index); without it the client reads the tree on
-    first use. Each part is parsed once, on first use, and its bytes are
-    then dropped: the records on the first listing, the papers on the
-    first lookup or search. Each file is parsed by ``parse_record`` on
-    ``json``'s C scanner, falling back to ``json.loads`` for any bytes
-    that are not plain UTF-8 JSON, so values and errors are ``json.loads``'s.
+    first use. The preprint records are parsed on the first listing and
+    their bytes dropped. The papers are loaded on the first lookup or
+    search: each record is decoded once to key it by ``index_id`` (the
+    last file in ``read_tree`` order wins a duplicate id), and only its
+    bytes and its title are held. A lookup or search decodes each record
+    it returns again, so no decoded record is held and each call returns
+    fresh dicts. A paper that is not an object, whose ``index_id`` is not
+    a string, or whose ``title`` is neither absent, null nor a string is
+    an ``IndexParseError`` naming its file, raised at the load. Each file
+    is decoded by ``parse_record`` on ``json``'s C scanner, falling back
+    to ``json.loads`` for any bytes that are not plain UTF-8 JSON, so
+    values and errors are ``json.loads``'s.
 
     Title search ranks by token overlap (Jaccard) with the query, ties
     broken by id, which is a deliberately different notion of relevance
@@ -505,33 +533,36 @@ class FixtureIndexClient:
         # whole part instead of seeing it missing
         self._lock = threading.Lock()
         self._records: list[dict] | None = None
-        self._papers: dict[str, dict] | None = None
+        # index_id -> the bytes of the file that holds the record, and its title
+        self._papers: dict[str, bytes] | None = None
+        self._titles: dict[str, str] = {}
         self._title_index: tuple[dict[str, list[str]], dict[str, int]] | None = None
 
-    def _take(self, wanted: Callable[[str], bool]) -> list[bytes]:
-        """Bytes of the held files whose path ``wanted`` accepts, which
-        are then dropped. Called under the lock."""
+    def _split(
+        self, wanted: Callable[[str], bool]
+    ) -> tuple[list[tuple[str, bytes]], list[tuple[str, bytes]]]:
+        """The held files, as (path, bytes), whose path ``wanted``
+        accepts, and the rest. The caller holds only the rest once its
+        part has loaded, so a load that fails fails again on the next
+        call instead of finding the part empty. Called under the lock."""
         if self._files is None:
             self._files = read_tree(self.root)
-        taken: list[bytes] = []
+        taken: list[tuple[str, bytes]] = []
         kept: list[tuple[str, bytes]] = []
-        for rel, data in self._files:
-            if wanted(rel):
-                taken.append(data)
-            else:
-                kept.append((rel, data))
-        self._files = kept
-        return taken
+        for item in self._files:
+            (taken if wanted(item[0]) else kept).append(item)
+        return taken, kept
 
     # -- preprint side -------------------------------------------------
 
     def list_records(self, start: str, end: str, category: str) -> list[dict]:
         with self._lock:
             if self._records is None:
-                taken = self._take(lambda rel: rel == "preprint/records.json")
+                taken, kept = self._split(lambda rel: rel == "preprint/records.json")
                 if not taken:
                     raise FileNotFoundError(self.root / "preprint" / "records.json")
-                self._records = parse_record(taken[0])
+                self._records = parse_record(taken[0][1])
+                self._files = kept
         out = []
         for rec in self._records:
             posted = rec.get("posted_date", "")
@@ -544,16 +575,18 @@ class FixtureIndexClient:
 
     # -- scholar side --------------------------------------------------
 
-    def _load_papers(self) -> dict[str, dict]:
+    def _load_papers(self) -> dict[str, bytes]:
         with self._lock:
             if self._papers is None:
-                papers = {}
-                # each file's bytes go as its record comes, so the whole
-                # index is never held twice
-                taken = deque(self._take(_is_paper_file))
-                while taken:
-                    rec = parse_record(taken.popleft())
-                    papers[rec["index_id"]] = rec
+                papers: dict[str, bytes] = {}
+                titles: dict[str, str] = {}
+                taken, kept = self._split(_is_paper_file)
+                for rel, data in taken:
+                    index_id, title = _id_and_title(rel, parse_record(data))
+                    papers[index_id] = data
+                    titles[index_id] = title
+                self._files = kept
+                self._titles = titles
                 self._papers = papers
         return self._papers
 
@@ -561,10 +594,11 @@ class FixtureIndexClient:
         # one attribute, assigned once built, so a concurrent search sees
         # either no index or a whole one
         if self._title_index is None:
+            self._load_papers()
             postings: dict[str, list[str]] = {}
             sizes: dict[str, int] = {}
-            for index_id, rec in self._load_papers().items():
-                title_tokens = set(tokens(rec.get("title", "")))
+            for index_id, title in self._titles.items():
+                title_tokens = set(tokens(title))
                 sizes[index_id] = len(title_tokens)
                 for token in title_tokens:
                     postings.setdefault(token, []).append(index_id)
@@ -588,10 +622,11 @@ class FixtureIndexClient:
             ),
         )
         papers = self._load_papers()
-        return [papers[index_id] for _, index_id in ranked]
+        return [parse_record(papers[index_id]) for _, index_id in ranked]
 
     def get_paper(self, index_id: str) -> dict | None:
-        return self._load_papers().get(index_id)
+        data = self._load_papers().get(index_id)
+        return None if data is None else parse_record(data)
 
 
 class HttpService:

@@ -422,10 +422,13 @@ _NAME_SPLIT_RE = re.compile(r"[{},]|[\s~]+")
 
 
 def _bib_name(name: str) -> tuple[str, str]:
-    """A "Last, First" or "First Last" name as (First Last, Last): the
-    last name is the part before the first comma outside braces, or else
-    the last word outside braces, a braced group counting as one word."""
-    depth, word = 0, 0
+    """A "von Last, First" or "First von Last" name as (First von Last,
+    von Last), the second being what ``plain.bst`` sorts by. It is the
+    part before the first comma outside braces; else it starts at the
+    first word outside braces that begins in lower case and is not the
+    last word, or else at the last word. A braced group counts as one
+    word and as no lower-case one."""
+    depth, word, von = 0, 0, None
     for match in _NAME_SPLIT_RE.finditer(name):
         token = match.group()
         if token == "{":
@@ -436,8 +439,10 @@ def _bib_name(name: str) -> tuple[str, str]:
             last, first = name[: match.start()].strip(), name[match.end() :].strip()
             return _latex_to_plain(f"{first} {last}".strip()), _latex_to_plain(last)
         elif depth == 0:
+            if von is None and name[word : word + 1].islower():
+                von = word
             word = match.end()
-    return _latex_to_plain(name), _latex_to_plain(name[word:])
+    return _latex_to_plain(name), _latex_to_plain(name[word if von is None else von :])
 
 
 _BIB_ENTRY_RE = re.compile(r"@(\w+)\s*\{")

@@ -194,6 +194,65 @@ def test_lookup_during_the_paper_load_waits_for_the_record(fixture_client, monke
     assert found["second"] == found["first"] == SCHOLAR_PAPERS[0]
 
 
+@pytest.mark.parametrize(
+    "record",
+    [
+        ["index_id", "s_bad"],
+        {"title": "No Identifier"},
+        {"index_id": "s_bad", "title": 5},
+    ],
+    ids=["not-an-object", "no-index-id", "title-not-a-string"],
+)
+def test_malformed_paper_is_an_index_parse_error_naming_its_file(index_dir, record):
+    (index_dir / "scholar" / "papers" / "zz_bad.json").write_text(json.dumps(record))
+    client = FixtureIndexClient(index_dir)
+    # the second call fails too: a load that failed leaves no empty index
+    # behind, whose misses a cached client would store as not-found
+    for call in (lambda: client.get_paper("s_widgets"), lambda: client.search_title("Widgets")):
+        with pytest.raises(IndexParseError, match="scholar/papers/zz_bad.json") as err:
+            call()
+        assert err.value.record == record
+
+
+def test_paper_index_holds_little_beyond_its_file_bytes(tmp_path):
+    # the client keeps each paper's bytes and title, not its decoded
+    # record; the bytes were read before tracing, as run_pipeline reads
+    # them for the input digest
+    import random
+    import tracemalloc
+
+    from citebias.clients import read_tree
+
+    rng = random.Random(7)
+    words = [f"w{i}" for i in range(160)]
+    papers_dir = tmp_path / "scholar" / "papers"
+    papers_dir.mkdir(parents=True)
+    for i in range(2000):
+        rec = {
+            "index_id": f"p{i:04d}",
+            "title": " ".join(rng.choices(words, k=6)),
+            "authors": [f"A. Author{rng.randrange(500)}", f"B. Author{rng.randrange(500)}"],
+            "venue": "NeurIPS",
+            "year": 2000 + i % 24,
+            "citation_count": rng.randrange(5000),
+            "influential_citation_count": rng.randrange(300),
+            "reference_count": rng.randrange(5, 60),
+            "references": [f"p{rng.randrange(2000):04d}" for _ in range(3)],
+        }
+        (papers_dir / f"p{i:04d}.json").write_text(dump_json(rec))
+    files = read_tree(tmp_path)
+    size = sum(len(data) for _, data in files)
+    tracemalloc.start()
+    try:
+        client = FixtureIndexClient(tmp_path, files)
+        assert client.get_paper("p0007")["index_id"] == "p0007"
+        assert client.search_title(" ".join(words[:3]), limit=10)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 1.5 * size, (held, size)
+
+
 _json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),

@@ -876,7 +876,14 @@ def test_braced_comma_does_not_split_a_bib_name():
         ("Doe, Jane", "Doe"),
         ("Jane Doe", "Doe"),
         ("Jane~Doe", "Doe"),
-        ("Ludwig van Beethoven", "Beethoven"),
+        # plain.bst sorts by von part plus last name, in either form
+        ("Ludwig van Beethoven", "van Beethoven"),
+        ("van Beethoven, Ludwig", "van Beethoven"),
+        ("Ludwig~van~Beethoven", "van Beethoven"),
+        ("Dick {van Dyke}", "van Dyke"),
+        ("Jean De La Fontaine", "Fontaine"),
+        ("Jean de La Fontaine", "de La Fontaine"),
+        ("Jean d'Alembert", "d'Alembert"),
         ("{Smith, Ltd}", "Smith, Ltd"),
         ("{Barnes and Noble}", "Barnes and Noble"),
         ("Jane {De la Cruz}", "De la Cruz"),

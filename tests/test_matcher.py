@@ -405,6 +405,84 @@ def test_fixture_search_matches_full_scan(index, ids, queries, limit):
             assert client.search_title(query, limit=limit) == oracle_search(papers, query, limit)
 
 
+PAPER_IDS = ["p0", "p1", "p2", "p3", "p4"]
+
+
+@st.composite
+def paper_files(draw):
+    """Paper file bytes in load order: ids from a small pool, so some
+    repeat; titles absent, null or drawn from VOCAB; UTF-8, UTF-8 with a
+    BOM or UTF-16; now and then a file cut short."""
+    files = []
+    for position in range(draw(st.integers(0, 10))):
+        rec = {"index_id": draw(st.sampled_from(PAPER_IDS)), "year": 2000 + position}
+        title = draw(st.sampled_from(["absent", "null", "text"]))
+        if title != "absent":
+            rec["title"] = draw(vocab_titles) if title == "text" else None
+        text = json.dumps(rec, ensure_ascii=draw(st.booleans()))
+        data = text.encode(draw(st.sampled_from(["utf-8", "utf-8-sig", "utf-16"])))
+        if draw(st.integers(0, 15)) == 0:
+            data = data[: draw(st.integers(0, len(data) - 1))]
+        files.append(data)
+    return files
+
+
+def reference_index(files: list[bytes]) -> dict[str, dict]:
+    """The fixture papers by ``json.loads`` per file, the later file
+    winning a repeated id."""
+    papers = {}
+    for data in files:
+        rec = json.loads(data)
+        papers[rec["index_id"]] = rec
+    return papers
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    files=paper_files(),
+    queries=st.lists(
+        st.lists(st.sampled_from([*VOCAB, "zzz"]), min_size=1, max_size=4).map(" ".join),
+        min_size=1,
+        max_size=4,
+    ),
+    limit=st.sampled_from([0, 1, 3, 10]),
+    search_first=st.booleans(),
+)
+def test_fixture_index_matches_json_loads_per_file(files, queries, limit, search_first):
+    try:
+        papers, expected_error = reference_index(files), None
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        papers, expected_error = None, exc
+    with tempfile.TemporaryDirectory() as root:
+        papers_dir = Path(root) / "scholar" / "papers"
+        papers_dir.mkdir(parents=True)
+        for position, data in enumerate(files):
+            (papers_dir / f"{position:03d}.json").write_bytes(data)
+        client = FixtureIndexClient(root)
+        if expected_error is not None:
+            with pytest.raises(type(expected_error)) as err:
+                if search_first:
+                    client.search_title(queries[0], limit)
+                else:
+                    client.get_paper(PAPER_IDS[0])
+            assert str(err.value) == str(expected_error)
+            return
+        if search_first:
+            assert client.search_title(queries[0], limit) == oracle_search(
+                list(papers.values()), queries[0], limit
+            )
+        for index_id in [*PAPER_IDS, "missing"]:
+            assert client.get_paper(index_id) == papers.get(index_id)
+        for query in queries:
+            assert client.search_title(query, limit) == oracle_search(
+                list(papers.values()), query, limit
+            )
+        for index_id in papers:
+            # each call decodes afresh: a caller's edit reaches no other call
+            client.get_paper(index_id).clear()
+            assert client.get_paper(index_id) == papers[index_id]
+
+
 def test_search_requires_title():
     with pytest.raises(ValueError):
         search_candidates(None, "   ", ["A"], limit=3)

@@ -493,6 +493,30 @@ def test_full_run_leaves_every_hashed_input_unchanged(workspace, tmp_path):
     assert [read_tree(path) for path in roots] == before
 
 
+def test_full_run_asks_once_for_each_directory_it_makes(workspace, tmp_path, monkeypatch):
+    # writers make a parent directory only when a write finds it missing,
+    # so no mkdir is spent on a directory that exists
+    root, config_path = workspace
+    copy = tmp_path / "dirs"
+    shutil.copytree(root, copy, ignore=shutil.ignore_patterns("out", "cache"))
+    config = load_config(copy / config_path.relative_to(root))
+    before = {dirpath for dirpath, _, _ in os.walk(tmp_path)}
+    calls = []
+    mkdir = os.mkdir
+
+    def counted_mkdir(path, *args, **kwargs):
+        calls.append(os.path.abspath(path))
+        return mkdir(path, *args, **kwargs)
+
+    monkeypatch.setattr(os, "mkdir", counted_mkdir)
+    manifest = run_pipeline(config)
+    monkeypatch.undo()
+    assert {stage["status"] for stage in manifest["stages"].values()} == {"ok"}
+    made = {dirpath for dirpath, _, _ in os.walk(tmp_path)} - before
+    assert len(made) > 10
+    assert sorted(calls) == sorted(made)
+
+
 def test_ingest_outcomes(completed_run):
     _, _, manifest = completed_run
     outcomes = manifest["stages"]["ingest"]["outcomes"]
