@@ -31,7 +31,9 @@ The disk cache is one append-only log per service,
 ``cache/<service>.jsonl``, one envelope per line keyed by (endpoint, id,
 schema version) so stale or foreign entries are treated as misses. The
 log is read once per run; each entry is appended with one ``write``, so
-no file is created per key.
+no file is created per key. The cache holds each id's last intact line as
+bytes and decodes it on each hit, so a run holds about the log's size,
+not its decoded envelopes.
 """
 
 from __future__ import annotations
@@ -323,7 +325,7 @@ def _log_envelope(line: bytes) -> dict | None:
     """The envelope a cache log line holds, or None for a line that does
     not parse or names no id."""
     try:
-        envelope = json.loads(line)
+        envelope = parse_record(line)
     except ValueError:
         return None
     if isinstance(envelope, dict) and isinstance(envelope.get("id"), str):
@@ -336,10 +338,12 @@ class JsonCache:
 
     ``<root>/<service>.jsonl`` holds one JSON envelope per line. The first
     ``load`` or ``store`` reads the log once into a map from id to the
-    last intact envelope for that id; a line that does not parse (a torn
-    last line, say) is skipped, so its key is a miss. An envelope of
-    another endpoint or schema version is a miss too: the caller
-    recomputes that key only, and its new line wins from then on.
+    bytes of the last intact line for that id; a line that does not parse
+    (a torn last line, say) is skipped, so its key is a miss. Each line is
+    decoded once there, to read its id, and again by every ``load`` that
+    hits it, so no decoded envelope is held and each hit returns a fresh
+    one. An envelope of another endpoint or schema version is a miss too:
+    the caller recomputes that key only, and its new line wins from then on.
     Explicit not-found markers are first-class entries so corpus
     attrition is never a silent gap. ``refresh=True`` never reads the
     log, so only entries stored since the cache opened are served; every
@@ -355,12 +359,12 @@ class JsonCache:
         self.path = Path(root) / f"{service}.jsonl"
         self.refresh = refresh
         self._lock = threading.Lock()
-        self._entries: dict[str, dict] | None = None
+        self._entries: dict[str, bytes] | None = None
         # the log ends inside a line, so the next append starts a new one
         self._torn_tail = False
 
-    def _loaded(self) -> dict[str, dict]:
-        """The id -> envelope map, read from the log on first use. Called
+    def _loaded(self) -> dict[str, bytes]:
+        """The id -> log line map, read from the log on first use. Called
         under the lock."""
         if self._entries is None:
             self._entries = {}
@@ -372,7 +376,7 @@ class JsonCache:
                     for last in fh:
                         envelope = None if self.refresh else _log_envelope(last)
                         if envelope is not None:
-                            self._entries[envelope["id"]] = envelope
+                            self._entries[envelope["id"]] = last
             except FileNotFoundError:
                 pass
             self._torn_tail = not last.endswith(b"\n")
@@ -381,10 +385,12 @@ class JsonCache:
     def load(self, endpoint: str, cache_id: str) -> dict | None:
         """Return the envelope for (endpoint, id), or None on miss."""
         with self._lock:
-            envelope = self._loaded().get(cache_id)
+            line = self._loaded().get(cache_id)
+        if line is None:
+            return None
+        envelope = parse_record(line)
         if (
-            envelope is None
-            or envelope.get("schema_version") != CACHE_SCHEMA_VERSION
+            envelope.get("schema_version") != CACHE_SCHEMA_VERSION
             or envelope.get("endpoint") != endpoint
             or envelope.get("status") not in ("ok", "not_found")
         ):
@@ -414,19 +420,17 @@ class JsonCache:
         flags = os.O_WRONLY | os.O_APPEND | os.O_CREAT
         with self._lock:
             entries = self._loaded()
-            if self._torn_tail:
-                data = b"\n" + data
             try:
                 fd = os.open(self.path, flags, 0o666)
             except FileNotFoundError:
                 os.makedirs(self.path.parent, exist_ok=True)
                 fd = os.open(self.path, flags, 0o666)
             try:
-                os.write(fd, data)
+                os.write(fd, b"\n" + data if self._torn_tail else data)
             finally:
                 os.close(fd)
             self._torn_tail = False
-            entries[cache_id] = envelope
+            entries[cache_id] = data
         return envelope
 
 
@@ -504,7 +508,8 @@ class FixtureIndexClient:
     their bytes dropped. The papers are loaded on the first lookup or
     search: each record is decoded once to key it by ``index_id`` (the
     last file in ``read_tree`` order wins a duplicate id), and only its
-    bytes and its title are held. A lookup or search decodes each record
+    bytes and its title are held; the titles are dropped once the title
+    index below is built. A lookup or search decodes each record
     it returns again, so no decoded record is held and each call returns
     fresh dicts. A paper that is not an object, whose ``index_id`` is not
     a string, or whose ``title`` is neither absent, null nor a string is
@@ -533,7 +538,8 @@ class FixtureIndexClient:
         # whole part instead of seeing it missing
         self._lock = threading.Lock()
         self._records: list[dict] | None = None
-        # index_id -> the bytes of the file that holds the record, and its title
+        # index_id -> the bytes of the file that holds the record, and its
+        # title until the title index is built
         self._papers: dict[str, bytes] | None = None
         self._titles: dict[str, str] = {}
         self._title_index: tuple[dict[str, list[str]], dict[str, int]] | None = None
@@ -591,18 +597,22 @@ class FixtureIndexClient:
         return self._papers
 
     def _load_title_index(self) -> tuple[dict[str, list[str]], dict[str, int]]:
-        # one attribute, assigned once built, so a concurrent search sees
-        # either no index or a whole one
         if self._title_index is None:
-            self._load_papers()
-            postings: dict[str, list[str]] = {}
-            sizes: dict[str, int] = {}
-            for index_id, title in self._titles.items():
-                title_tokens = set(tokens(title))
-                sizes[index_id] = len(title_tokens)
-                for token in title_tokens:
-                    postings.setdefault(token, []).append(index_id)
-            self._title_index = (postings, sizes)
+            self._load_papers()  # takes the lock, which is not re-entrant
+            # built under the lock, which then drops the titles, so a
+            # concurrent first search waits for the whole index instead of
+            # building one from no titles
+            with self._lock:
+                if self._title_index is None:
+                    postings: dict[str, list[str]] = {}
+                    sizes: dict[str, int] = {}
+                    for index_id, title in self._titles.items():
+                        title_tokens = set(tokens(title))
+                        sizes[index_id] = len(title_tokens)
+                        for token in title_tokens:
+                            postings.setdefault(token, []).append(index_id)
+                    self._title_index = (postings, sizes)
+                    self._titles = {}
         return self._title_index
 
     def search_title(self, query: str, limit: int = 10) -> list[dict]:

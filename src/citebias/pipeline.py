@@ -1341,6 +1341,7 @@ def run_pipeline(config: PipelineConfig, stages: list[str] | None = None) -> dic
                         }
                         continue
                 logger.info("running stage %s", stage)
+                marker.unlink(missing_ok=True)  # a stage stopped midway is not done
                 outcomes = run(ctx)
                 atomic_write_text(
                     marker, dump_json({"manifest_hash": core, "outcomes": outcomes})

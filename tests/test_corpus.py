@@ -4,6 +4,7 @@ import json
 import sys
 import tempfile
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -192,6 +193,45 @@ def test_lookup_during_the_paper_load_waits_for_the_record(fixture_client, monke
         thread.join(timeout=10)
         assert not thread.is_alive()
     assert found["second"] == found["first"] == SCHOLAR_PAPERS[0]
+
+
+def test_first_search_from_four_threads_sees_the_whole_title_index(index_dir, monkeypatch):
+    # four threads make the client's first search at once, while the papers
+    # load slowly: each waits for the whole title index, and none builds
+    # one from the titles the first build dropped
+    import citebias.clients as clients_mod
+
+    queries = ["Widgets", "An Ambiguous Name", "Zero Citations so Far"]
+    expected = [FixtureIndexClient(index_dir).search_title(q) for q in queries]
+    assert all(expected)
+    read_tree = clients_mod.read_tree
+
+    def slow_read_tree(root):
+        time.sleep(0.05)  # the other threads reach the lock meanwhile
+        return read_tree(root)
+
+    monkeypatch.setattr(clients_mod, "read_tree", slow_read_tree)
+    client = FixtureIndexClient(index_dir)
+    gate = threading.Barrier(4, timeout=30)
+    found = {}
+
+    def search(thread):
+        gate.wait()
+        found[thread] = [client.search_title(q) for q in queries]
+
+    threads = [threading.Thread(target=search, args=(t,)) for t in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert found == {t: expected for t in range(4)}
+    assert client._titles == {}
 
 
 @pytest.mark.parametrize(
@@ -608,6 +648,59 @@ def test_cache_stores_from_four_threads_lose_no_entry(tmp_path):
         # the map and the log agree on which thread stored a shared key last
         last = [e for e in lines if e["id"] == f"shared-{i}"][-1]
         assert cache.load("search", f"shared-{i}") == reopened.load("search", f"shared-{i}") == last
+
+
+def test_cache_hit_returns_a_fresh_envelope(tmp_path):
+    # a caller that changes what a hit gave it changes neither the next
+    # hit nor what a stored payload reads back as
+    payload = {"index_id": "p1", "authors": ["A. One"], "references": ["p2"]}
+    cache = JsonCache(tmp_path, "scholar")
+    cache.store("paper", "p1", payload)
+    payload["authors"].clear()
+    for opened in (cache, JsonCache(tmp_path, "scholar")):
+        first = opened.load("paper", "p1")
+        first["payload"].clear()
+        assert opened.load("paper", "p1")["payload"] == {
+            "index_id": "p1", "authors": ["A. One"], "references": ["p2"]
+        }
+
+
+def test_cache_holds_little_beyond_its_log_bytes(tmp_path):
+    # the cache keeps each id's last line, not its decoded envelope: after
+    # the log is read and one entry served, it holds about the log's size
+    import random
+    import tracemalloc
+
+    rng = random.Random(11)
+    words = [f"w{i}" for i in range(160)]
+
+    def record(i):
+        return {
+            "index_id": f"p{i:04d}",
+            "title": " ".join(rng.choices(words, k=6)),
+            "authors": [f"A. Author{rng.randrange(500)}", f"B. Author{rng.randrange(500)}"],
+            "venue": "NeurIPS",
+            "year": 2000 + i % 24,
+            "citation_count": rng.randrange(5000),
+            "influential_citation_count": rng.randrange(300),
+            "reference_count": rng.randrange(5, 60),
+            "references": [f"p{rng.randrange(2000):04d}" for _ in range(3)],
+        }
+
+    writer = JsonCache(tmp_path, "scholar")
+    for i in range(1500):
+        writer.store("paper", f"p{i:04d}", record(i))
+    for i in range(300):
+        writer.store("search", f"search__q{i}__3", [record(j) for j in range(3)])
+    size = writer.path.stat().st_size
+    tracemalloc.start()
+    try:
+        cache = JsonCache(tmp_path, "scholar")
+        assert cache.load("paper", "p0007")["payload"]["index_id"] == "p0007"
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 1.5 * size, (held, size)
 
 
 # ---------------------------------------------------------------------------

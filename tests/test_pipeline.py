@@ -1,5 +1,6 @@
 """Orchestrator integration: stages, artifacts, reports, and resumability."""
 
+import contextlib
 import copy
 import hashlib
 import json
@@ -797,6 +798,71 @@ def test_rerun_after_a_source_edit_keeps_no_stale_stage_outputs(
     for stage in ("prepared", "analysis", "graphs", "report"):
         assert tree(copy / "out" / stage) == tree(fresh_out / stage), stage
     assert rerun["stages"]["report"]["outcomes"] == fresh["stages"]["report"]["outcomes"]
+
+
+class _Crash(BaseException):
+    """A run stopped at a write, as by a kill: no handler in the pipeline
+    catches it."""
+
+
+def test_rerun_after_a_run_stopped_at_a_write_gives_the_clean_outputs(
+    workspace, tmp_path, monkeypatch
+):
+    # config H1 runs to the end; H2 (every threshold at 0.999) stops at its
+    # k-th rename; H1 run again must give the outputs of a clean H1 run. A
+    # marker left over a stage H2 had partly rewritten would make the H1
+    # rerun skip that stage
+    _, h1_path = workspace
+    h2_path = _config_copy(
+        h1_path,
+        tmp_path,
+        lambda raw: raw.setdefault("matching", {}).update(
+            thresholds={"title_threshold": 0.999, "author_threshold": 0.999}
+        ),
+    )
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
+
+    def run(config_path, root):
+        dirs = {"out_dir": str(root / "out"), "cache_dir": str(root / "cache")}
+        return run_pipeline(load_config(config_path, dirs))
+
+    def tree(base):
+        return {
+            str(p.relative_to(base)): p.read_bytes()
+            for p in base.rglob("*")
+            if p.is_file() and p.name != "manifest.json"
+        }
+
+    clean = tmp_path / "clean"
+    run(h1_path, clean)
+    expected = tree(clean / "out")
+    replace = os.replace
+    renames = crash_at = 0
+
+    def replacing(*args, **kwargs):
+        nonlocal renames
+        renames += 1
+        if renames == crash_at:
+            raise _Crash(renames)
+        return replace(*args, **kwargs)
+
+    def stopped_at(k, root):
+        """H2 stopped at its k-th rename (never, for 0), then H1 again."""
+        nonlocal renames, crash_at
+        shutil.copytree(clean, root)
+        renames, crash_at = 0, k
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "replace", replacing)
+            with pytest.raises(_Crash) if k else contextlib.nullcontext():
+                run(h2_path, root)
+        run(h1_path, root)
+        return tree(root / "out")
+
+    assert stopped_at(0, tmp_path / "whole") == expected
+    total = renames  # the renames of a whole H2 run
+    assert total > 30
+    for k in sorted({1 + i * (total - 1) // 29 for i in range(30)}):
+        assert stopped_at(k, tmp_path / f"k{k}") == expected, k
 
 
 def test_report_stage_runs_without_provider(completed_run, tmp_path):
