@@ -18,6 +18,7 @@ counted; only infrastructure errors abort a run.
 
 from __future__ import annotations
 
+import dataclasses
 import fcntl
 import functools
 import hashlib
@@ -27,6 +28,7 @@ import os
 import re
 import shutil
 import time
+import typing
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -97,40 +99,51 @@ logger = logging.getLogger(__name__)
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class PipelineConfig:
-    """Validated pipeline configuration; see data/config.schema.json."""
+def _key(key: str, override: bool = False, **default) -> dataclasses.Field:
+    """A config field read from the dotted YAML key path ``key``; without a
+    ``default`` or ``default_factory`` the schema requires the key."""
+    metadata = {"keys": tuple(key.split(".")), "override": override}
+    return dataclasses.field(metadata=metadata, **default)
 
-    window: tuple[str, str]
-    category: str
-    venue_keywords: list[str]
-    blacklist: list[str]
-    resolve_fuzzy_threshold: float | None
-    sources_dir: Path
-    venue_aliases_path: Path | None
-    fixture_dir: Path | None
-    preprint_url: str | None
-    scholar_url: str | None
-    scholar_api_key_env: str
-    rate_limit_per_sec: float
-    max_in_flight: int
-    model_id: str
-    provider_kind: str
-    provider_base_url: str | None
-    provider_api_key_env: str
-    sampling_params: dict
-    provider_rate_limit: float
-    vanilla_runs: int
-    iterative: bool
-    thresholds: Thresholds
-    search_limit: int
-    subperiod_bins: list[tuple[str, int | None, int | None]] | None
-    graph_strategy: str
-    graph_run_index: int
-    cache_dir: Path
-    out_dir: Path
-    mock_dir: Path | None
-    refresh: bool
+
+@dataclass(kw_only=True)
+class PipelineConfig:
+    """Validated pipeline configuration; see data/config.schema.json. Each
+    field declares its YAML key path and default, from which ``load_config``
+    and ``OVERRIDABLE`` are built."""
+
+    window: tuple[str, str] = _key("corpus.window")
+    category: str = _key("corpus.category")
+    venue_keywords: list[str] = _key("corpus.venue_keywords")
+    blacklist: list[str] = _key("corpus.blacklist", default_factory=list)
+    resolve_fuzzy_threshold: float | None = _key("corpus.resolve_fuzzy_threshold", default=None)
+    sources_dir: Path = _key("corpus.sources_dir")
+    venue_aliases_path: Path | None = _key("corpus.venue_aliases_path", default=None)
+    fixture_dir: Path | None = _key("index.fixture_dir", default=None)
+    preprint_url: str | None = _key("index.preprint_url", default=None)
+    scholar_url: str | None = _key("index.scholar_url", default=None)
+    scholar_api_key_env: str = _key("index.scholar_api_key_env", default="")
+    rate_limit_per_sec: float = _key("index.rate_limit_per_sec", default=3.0)
+    max_in_flight: int = _key("index.max_in_flight", default=1)
+    model_id: str = _key("provider.model_id", override=True)
+    provider_kind: str = _key("provider.kind")
+    provider_base_url: str | None = _key("provider.base_url", default=None)
+    provider_api_key_env: str = _key("provider.api_key_env", default="OPENAI_API_KEY")
+    sampling_params: dict = _key("provider.sampling_params", default_factory=dict)
+    provider_rate_limit: float = _key("provider.rate_limit_per_sec", default=1.0)
+    vanilla_runs: int = _key("runs.vanilla", default=1, override=True)
+    iterative: bool = _key("runs.iterative", default=False)
+    thresholds: Thresholds = _key("matching.thresholds", default_factory=matcher.default_thresholds)
+    search_limit: int = _key("matching.search_limit", default=3)
+    subperiod_bins: list[tuple[str, int | None, int | None]] | None = _key(
+        "analysis.subperiod_bins", default=None
+    )
+    graph_strategy: str = _key("graph.strategy", default=VANILLA)
+    graph_run_index: int = _key("graph.run_index", default=1)
+    cache_dir: Path = _key("cache_dir", default=Path("cache"), override=True)
+    out_dir: Path = _key("out_dir", default=Path("out"), override=True)
+    mock_dir: Path | None = _key("mock_dir", default=None, override=True)
+    refresh: bool = _key("refresh", default=False, override=True)
 
 
 # Where inputs live and how the run treats its cache: the contents of the
@@ -273,12 +286,31 @@ def _schema_admits(raw) -> bool:
     return schema is not None and _admits(schema, raw)
 
 
+def _field_table():
+    """(name, key path, default or None, kind) of each field in declaration
+    order; the kind is Path, int or dict where load_config converts or checks."""
+    hints = typing.get_type_hints(PipelineConfig)
+    for f in dataclasses.fields(PipelineConfig):
+        types = (hints[f.name], *typing.get_args(hints[f.name]))
+        kind = next((tp for tp in (Path, int, dict) if tp in types), None)
+        default = None if f.default is dataclasses.MISSING else f.default
+        yield f.name, f.metadata["keys"], default, kind
+
+
+_CONFIG_FIELDS = tuple(_field_table())
+
 # each load_config override and the config key path it sets
 OVERRIDABLE = {
-    **{name: (name,) for name in ("cache_dir", "out_dir", "mock_dir", "refresh")},
-    "model_id": ("provider", "model_id"),
-    "vanilla_runs": ("runs", "vanilla"),
+    f.name: f.metadata["keys"] for f in dataclasses.fields(PipelineConfig) if f.metadata["override"]
 }
+
+
+def _is_json(value) -> bool:
+    """Whether ``value`` survives a strict JSON round trip unchanged."""
+    try:
+        return json.loads(json.dumps(value, allow_nan=False)) == value
+    except (TypeError, ValueError):  # a type JSON lacks, NaN, infinity or a cycle
+        return False
 
 
 # libyaml's parser where PyYAML was built with it; the same safe schema
@@ -294,9 +326,10 @@ def load_config(path: Path | str, overrides: dict | None = None) -> PipelineConf
     file. The built-in check admits a valid config without importing
     ``jsonschema``; any other config goes to ``jsonschema``, which raises
     its best match as a ``ConfigError`` or, if it finds no error, lets the
-    config load. Relative paths, overridden or not, resolve against the
-    config file's directory. Without configured thresholds the bundled
-    calibrated defaults apply.
+    config load. Each ``PipelineConfig`` field then reads its key path,
+    and an absent or null key or an empty list takes the field's default.
+    Paths, overridden, defaulted or not, resolve against the config file's
+    directory.
     """
     path = Path(path)
     try:
@@ -320,68 +353,26 @@ def load_config(path: Path | str, overrides: dict | None = None) -> PipelineConf
         if exc is not None:
             raise ConfigError(f"invalid config: {exc.message} (at {'/'.join(map(str, exc.path))})") from exc
 
-    base = path.parent
-
-    def respath(value: str | None) -> Path | None:
-        if value is None:
-            return None
-        p = Path(value)
-        return p if p.is_absolute() else (base / p)
-
-    corpus_cfg = raw["corpus"]
-    index_cfg = raw.get("index", {})
-    provider_cfg = raw["provider"]
-    runs_cfg = raw.get("runs", {})
-    matching_cfg = raw.get("matching", {})
-    analysis_cfg = raw.get("analysis", {})
-    graph_cfg = raw.get("graph", {})
-
-    thresholds_cfg = matching_cfg.get("thresholds")
-    thresholds = matcher.default_thresholds()
-    if thresholds_cfg:
-        thresholds = Thresholds(
-            title_threshold=thresholds_cfg["title_threshold"],
-            author_threshold=thresholds_cfg["author_threshold"],
-            provenance=f"config:{path.name}",
-        )
-
-    subperiod = analysis_cfg.get("subperiod_bins")
-    subperiod_bins = None
-    if subperiod:
-        subperiod_bins = [(str(b[0]), b[1], b[2]) for b in subperiod]
-
-    cfg = PipelineConfig(
-        window=(corpus_cfg["window"][0], corpus_cfg["window"][1]),
-        category=corpus_cfg["category"],
-        venue_keywords=list(corpus_cfg["venue_keywords"]),
-        blacklist=list(corpus_cfg.get("blacklist", [])),
-        resolve_fuzzy_threshold=corpus_cfg.get("resolve_fuzzy_threshold"),
-        sources_dir=respath(corpus_cfg["sources_dir"]),
-        venue_aliases_path=respath(corpus_cfg.get("venue_aliases_path")),
-        fixture_dir=respath(index_cfg.get("fixture_dir")),
-        preprint_url=index_cfg.get("preprint_url"),
-        scholar_url=index_cfg.get("scholar_url"),
-        scholar_api_key_env=index_cfg.get("scholar_api_key_env", ""),
-        rate_limit_per_sec=index_cfg.get("rate_limit_per_sec", 3.0),
-        max_in_flight=index_cfg.get("max_in_flight", 1),
-        model_id=provider_cfg["model_id"],
-        provider_kind=provider_cfg["kind"],
-        provider_base_url=provider_cfg.get("base_url"),
-        provider_api_key_env=provider_cfg.get("api_key_env", "OPENAI_API_KEY"),
-        sampling_params=dict(provider_cfg.get("sampling_params", {})),
-        provider_rate_limit=provider_cfg.get("rate_limit_per_sec", 1.0),
-        vanilla_runs=runs_cfg.get("vanilla", 1),
-        iterative=runs_cfg.get("iterative", False),
-        thresholds=thresholds,
-        search_limit=matching_cfg.get("search_limit", 3),
-        subperiod_bins=subperiod_bins,
-        graph_strategy=graph_cfg.get("strategy", VANILLA),
-        graph_run_index=graph_cfg.get("run_index", 1),
-        cache_dir=respath(raw.get("cache_dir", "cache")),
-        out_dir=respath(raw.get("out_dir", "out")),
-        mock_dir=respath(raw.get("mock_dir")),
-        refresh=raw.get("refresh", False),
-    )
+    data = {}
+    for name, keys, default, kind in _CONFIG_FIELDS:
+        node = raw
+        for section in keys[:-1]:
+            node = node.get(section, {})
+        value = node.get(keys[-1])
+        if value is None or value == []:
+            if default is None:
+                continue  # the dataclass fills in its default
+            value = default
+        if kind is Path:
+            value = path.parent / value  # an absolute value replaces the directory
+        elif kind is int:
+            value = int(value)
+        elif kind is dict and not _is_json(value):
+            raise ConfigError(f"invalid config: {'.'.join(keys)} may hold only JSON values")
+        data[name] = value
+    if "thresholds" in data:
+        data["thresholds"] = {**data["thresholds"], "provenance": f"config:{path.name}"}
+    cfg = from_json(PipelineConfig, data)
     if cfg.fixture_dir is None and (cfg.preprint_url is None or cfg.scholar_url is None):
         raise ConfigError("index needs either fixture_dir or both service URLs")
     if cfg.provider_kind == "mock" and cfg.mock_dir is None:
@@ -524,8 +515,10 @@ def manifest_hash(identity: dict) -> str:
 
 def _now_iso() -> str:
     epoch = os.environ.get("SOURCE_DATE_EPOCH")
-    t = int(epoch) if epoch else int(time.time())
-    return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(t))
+    try:
+        return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(int(epoch) if epoch else None))
+    except (ValueError, OverflowError, OSError) as exc:
+        raise ConfigError(f"SOURCE_DATE_EPOCH={epoch!r} is not a Unix time: {exc}") from None
 
 
 @contextmanager
@@ -1306,6 +1299,7 @@ def run_pipeline(config: PipelineConfig, stages: list[str] | None = None) -> dic
     for name in requested:
         if name not in STAGES:
             raise ConfigError(f"unknown stage {name!r}")
+    created_at = _now_iso()  # a malformed SOURCE_DATE_EPOCH fails before any work
 
     # one read of the fixture index serves the run identity and the index
     # client, which owns the bytes from here and drops them once parsed
@@ -1317,7 +1311,7 @@ def run_pipeline(config: PipelineConfig, stages: list[str] | None = None) -> dic
     manifest: dict = {
         **identity,
         "manifest_hash": core,
-        "created_at": _now_iso(),
+        "created_at": created_at,
         "model_id": config.model_id,
         "stages": {},
         "failure": None,

@@ -2,8 +2,10 @@
 
 import contextlib
 import copy
+import dataclasses
 import hashlib
 import json
+import math
 import os
 import re
 import shutil
@@ -30,10 +32,12 @@ from citebias.llmgate import render_vanilla_prompt, store_mock_response
 from citebias.pipeline import (
     OVERRIDABLE,
     STAGES,
+    PipelineConfig,
     config_schema,
     load_config,
     manifest_hash,
     output_lock,
+    run_identity,
     run_pipeline,
 )
 from fixtures_pipeline import MODEL_ID, workspace_config
@@ -251,6 +255,52 @@ def _mutated_configs(draw):
     return raw
 
 
+_DROP = object()
+
+
+def _admitted(parent, key, value):
+    """``value``, null, an empty list and ``value`` as an integral float,
+    those the schema admits at ``key`` of ``parent``, and ``_DROP`` where
+    the key is optional."""
+    validator = jsonschema.Draft202012Validator(parent["properties"][key])
+    candidates = [value, None, [], float(value) if type(value) is int else value]
+    distinct = {repr(each): each for each in candidates}.values()
+    admitted = [each for each in distinct if validator.is_valid(each)]
+    return admitted + ([] if key in parent.get("required", []) else [_DROP])
+
+
+def _key_variants():
+    """(key path, values the schema admits there) for each key of the full
+    tier-1 config."""
+    raw, schema = _full_config(), config_schema()
+    for name, value in raw.items():
+        section = schema["properties"][name]
+        if "properties" in section:
+            for key, inner in value.items():
+                yield (name, key), _admitted(section, key, inner)
+        else:
+            yield (name,), _admitted(schema, name, value)
+
+
+_KEY_VARIANTS = list(_key_variants())
+
+
+@st.composite
+def _varied_configs(draw):
+    """The full tier-1 config with each key kept, dropped, set to null,
+    emptied or written as an integral float, as far as the schema admits
+    each on its own."""
+    raw = _full_config()
+    for (*sections, key), values in _KEY_VARIANTS:
+        node = raw[sections[0]] if sections else raw
+        value = draw(st.sampled_from(values))
+        if value is _DROP:
+            del node[key]
+        else:
+            node[key] = copy.deepcopy(value)
+    return raw
+
+
 def _edited(edit):
     raw = workspace_config()
     edit(raw)
@@ -282,6 +332,155 @@ def test_built_in_config_check_agrees_with_jsonschema(raw):
     # on these configs: every config jsonschema accepts is admitted, so a
     # valid load never needs jsonschema
     assert pipeline._schema_admits(raw) == _CONFIG_ORACLE.is_valid(raw)
+
+
+# the key path of each load_config override, written out
+_OVERRIDE_PATHS = {
+    **{name: (name,) for name in ("cache_dir", "out_dir", "mock_dir", "refresh")},
+    "model_id": ("provider", "model_id"),
+    "vanilla_runs": ("runs", "vanilla"),
+}
+_OVERRIDES = {
+    "cache_dir": Path("elsewhere/cache"), "out_dir": "/abs/out", "mock_dir": "replay",
+    "refresh": True, "model_id": "other-model", "vanilla_runs": 2,
+}
+
+
+def _plain_json(value):
+    """Whether ``value`` holds only JSON values, checked type by type."""
+    if isinstance(value, dict):
+        return all(isinstance(key, str) and _plain_json(item) for key, item in value.items())
+    if isinstance(value, list):
+        return all(_plain_json(item) for item in value)
+    if isinstance(value, float):
+        return math.isfinite(value)
+    return value is None or isinstance(value, (str, int))
+
+
+def oracle_load_config(path, overrides):
+    """``load_config`` written out field by field, with every config
+    checked by jsonschema; integer keys go through ``int()``."""
+    from citebias import matcher
+    from citebias.llmgate import ITERATIVE, VANILLA
+    from citebias.matcher import Thresholds
+
+    raw = yaml.safe_load(path.read_text())
+    for name, value in overrides.items():
+        *sections, key = _OVERRIDE_PATHS[name]
+        node = raw
+        for section in sections:
+            node = node.setdefault(section, {})
+        if isinstance(node, dict):
+            node[key] = str(value) if isinstance(value, Path) else value
+    exc = jsonschema.exceptions.best_match(_CONFIG_ORACLE.iter_errors(raw))
+    if exc is not None:
+        raise ConfigError(f"invalid config: {exc.message} (at {'/'.join(map(str, exc.path))})")
+
+    base = path.parent
+
+    def respath(value):
+        if value is None:
+            return None
+        p = Path(value)
+        return p if p.is_absolute() else (base / p)
+
+    corpus_cfg = raw["corpus"]
+    index_cfg = raw.get("index", {})
+    provider_cfg = raw["provider"]
+    runs_cfg = raw.get("runs", {})
+    matching_cfg = raw.get("matching", {})
+    analysis_cfg = raw.get("analysis", {})
+    graph_cfg = raw.get("graph", {})
+
+    thresholds_cfg = matching_cfg.get("thresholds")
+    thresholds = matcher.default_thresholds()
+    if thresholds_cfg:
+        thresholds = Thresholds(
+            title_threshold=thresholds_cfg["title_threshold"],
+            author_threshold=thresholds_cfg["author_threshold"],
+            provenance=f"config:{path.name}",
+        )
+
+    subperiod = analysis_cfg.get("subperiod_bins")
+    subperiod_bins = None
+    if subperiod:
+        subperiod_bins = [(str(b[0]), b[1], b[2]) for b in subperiod]
+
+    sampling_params = dict(provider_cfg.get("sampling_params", {}))
+    if not _plain_json(sampling_params):
+        raise ConfigError("invalid config: provider.sampling_params may hold only JSON values")
+
+    cfg = PipelineConfig(
+        window=(corpus_cfg["window"][0], corpus_cfg["window"][1]),
+        category=corpus_cfg["category"],
+        venue_keywords=list(corpus_cfg["venue_keywords"]),
+        blacklist=list(corpus_cfg.get("blacklist", [])),
+        resolve_fuzzy_threshold=corpus_cfg.get("resolve_fuzzy_threshold"),
+        sources_dir=respath(corpus_cfg["sources_dir"]),
+        venue_aliases_path=respath(corpus_cfg.get("venue_aliases_path")),
+        fixture_dir=respath(index_cfg.get("fixture_dir")),
+        preprint_url=index_cfg.get("preprint_url"),
+        scholar_url=index_cfg.get("scholar_url"),
+        scholar_api_key_env=index_cfg.get("scholar_api_key_env", ""),
+        rate_limit_per_sec=index_cfg.get("rate_limit_per_sec", 3.0),
+        max_in_flight=int(index_cfg.get("max_in_flight", 1)),
+        model_id=provider_cfg["model_id"],
+        provider_kind=provider_cfg["kind"],
+        provider_base_url=provider_cfg.get("base_url"),
+        provider_api_key_env=provider_cfg.get("api_key_env", "OPENAI_API_KEY"),
+        sampling_params=sampling_params,
+        provider_rate_limit=provider_cfg.get("rate_limit_per_sec", 1.0),
+        vanilla_runs=int(runs_cfg.get("vanilla", 1)),
+        iterative=runs_cfg.get("iterative", False),
+        thresholds=thresholds,
+        search_limit=int(matching_cfg.get("search_limit", 3)),
+        subperiod_bins=subperiod_bins,
+        graph_strategy=graph_cfg.get("strategy", VANILLA),
+        graph_run_index=int(graph_cfg.get("run_index", 1)),
+        cache_dir=respath(raw.get("cache_dir", "cache")),
+        out_dir=respath(raw.get("out_dir", "out")),
+        mock_dir=respath(raw.get("mock_dir")),
+        refresh=raw.get("refresh", False),
+    )
+    if cfg.fixture_dir is None and (cfg.preprint_url is None or cfg.scholar_url is None):
+        raise ConfigError("index needs either fixture_dir or both service URLs")
+    if cfg.provider_kind == "mock" and cfg.mock_dir is None:
+        raise ConfigError("mock provider needs mock_dir (or --mock)")
+    if cfg.graph_run_index > cfg.vanilla_runs:
+        raise ConfigError(f"graph.run_index {cfg.graph_run_index} > runs.vanilla {cfg.vanilla_runs}")
+    if cfg.graph_strategy == ITERATIVE and not cfg.iterative:
+        raise ConfigError("graph.strategy iterative needs runs.iterative: true")
+    return cfg
+
+
+def _load_outcome(load, *args):
+    """The loaded config, whole and as its run identity, or the error."""
+    try:
+        config = load(*args)
+    except ConfigError as exc:
+        return str(exc)
+    return repr(config), manifest_hash(run_identity(config, ""))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mutated_configs() | _varied_configs(), st.booleans())
+@example(workspace_config(), True)
+@example(_full_config(), False)
+@example(_edited(lambda raw: raw.update(analysis={"subperiod_bins": []})), False)
+@example(_edited(lambda raw: raw.update(matching={"thresholds": None})), False)
+@example(_edited(lambda raw: raw["runs"].update(vanilla=2.0)), False)
+@example(
+    _edited(lambda raw: raw["provider"].update(sampling_params={"seed": date(2023, 1, 1)})), True
+)
+@example(_edited(lambda raw: raw.update(runs=None)), True)
+def test_load_config_matches_the_field_by_field_oracle(tmp_path_factory, raw, override):
+    # every drawn config, valid or not, loads or fails as the oracle does
+    overrides = _OVERRIDES if override else {}
+    path = tmp_path_factory.getbasetemp() / "oracle" / "config.yaml"
+    path.parent.mkdir(exist_ok=True)
+    path.write_text(yaml.safe_dump(raw, sort_keys=False))
+    expected = _load_outcome(oracle_load_config, path, overrides)
+    assert _load_outcome(load_config, path, dict(overrides)) == expected
 
 
 @pytest.mark.parametrize(
@@ -406,13 +605,49 @@ def test_config_with_a_docprep_section_is_a_config_error(workspace, tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize(
+    "params",
+    [
+        {"seed": date(2023, 1, 1)},
+        {"stop": ["x", {"after": date(2023, 1, 1)}]},
+        {"temperature": float("nan")},
+        {1: "one"},
+    ],
+)
+def test_sampling_params_that_json_cannot_hold_are_a_config_error(workspace, tmp_path, params):
+    # the schema types sampling_params only as an object; a YAML date in it
+    # would load and then fail the manifest hash
+    _, config_path = workspace
+    path = _config_copy(
+        config_path, tmp_path, lambda raw: raw["provider"].update(sampling_params=params)
+    )
+    with pytest.raises(ConfigError, match="provider.sampling_params"):
+        load_config(path)
+
+
 def test_overridable_keys_are_schema_properties():
+    # each field's key path, OVERRIDABLE's among them, is a schema property,
+    # each leaf property is one field's key path, and a field has no
+    # default exactly where the schema requires its key
     schema = config_schema()
-    for name, keys in OVERRIDABLE.items():
-        node = schema
+    fields = {f.name: f for f in dataclasses.fields(PipelineConfig)}
+    paths = {name: f.metadata["keys"] for name, f in fields.items()}
+    assert OVERRIDABLE == {name: paths[name] for name in OVERRIDABLE}
+    for name, keys in paths.items():
+        node, required = schema, True
         for key in keys:
             assert key in node["properties"], (name, keys)
+            required = required and key in node.get("required", [])
             node = node["properties"][key]
+        field = fields[name]
+        defaults = (field.default, field.default_factory)
+        assert (defaults == (dataclasses.MISSING,) * 2) == required, name
+
+    def leaves(node, path=()):
+        for key, sub in node["properties"].items():
+            yield from leaves(sub, (*path, key)) if "properties" in sub else [(*path, key)]
+
+    assert sorted(leaves(schema)) == sorted(paths.values())
 
 
 def test_unknown_stage_rejected(workspace):
@@ -1042,6 +1277,32 @@ def test_threaded_ingest_writes_the_same_outputs_and_cache(completed_run, tmp_pa
     assert out == tree(root / "out", serial["manifest_hash"])
     log = tmp_path / "cache" / "scholar.jsonl"
     assert _envelopes(log) == _envelopes(root / "cache" / "scholar.jsonl")
+
+
+def test_integral_floats_for_integer_keys_load_and_run_as_ints(
+    completed_run, tmp_path, monkeypatch
+):
+    # the schema counts 2.0 as an integer; loaded as an int, it runs the
+    # tier-1 run, its manifest and every other out/ byte included
+    root, config_path, expected = completed_run
+
+    def edit(raw):
+        raw["runs"]["vanilla"] = float(raw["runs"]["vanilla"])
+        raw["graph"]["run_index"] = 1.0
+        raw["index"]["max_in_flight"] = 1.0
+        raw["matching"] = {"search_limit": 3.0}
+
+    config = load_config(_config_copy(config_path, tmp_path, edit))
+    ints = (config.vanilla_runs, config.graph_run_index, config.max_in_flight, config.search_limit)
+    assert [type(value) for value in ints] == [int] * 4
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
+    assert run_pipeline(config) == expected
+
+    def tree(base):  # later tests rewrite the shared run's manifest.json
+        files = (p for p in base.rglob("*") if p.is_file() and p.name != "manifest.json")
+        return {p.relative_to(base): p.read_bytes() for p in files}
+
+    assert tree(tmp_path / "out") == tree(root / "out")
 
 
 # ---------------------------------------------------------------------------
@@ -1732,6 +1993,18 @@ def test_cli_overrides_are_validated_like_the_file(
         assert config.refresh is True
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["stages"]["ingest"]["status"] == "ok"
+
+
+@pytest.mark.parametrize("epoch", ["2023-11-14", "99999999999999999"])
+def test_malformed_source_date_epoch_is_an_error_naming_it(
+    workspace, tmp_path, monkeypatch, capsys, epoch
+):
+    _, config_path = workspace
+    path = _config_copy(config_path, tmp_path, lambda raw: None)
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)
+    assert cli.main(["--config", str(path), "all"]) == 1
+    assert f"error: SOURCE_DATE_EPOCH={epoch!r}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()  # it failed before taking the output lock
 
 
 @pytest.mark.parametrize("command", [*STAGES, "all"])
