@@ -16,6 +16,7 @@ from .citegraph import (
     clustering_coefficient,
     edge_expansion,
 )
+from .config import PipelineConfig, load_config
 from .corpus import PaperRecord, Venue, VenueTable
 from .docprep import (
     BracketGroup,
@@ -46,7 +47,7 @@ from .matcher import (
     search_candidates,
     title_similarity,
 )
-from .pipeline import PipelineConfig, load_config, run_pipeline
+from .pipeline import run_pipeline
 from .stats import RunSummary, bias_breakdown, characteristics, run_overlap, summarize_run
 
 __version__ = "0.1.0"

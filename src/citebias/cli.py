@@ -4,7 +4,7 @@ Subcommands map one-to-one onto the entries of ``pipeline.STAGE_TABLE``,
 plus ``all`` to run the whole chain and ``calibrate`` for threshold
 calibration on a labelled pair set. The global path flags and every
 pipeline command's ``--model`` and ``--runs`` override the corresponding
-config values (``pipeline.OVERRIDABLE``) before the config is validated
+config values (``config.OVERRIDABLE``) before the config is validated
 and hashed, so running stage by stage needs the same flags on each
 command.
 """
@@ -18,8 +18,9 @@ from pathlib import Path
 
 from . import matcher
 from .clients import atomic_write_text, dump_json
+from .config import OVERRIDABLE, load_config
 from .errors import CitebiasError
-from .pipeline import OVERRIDABLE, STAGE_TABLE, load_config, run_pipeline
+from .pipeline import STAGE_TABLE, run_pipeline
 
 logger = logging.getLogger(__name__)
 

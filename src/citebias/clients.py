@@ -1,16 +1,14 @@
-"""Index clients: HTTP and fixture-backed, with rate limiting and a disk cache.
+"""Offline index clients, the disk cache and the stage-artifact codec.
 
 Two external services back the pipeline: a preprint index (harvesting
 candidate papers) and a scholarly index (resolution, enrichment, title
-search). Both sit behind small client interfaces so tests and offline runs
-substitute a directory of canned JSON for the network. That directory is
-read in one pass by ``read_tree``, which also feeds the run's input
-digest, so a run reads each fixture file once and its digest and its
-records come from the same bytes. ``to_json`` and ``from_json``, the
-codec of every stage artifact, are compiled once per type, so a call
-inspects no annotation. ``requests`` is imported by ``HttpService``
-when a live client is built, so an offline run never loads the HTTP
-stack.
+search). ``FixtureIndexClient`` stands in for both with a directory of
+canned JSON, read in one pass by ``read_tree``, which also feeds the
+run's input digest. ``CachedScholarClient`` serves every scholar read
+through ``JsonCache``, one append-only log per service. ``to_json`` and
+``from_json`` are the codec of every stage artifact, and
+``atomic_write_text`` writes each one. The HTTP clients of a live run
+are in ``live``, which this module never imports.
 
 Wire formats (JSON):
 
@@ -26,14 +24,6 @@ Wire formats (JSON):
      "venue": "...", "year": 2021, "citation_count": 10,
      "influential_citation_count": 2, "reference_count": 30,
      "references": ["p002", "p003"]}
-
-The disk cache is one append-only log per service,
-``cache/<service>.jsonl``, one envelope per line keyed by (endpoint, id,
-schema version) so stale or foreign entries are treated as misses. The
-log is read once per run; each entry is appended with one ``write``, so
-no file is created per key. The cache holds each id's last intact line as
-bytes and decodes it on each hit, so a run holds about the log's size,
-not its decoded envelopes.
 """
 
 from __future__ import annotations
@@ -42,27 +32,19 @@ import dataclasses
 import functools
 import heapq
 import json
-import logging
 import operator
 import os
 import re
 import threading
-import time
 import types
 import typing
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Protocol
+from typing import Any, Callable, Protocol
 
-from .errors import IndexParseError, TransportError
+from .errors import IndexParseError
 from .textnorm import title_key, tokens
-
-if TYPE_CHECKING:
-    import requests
-
-logger = logging.getLogger(__name__)
 
 CACHE_SCHEMA_VERSION = 1
 
@@ -252,59 +234,6 @@ def _read_file(path: str | Path, dir_fd: int | None = None) -> bytes:
     finally:
         os.close(fd)
     return b"".join(chunks)
-
-
-class TokenBucket:
-    """Token-bucket rate limiter shared by all calls to one service.
-
-    ``rate`` is tokens per second, ``capacity`` the burst size. ``acquire``
-    blocks until a token is available. Clock and sleep are injectable for
-    tests.
-    """
-
-    def __init__(
-        self,
-        rate: float,
-        capacity: float | None = None,
-        clock: Callable[[], float] = time.monotonic,
-        sleep: Callable[[float], None] = time.sleep,
-    ):
-        if rate <= 0:
-            raise ValueError("rate must be positive")
-        self.rate = rate
-        self.capacity = capacity if capacity is not None else max(1.0, rate)
-        self._tokens = self.capacity
-        self._clock = clock
-        self._sleep = sleep
-        self._last = clock()
-        self._lock = threading.Lock()
-
-    def _refill(self) -> None:
-        now = self._clock()
-        self._tokens = min(self.capacity, self._tokens + (now - self._last) * self.rate)
-        self._last = now
-
-    def acquire(self) -> None:
-        while True:
-            with self._lock:
-                self._refill()
-                if self._tokens >= 1.0:
-                    self._tokens -= 1.0
-                    return
-                wait = (1.0 - self._tokens) / self.rate
-            self._sleep(wait)
-
-
-@dataclass
-class RetryPolicy:
-    """Bounded retry with deterministic exponential backoff (no jitter)."""
-
-    max_attempts: int = 4
-    backoff_base: float = 0.5
-
-    def delays(self):
-        for attempt in range(self.max_attempts - 1):
-            yield self.backoff_base * (2**attempt)
 
 
 def parallel_map(fn: Callable, items: list, max_in_flight: int = 1) -> list:
@@ -511,12 +440,10 @@ class FixtureIndexClient:
     bytes and its title are held; the titles are dropped once the title
     index below is built. A lookup or search decodes each record
     it returns again, so no decoded record is held and each call returns
-    fresh dicts. A paper that is not an object, whose ``index_id`` is not
-    a string, or whose ``title`` is neither absent, null nor a string is
-    an ``IndexParseError`` naming its file, raised at the load. Each file
-    is decoded by ``parse_record`` on ``json``'s C scanner, falling back
-    to ``json.loads`` for any bytes that are not plain UTF-8 JSON, so
-    values and errors are ``json.loads``'s.
+    fresh dicts. A malformed paper (see ``_id_and_title``) is an
+    ``IndexParseError`` naming its file, raised at the load. Each file is
+    decoded by ``parse_record``, whose values and errors are
+    ``json.loads``'s.
 
     Title search ranks by token overlap (Jaccard) with the query, ties
     broken by id, which is a deliberately different notion of relevance
@@ -637,104 +564,6 @@ class FixtureIndexClient:
     def get_paper(self, index_id: str) -> dict | None:
         data = self._load_papers().get(index_id)
         return None if data is None else parse_record(data)
-
-
-class HttpService:
-    """One HTTP service: base URL, session, rate limiter and retry policy.
-
-    ``request`` retries connection errors, 429 and 5xx with backoff and
-    returns the first other response; ``get_json`` reads that response
-    as JSON, with 404 meaning not found (None) and any other 4xx fatal.
-    The key in the environment variable ``api_key_env`` is sent as the
-    ``key_header`` header, after ``key_prefix``; a service without a
-    ``key_header`` sends no credential.
-    """
-
-    key_header = ""
-    key_prefix = ""
-    timeout = 30
-
-    def __init__(
-        self,
-        base_url: str,
-        session: requests.Session | None = None,
-        limiter: TokenBucket | None = None,
-        retry: RetryPolicy | None = None,
-        api_key_env: str = "",
-    ):
-        import requests
-
-        self.base_url = base_url.rstrip("/")
-        self.session = session or requests.Session()
-        self.limiter = limiter
-        self.retry = retry or RetryPolicy()
-        key = os.environ.get(api_key_env, "")
-        if self.key_header and key:
-            self.session.headers[self.key_header] = self.key_prefix + key
-
-    def request(self, method: str, path: str, **kwargs: Any) -> requests.Response:
-        """Send under the rate limiter; TransportError once the attempts run out."""
-        import requests
-
-        url = self.base_url + path
-        send = getattr(self.session, method.lower())
-        last: Exception | None = None
-        for delay in [*self.retry.delays(), None]:
-            if self.limiter is not None:
-                self.limiter.acquire()
-            try:
-                resp = send(url, timeout=self.timeout, **kwargs)
-            except requests.RequestException as exc:
-                last = exc
-            else:
-                if resp.status_code != 429 and resp.status_code < 500:
-                    return resp
-                last = TransportError(f"{url} -> HTTP {resp.status_code}")
-            if delay is not None:
-                time.sleep(delay)
-        raise TransportError(f"{url} failed after {self.retry.max_attempts} attempts: {last}")
-
-    def get_json(self, path: str, params: dict | None = None) -> Any:
-        """The JSON body of a GET, or None on 404."""
-        resp = self.request("GET", path, params=params or {})
-        url = self.base_url + path
-        if resp.status_code == 404:
-            return None
-        if resp.status_code >= 400:
-            raise TransportError(f"{url} -> HTTP {resp.status_code}", retryable=False)
-        try:
-            return resp.json()
-        except ValueError as exc:
-            raise IndexParseError(f"non-JSON response from {url}") from exc
-
-
-class HttpPreprintClient(HttpService):
-    """Preprint index over HTTP, same wire format as the fixture client."""
-
-    def list_records(self, start: str, end: str, category: str) -> list[dict]:
-        payload = self.get_json("/records", {"start": start, "end": end, "category": category})
-        if payload is None:
-            raise TransportError(f"{self.base_url}/records -> HTTP 404", retryable=False)
-        if not isinstance(payload, list):
-            raise IndexParseError("preprint index returned a non-list payload", payload)
-        return payload
-
-
-class HttpScholarClient(HttpService):
-    """Scholarly index over HTTP."""
-
-    key_header = "x-api-key"
-
-    def search_title(self, query: str, limit: int = 10) -> list[dict]:
-        payload = self.get_json("/papers/search", {"query": query, "limit": limit})
-        if payload is None:
-            return []
-        if not isinstance(payload, list):
-            raise IndexParseError("scholar search returned a non-list payload", payload)
-        return payload
-
-    def get_paper(self, index_id: str) -> dict | None:
-        return self.get_json(f"/papers/{index_id}")
 
 
 class CachedScholarClient:

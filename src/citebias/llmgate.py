@@ -25,9 +25,9 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
-from .clients import HttpService, atomic_write_text
+from .clients import atomic_write_text
 from .corpus import Venue, VenueTable
-from .errors import MockResponseMissing, ProviderRefusal, TableParseError, TransportError
+from .errors import MockResponseMissing, ProviderRefusal, TableParseError
 from .textnorm import ET_AL_RE
 
 logger = logging.getLogger(__name__)
@@ -171,46 +171,6 @@ def store_mock_response(
     path = root / f"{prompt_digest(messages)}.txt"
     atomic_write_text(path, text)
     return path
-
-
-class OpenAIChatProvider(HttpService):
-    """Chat-completions provider for OpenAI-compatible HTTP gateways.
-
-    Credentials come from the environment only (``api_key_env``), never
-    from config files.
-    """
-
-    key_header = "Authorization"
-    key_prefix = "Bearer "
-    timeout = 120
-
-    def __init__(self, base_url: str, model: str, api_key_env: str = "OPENAI_API_KEY", **kwargs):
-        super().__init__(base_url, api_key_env=api_key_env, **kwargs)
-        self.model = model
-
-    def send(self, messages: list[Message], params: dict) -> str:
-        body = {
-            "model": self.model,
-            "messages": [{"role": role, "content": content} for role, content in messages],
-            **params,
-        }
-        resp = self.request("POST", "/chat/completions", json=body)
-        if resp.status_code >= 400:
-            raise TransportError(
-                f"provider HTTP {resp.status_code}: {resp.text[:200]}", retryable=False
-            )
-        try:
-            content = resp.json()["choices"][0]["message"]["content"] or ""
-            # JSON admits a lone surrogate, which no file can hold: the
-            # UnicodeEncodeError is a ValueError, and content that is no
-            # string a TypeError
-            str.encode(content, "utf-8")
-            return content
-        except (ValueError, LookupError, TypeError) as exc:
-            raise TransportError(
-                f"{self.base_url}/chat/completions -> malformed response body ({exc!r})",
-                retryable=False,
-            ) from exc
 
 
 def generate(

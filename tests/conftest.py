@@ -4,7 +4,8 @@ import os
 
 import pytest
 
-from citebias.pipeline import load_config, run_pipeline
+from citebias.config import load_config
+from citebias.pipeline import run_pipeline
 from fixtures_pipeline import build_workspace
 
 EPOCH = "1700000000"

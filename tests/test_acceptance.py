@@ -22,6 +22,7 @@ from citebias.citegraph import (
     edge_expansion,
 )
 from citebias.clients import FixtureIndexClient
+from citebias.config import load_config
 from citebias.docprep import extract_citations, uniquely_identifiable_numbers
 from citebias.llmgate import GeneratedReference, merge_iterative, parse_reference_table
 from citebias.matcher import (
@@ -31,7 +32,7 @@ from citebias.matcher import (
     default_thresholds,
     search_candidates,
 )
-from citebias.pipeline import load_config, run_pipeline
+from citebias.pipeline import run_pipeline
 from citebias.stats import (
     RefFlags,
     bias_breakdown,

@@ -15,7 +15,6 @@ from citebias.clients import (
     CachedScholarClient,
     FixtureIndexClient,
     JsonCache,
-    TokenBucket,
     atomic_write_text,
     dump_json,
     to_json,
@@ -31,6 +30,7 @@ from citebias.corpus import (
     resolve_paper,
 )
 from citebias.errors import AmbiguousMatchError, Exclusion, IndexParseError
+from citebias.live import TokenBucket
 
 # ---------------------------------------------------------------------------
 # Fixture index
@@ -1026,10 +1026,10 @@ class FakeSession:
 
 
 def test_http_client_retries_rate_limit_then_succeeds(monkeypatch):
-    import citebias.clients as clients_mod
-    from citebias.clients import HttpScholarClient, RetryPolicy
+    import citebias.live as live_mod
+    from citebias.live import HttpScholarClient, RetryPolicy
 
-    monkeypatch.setattr(clients_mod.time, "sleep", lambda s: None)
+    monkeypatch.setattr(live_mod.time, "sleep", lambda s: None)
     session = FakeSession([FakeResponse(429), FakeResponse(200, {"index_id": "x"})])
     client = HttpScholarClient(
         "http://index.test", session=session, retry=RetryPolicy(max_attempts=3, backoff_base=0)
@@ -1039,11 +1039,11 @@ def test_http_client_retries_rate_limit_then_succeeds(monkeypatch):
 
 
 def test_http_client_hard_fails_after_configured_attempts(monkeypatch):
-    import citebias.clients as clients_mod
-    from citebias.clients import HttpScholarClient, RetryPolicy
+    import citebias.live as live_mod
+    from citebias.live import HttpScholarClient, RetryPolicy
     from citebias.errors import TransportError
 
-    monkeypatch.setattr(clients_mod.time, "sleep", lambda s: None)
+    monkeypatch.setattr(live_mod.time, "sleep", lambda s: None)
     session = FakeSession([FakeResponse(500)] * 3)
     client = HttpScholarClient(
         "http://index.test", session=session, retry=RetryPolicy(max_attempts=3, backoff_base=0)
@@ -1056,12 +1056,12 @@ def test_http_client_hard_fails_after_configured_attempts(monkeypatch):
 def test_http_client_connection_errors_exhaust_the_attempts(monkeypatch):
     import requests
 
-    import citebias.clients as clients_mod
-    from citebias.clients import HttpScholarClient, RetryPolicy
+    import citebias.live as live_mod
+    from citebias.live import HttpScholarClient, RetryPolicy
     from citebias.errors import TransportError
 
     sleeps = []
-    monkeypatch.setattr(clients_mod.time, "sleep", sleeps.append)
+    monkeypatch.setattr(live_mod.time, "sleep", sleeps.append)
     session = FakeSession([requests.ConnectionError(f"refused #{i}") for i in range(1, 4)])
     client = HttpScholarClient(
         "http://index.test", session=session, retry=RetryPolicy(max_attempts=3, backoff_base=0.5)
@@ -1077,10 +1077,10 @@ def test_http_client_connection_errors_exhaust_the_attempts(monkeypatch):
 def test_http_client_retries_connection_error_then_succeeds(monkeypatch):
     import requests
 
-    import citebias.clients as clients_mod
-    from citebias.clients import HttpScholarClient, RetryPolicy
+    import citebias.live as live_mod
+    from citebias.live import HttpScholarClient, RetryPolicy
 
-    monkeypatch.setattr(clients_mod.time, "sleep", lambda s: None)
+    monkeypatch.setattr(live_mod.time, "sleep", lambda s: None)
     session = FakeSession([requests.ConnectionError("reset"), FakeResponse(200, {"index_id": "x"})])
     client = HttpScholarClient(
         "http://index.test", session=session, retry=RetryPolicy(max_attempts=3, backoff_base=0)
@@ -1092,7 +1092,7 @@ def test_http_client_retries_connection_error_then_succeeds(monkeypatch):
 def test_http_client_without_a_session_builds_one(monkeypatch):
     import requests
 
-    from citebias.clients import HttpScholarClient
+    from citebias.live import HttpScholarClient
 
     monkeypatch.setenv("TEST_SCHOLAR_KEY", "s2-fixture")
     client = HttpScholarClient("http://index.test", api_key_env="TEST_SCHOLAR_KEY")
@@ -1101,7 +1101,7 @@ def test_http_client_without_a_session_builds_one(monkeypatch):
 
 
 def test_http_client_404_is_not_found_not_error():
-    from citebias.clients import HttpScholarClient
+    from citebias.live import HttpScholarClient
 
     session = FakeSession([FakeResponse(404)])
     client = HttpScholarClient("http://index.test", session=session)
@@ -1109,7 +1109,7 @@ def test_http_client_404_is_not_found_not_error():
 
 
 def test_http_client_4xx_is_not_retryable():
-    from citebias.clients import HttpScholarClient
+    from citebias.live import HttpScholarClient
     from citebias.errors import TransportError
 
     session = FakeSession([FakeResponse(403)])
@@ -1121,7 +1121,7 @@ def test_http_client_4xx_is_not_retryable():
 
 
 def test_scholar_client_sends_api_key_from_environment(monkeypatch):
-    from citebias.clients import HttpScholarClient
+    from citebias.live import HttpScholarClient
 
     monkeypatch.setenv("TEST_SCHOLAR_KEY", "s2-fixture")
     session = FakeSession([])
@@ -1130,7 +1130,7 @@ def test_scholar_client_sends_api_key_from_environment(monkeypatch):
 
 
 def test_preprint_client_sends_window_and_category():
-    from citebias.clients import HttpPreprintClient
+    from citebias.live import HttpPreprintClient
 
     records = [{"preprint_id": "2203.01234"}]
     session = FakeSession([FakeResponse(200, records)])
@@ -1146,11 +1146,11 @@ def test_preprint_client_sends_window_and_category():
 
 
 def test_preprint_client_retries_server_error(monkeypatch):
-    import citebias.clients as clients_mod
-    from citebias.clients import HttpPreprintClient, RetryPolicy
+    import citebias.live as live_mod
+    from citebias.live import HttpPreprintClient, RetryPolicy
 
     sleeps = []
-    monkeypatch.setattr(clients_mod.time, "sleep", sleeps.append)
+    monkeypatch.setattr(live_mod.time, "sleep", sleeps.append)
     session = FakeSession([FakeResponse(503), FakeResponse(200, [])])
     client = HttpPreprintClient(
         "http://preprint.test", session=session, retry=RetryPolicy(max_attempts=2, backoff_base=0.25)
@@ -1162,7 +1162,7 @@ def test_preprint_client_retries_server_error(monkeypatch):
 
 @pytest.mark.parametrize("payload", [{"records": []}, None], ids=["object", "non-json"])
 def test_preprint_client_rejects_non_list_payload(payload):
-    from citebias.clients import HttpPreprintClient
+    from citebias.live import HttpPreprintClient
     from citebias.errors import IndexParseError
 
     session = FakeSession([FakeResponse(200, payload)])
@@ -1172,7 +1172,7 @@ def test_preprint_client_rejects_non_list_payload(payload):
 
 
 def test_preprint_client_404_is_transport_error():
-    from citebias.clients import HttpPreprintClient
+    from citebias.live import HttpPreprintClient
     from citebias.errors import TransportError
 
     session = FakeSession([FakeResponse(404)])
@@ -1196,7 +1196,7 @@ def test_preprint_client_404_is_transport_error():
 )
 def test_provider_malformed_success_body_is_transport_error(payload):
     from citebias.errors import TransportError
-    from citebias.llmgate import OpenAIChatProvider
+    from citebias.live import OpenAIChatProvider
 
     session = FakeSession([FakeResponse(200, payload)])
     provider = OpenAIChatProvider("http://llm.test/v1", model="m", session=session)

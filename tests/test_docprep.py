@@ -10,18 +10,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from citebias import docprep
+from citebias import bibtex, docprep
+from citebias.bibtex import BibEntry, CompiledBibliography, parse_bib, resolve_bibliography
 from citebias.clients import read_tree
 from citebias.docprep import (
     BracketGroup,
-    BibEntry,
-    CompiledBibliography,
     extract_citations,
     locate_main_tex,
-    parse_bib,
     prepare_source,
     render_text,
-    resolve_bibliography,
     select_intro_references,
     uniquely_identifiable_numbers,
 )
@@ -241,7 +238,7 @@ def _fixture_bibliography() -> CompiledBibliography:
 def _render(tex: str, bibliography: CompiledBibliography | None = None) -> str:
     """render_text over ``tex`` with comments stripped, as prepare_source
     hands it over."""
-    return render_text(docprep._strip_comments(tex), bibliography or _fixture_bibliography())
+    return render_text(bibtex.strip_comments(tex), bibliography or _fixture_bibliography())
 
 
 def test_clean_strips_figure_bodies():
@@ -722,7 +719,7 @@ def _read_braced_reference(text, start):
         raise TexError(f"expected '{{' at offset {start}")
     depth = 0
     for i in range(start, len(text)):
-        if text[i] in "{}" and not docprep._escaped(text, i):
+        if text[i] in "{}" and not bibtex._escaped(text, i):
             depth += 1 if text[i] == "{" else -1
             if depth == 0:
                 return text[start + 1 : i], i + 1
@@ -733,7 +730,7 @@ def _strip_comments_reference(tex):
     out = []
     for line in tex.split("\n"):
         j = line.find("%")
-        while j >= 0 and docprep._escaped(line, j):
+        while j >= 0 and bibtex._escaped(line, j):
             j = line.find("%", j + 1)
         out.append(line if j < 0 else line[:j])
     return "\n".join(out)
@@ -741,7 +738,7 @@ def _strip_comments_reference(tex):
 
 def _latex_to_plain_reference(text):
     # every rewrite, whether or not its trigger character is present
-    text = docprep._LAYOUT_RE.sub("", _strip_comments_reference(text))
+    text = bibtex._LAYOUT_RE.sub("", _strip_comments_reference(text))
     for _ in range(3):
         new = re.sub(
             r"\\(?:textbf|textit|textsc|texttt|textrm|emph|mbox|text|underline)\{([^{}]*)\}",
@@ -810,7 +807,7 @@ def test_read_braced_agrees_with_the_per_character_reader(text, data):
     starts = range(len(text) + 1)
     picked = starts if data is None else [data.draw(st.sampled_from(starts))]
     for start in picked:
-        assert _outcome(docprep._read_braced, text, start) == _outcome(
+        assert _outcome(bibtex.read_braced, text, start) == _outcome(
             _read_braced_reference, text, start
         )
 
@@ -820,8 +817,8 @@ def test_read_braced_agrees_with_the_per_character_reader(text, data):
 @example("no markers at all")
 @example("\\textbf{\\emph{x}} $y$ 50\\% % gone")
 def test_latex_to_plain_and_strip_comments_agree_with_the_unguarded_rewrites(text):
-    assert docprep._strip_comments(text) == _strip_comments_reference(text)
-    assert docprep._latex_to_plain(text) == _latex_to_plain_reference(text)
+    assert bibtex.strip_comments(text) == _strip_comments_reference(text)
+    assert bibtex.latex_to_plain(text) == _latex_to_plain_reference(text)
 
 
 @settings(max_examples=400, deadline=None)
@@ -847,8 +844,8 @@ def test_unbraced_author_list_splits_as_before(field):
             if "," in part:
                 last, _, first = part.partition(",")
                 part = f"{first.strip()} {last.strip()}".strip()
-            expected.append(docprep._latex_to_plain(part))
-    assert docprep._split_bib_authors(field) == expected
+            expected.append(bibtex.latex_to_plain(part))
+    assert bibtex._split_bib_authors(field) == expected
 
 
 def test_braced_and_does_not_split_a_bib_author():
@@ -856,7 +853,7 @@ def test_braced_and_does_not_split_a_bib_author():
         "@article{k1, author={Doe, Jane and {Barnes and Noble}}, year={2020}}"
     )
     assert entries["k1"].authors == ["Jane Doe", "Barnes and Noble"]
-    assert docprep._split_bib_authors("{A and B} and C and {D {and} E}") == [
+    assert bibtex._split_bib_authors("{A and B} and C and {D {and} E}") == [
         "A and B",
         "C",
         "D and E",
@@ -864,8 +861,8 @@ def test_braced_and_does_not_split_a_bib_author():
 
 
 def test_braced_comma_does_not_split_a_bib_name():
-    assert docprep._split_bib_authors("{Smith, Ltd}") == ["Smith, Ltd"]
-    assert docprep._split_bib_authors("Doe, Jane and {Smith, Ltd}") == ["Jane Doe", "Smith, Ltd"]
+    assert bibtex._split_bib_authors("{Smith, Ltd}") == ["Smith, Ltd"]
+    assert bibtex._split_bib_authors("Doe, Jane and {Smith, Ltd}") == ["Jane Doe", "Smith, Ltd"]
     entries = parse_bib("@article{k1, author={{Smith, Ltd} and {van Dyke}, Dick}, year={2020}}")
     assert entries["k1"].authors == ["Smith, Ltd", "Dick van Dyke"]
 
@@ -904,4 +901,4 @@ def test_plain_style_sorts_a_braced_name_as_one_last_name():
     tex = "\\bibliographystyle{plain}\n\\bibliography{refs}\n"
     bibliography = resolve_bibliography({"refs.bib": bib.encode()}, tex, ["corp", "nolan"], "paper")
     assert [e.key for e in bibliography.entries] == ["nolan", "corp"]
-    assert docprep._alpha_sort_key(bibliography.entries[1])[0] == "smith, ltd"
+    assert bibtex._alpha_sort_key(bibliography.entries[1])[0] == "smith, ltd"

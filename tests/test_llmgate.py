@@ -198,11 +198,10 @@ class FakePostSession:
 
 
 def test_openai_provider_sends_messages_and_retries(monkeypatch):
-    import citebias.clients as clients_mod
-    from citebias.clients import RetryPolicy
-    from citebias.llmgate import OpenAIChatProvider
+    import citebias.live as live_mod
+    from citebias.live import OpenAIChatProvider, RetryPolicy
 
-    monkeypatch.setattr(clients_mod.time, "sleep", lambda s: None)
+    monkeypatch.setattr(live_mod.time, "sleep", lambda s: None)
     ok = {"choices": [{"message": {"content": "[1] A reference."}}]}
     session = FakePostSession([(429, None), (200, ok)])
     provider = OpenAIChatProvider(
@@ -224,7 +223,7 @@ def test_openai_provider_sends_messages_and_retries(monkeypatch):
 
 def test_openai_provider_4xx_is_not_retryable():
     from citebias.errors import TransportError
-    from citebias.llmgate import OpenAIChatProvider
+    from citebias.live import OpenAIChatProvider
 
     session = FakePostSession([(400, None)])
     provider = OpenAIChatProvider("http://gateway.test/v1", "some-model", session=session)
@@ -235,7 +234,7 @@ def test_openai_provider_4xx_is_not_retryable():
 
 
 def test_openai_provider_reads_key_from_environment(monkeypatch):
-    from citebias.llmgate import OpenAIChatProvider
+    from citebias.live import OpenAIChatProvider
 
     monkeypatch.setenv("TEST_PROVIDER_KEY", "sk-fixture")
     session = FakePostSession([])

@@ -1,6 +1,13 @@
-"""The package's public surface: every exported name resolves."""
+"""The package's public surface: every exported name resolves, and every
+module stays small enough to compile cheaply."""
+
+from pathlib import Path
 
 import citebias
+
+# CPython keeps the memory that compiling a module used, so a run from
+# source (no bytecode cached) peaks with its largest module's compile
+MAX_MODULE_BYTES = 24 * 1024
 
 
 def test_every_name_in_all_resolves_on_the_package():
@@ -9,3 +16,13 @@ def test_every_name_in_all_resolves_on_the_package():
     namespace: dict = {}
     exec("from citebias import *", namespace)
     assert set(citebias.__all__) <= namespace.keys()
+
+
+def test_every_module_is_at_most_24_kib():
+    sizes = {path.name: path.stat().st_size for path in Path(citebias.__file__).parent.glob("*.py")}
+    over = {name: size for name, size in sorted(sizes.items()) if size > MAX_MODULE_BYTES}
+    assert over == {}, (
+        f"modules over {MAX_MODULE_BYTES} B: {over}. Compiling a module from source costs "
+        "tens of times its size in memory that the process keeps, so the largest module sets "
+        "a from-source run's peak RSS: split the module at a seam instead of raising the limit"
+    )

@@ -26,15 +26,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from citebias import cli, pipeline
+from citebias import config as config_mod
 from citebias.clients import dump_json, safe_filename
+from citebias.config import OVERRIDABLE, PipelineConfig, config_schema, load_config
 from citebias.errors import ConfigError, PipelineError
 from citebias.llmgate import render_vanilla_prompt, store_mock_response
 from citebias.pipeline import (
-    OVERRIDABLE,
     STAGES,
-    PipelineConfig,
-    config_schema,
-    load_config,
+    inputs_digest,
     manifest_hash,
     output_lock,
     run_identity,
@@ -76,7 +75,7 @@ def test_config_schema_is_checked_once_across_loads(workspace, tmp_path, monkeyp
         "check_schema",
         classmethod(lambda cls, schema, **kw: checks.append(1) or original(cls, schema, **kw)),
     )
-    pipeline._config_validator.cache_clear()
+    config_mod._config_validator.cache_clear()
     load_config(config_path)
     assert checks == []
     for _ in range(2):
@@ -91,8 +90,8 @@ def test_bundled_config_schema_passes_its_metaschema():
 
 
 def test_bundled_config_schema_passes_the_built_in_checks_keyword_guard():
-    assert pipeline._checkable(config_schema())
-    assert pipeline._checked_schema() == config_schema()
+    assert config_mod._checkable(config_schema())
+    assert config_mod._checked_schema() == config_schema()
 
 
 @pytest.mark.parametrize(
@@ -109,7 +108,7 @@ def test_bundled_config_schema_passes_the_built_in_checks_keyword_guard():
     ],
 )
 def test_keyword_guard_leaves_unimplemented_schemas_to_jsonschema(schema):
-    assert not pipeline._checkable(schema)
+    assert not config_mod._checkable(schema)
 
 
 @pytest.mark.parametrize("value", [Decimal("-1"), Fraction(-1, 2), (1, 2), date(2022, 3, 1)])
@@ -117,19 +116,19 @@ def test_built_in_check_leaves_values_json_lacks_to_jsonschema(value):
     # jsonschema counts a Decimal or a Fraction as a number, so a check that
     # skipped what it does not know would admit -1 against a minimum of 0
     schema = {"minimum": 0, "maxItems": 1}
-    assert pipeline._checkable(schema)
-    assert not pipeline._admits(schema, value)
+    assert config_mod._checkable(schema)
+    assert not config_mod._admits(schema, value)
 
 
 def test_config_loader_is_libyaml_where_pyyaml_has_it():
     expected = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
-    assert pipeline._YAML_LOADER is expected
+    assert config_mod._YAML_LOADER is expected
 
 
 def test_config_loader_reads_the_workspace_config_as_the_pure_python_loader(workspace):
     _, config_path = workspace
     text = config_path.read_text(encoding="utf-8")
-    assert yaml.load(text, Loader=pipeline._YAML_LOADER) == yaml.load(text, Loader=yaml.SafeLoader)
+    assert yaml.load(text, Loader=config_mod._YAML_LOADER) == yaml.load(text, Loader=yaml.SafeLoader)
 
 
 _yaml_scalars = (
@@ -156,7 +155,7 @@ _config_shaped = st.dictionaries(
 @given(_config_shaped, st.booleans(), st.sampled_from([None, False, True]))
 def test_config_loader_reads_dumped_configs_as_the_pure_python_loader(raw, unicode, flow):
     text = yaml.safe_dump(raw, allow_unicode=unicode, default_flow_style=flow)
-    assert yaml.load(text, Loader=pipeline._YAML_LOADER) == yaml.load(text, Loader=yaml.SafeLoader)
+    assert yaml.load(text, Loader=config_mod._YAML_LOADER) == yaml.load(text, Loader=yaml.SafeLoader)
 
 
 def _schema_keys(schema):
@@ -331,7 +330,7 @@ def test_built_in_config_check_agrees_with_jsonschema(raw):
     # sound: a config the check admits has no jsonschema error; complete
     # on these configs: every config jsonschema accepts is admitted, so a
     # valid load never needs jsonschema
-    assert pipeline._schema_admits(raw) == _CONFIG_ORACLE.is_valid(raw)
+    assert config_mod._schema_admits(raw) == _CONFIG_ORACLE.is_valid(raw)
 
 
 # the key path of each load_config override, written out
@@ -404,7 +403,8 @@ def oracle_load_config(path, overrides):
     subperiod = analysis_cfg.get("subperiod_bins")
     subperiod_bins = None
     if subperiod:
-        subperiod_bins = [(str(b[0]), b[1], b[2]) for b in subperiod]
+        # a bound the schema admits as an integer loads as an int
+        subperiod_bins = [(str(b[0]), *(x if x is None else int(x) for x in b[1:])) for b in subperiod]
 
     sampling_params = dict(provider_cfg.get("sampling_params", {}))
     if not _plain_json(sampling_params):
@@ -669,16 +669,18 @@ def test_all_stages_completed(completed_run):
         assert manifest["stages"][stage]["status"] == "ok"
 
 
-# the HTTP stack, process spawning and the schema engine, which only a
-# rejected config needs: an offline run loads none of them
+# the live clients and the HTTP stack, process spawning and the schema
+# engine, which only a rejected config needs: an offline run loads none of them
 OFFLINE_FORBIDDEN = (
-    "requests", "urllib3", "ssl", "http.client", "subprocess", "jsonschema", "referencing", "rpds",
+    "citebias.live", "requests", "urllib3", "ssl", "http.client", "subprocess", "jsonschema",
+    "referencing", "rpds",
 )
 
 # run in a fresh interpreter: argv is the config, then the module names
 OFFLINE_RUN = """
 import json, sys
-from citebias.pipeline import load_config, run_pipeline
+from citebias.config import load_config
+from citebias.pipeline import run_pipeline
 manifest = run_pipeline(load_config(sys.argv[1]))
 print(json.dumps({
     "statuses": sorted({stage["status"] for stage in manifest["stages"].values()}),
@@ -702,6 +704,42 @@ def test_offline_run_loads_no_http_stack_and_no_subprocess(workspace, tmp_path):
     assert child.returncode == 0, child.stderr
     report = json.loads(child.stdout.splitlines()[-1])
     assert report == {"statuses": ["ok"], "loaded": []}
+
+
+def test_live_config_builds_rate_limited_http_clients_without_a_request(
+    workspace, tmp_path, monkeypatch
+):
+    # both indexes share one limiter at index.rate_limit_per_sec, and the
+    # chat gateway has its own at provider.rate_limit_per_sec
+    import requests
+
+    from citebias.live import HttpPreprintClient, HttpScholarClient, OpenAIChatProvider
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("building the clients sent a request")
+
+    monkeypatch.setattr(requests.Session, "request", refuse)
+    _, config_path = workspace
+
+    def edit(raw):
+        raw["index"] = {
+            "preprint_url": "http://preprint.test", "scholar_url": "http://scholar.test",
+            "rate_limit_per_sec": 5.0,
+        }
+        raw["provider"].update(kind="openai", base_url="http://llm.test/v1", rate_limit_per_sec=0.5)
+
+    config = load_config(_config_copy(config_path, tmp_path, edit))
+    ctx = pipeline.PipelineContext(config, "0" * 64)
+    scholar = ctx.scholar.inner
+    assert type(ctx.preprint) is HttpPreprintClient and type(scholar) is HttpScholarClient
+    assert (ctx.preprint.base_url, scholar.base_url) == ("http://preprint.test", "http://scholar.test")
+    assert ctx.preprint.limiter is scholar.limiter
+    assert ctx.preprint.limiter.rate == 5.0
+    assert type(ctx.provider) is OpenAIChatProvider
+    assert (ctx.provider.base_url, ctx.provider.model) == ("http://llm.test/v1", MODEL_ID)
+    assert ctx.provider.limiter is not scholar.limiter
+    assert ctx.provider.limiter.rate == 0.5
+    assert ctx.provider_for("vanilla", 2) is ctx.provider
 
 
 def test_full_run_leaves_every_hashed_input_unchanged(workspace, tmp_path):
@@ -1305,6 +1343,23 @@ def test_integral_floats_for_integer_keys_load_and_run_as_ints(
     assert tree(tmp_path / "out") == tree(root / "out")
 
 
+def test_integral_float_subperiod_bounds_load_as_ints(workspace, tmp_path):
+    # the schema admits 2023.0 as an integer bound, so both spellings of one
+    # bin set load as one config with one run identity
+    _, config_path = workspace
+    loaded = []
+    for late in (2023, 2023.0):
+
+        def edit(raw, late=late):
+            raw["analysis"] = {"subperiod_bins": [["early", None, 2022], ["late", late, None]]}
+
+        config = load_config(_config_copy(config_path, tmp_path, edit))
+        loaded.append((repr(config), manifest_hash(run_identity(config, inputs_digest(config)))))
+    assert config.subperiod_bins == [("early", None, 2022), ("late", 2023, None)]
+    assert type(config.subperiod_bins[1][1]) is int
+    assert loaded[1] == loaded[0]
+
+
 # ---------------------------------------------------------------------------
 # Run identity
 # ---------------------------------------------------------------------------
@@ -1803,7 +1858,6 @@ def _write_tree(root, files):
 )
 def test_inputs_digest_matches_rglob_sort(sources, index, link_at):
     from citebias.clients import read_tree
-    from citebias.pipeline import inputs_digest
 
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
@@ -1923,19 +1977,19 @@ def test_verify_rerun_leaves_run_manifests_untouched(completed_run, tmp_path):
 def test_analyze_rerun_enriches_only_vanilla_matches(completed_run, tmp_path, monkeypatch):
     # iterative runs feed only the run summaries, so analyze looks up the
     # matched record of each existing vanilla reference and nothing else
-    from citebias import pipeline
+    from citebias import aggregate
 
     root, config_path, first = completed_run
     out_dir, cache_dir = _copy_run(root, tmp_path)
     config = load_config(config_path, {"out_dir": str(out_dir), "cache_dir": str(cache_dir)})
     calls = []
-    original = pipeline.enrich_reference
+    original = aggregate.enrich_reference
 
     def counted(index_id, client):
         calls.append(index_id)
         return original(index_id, client)
 
-    monkeypatch.setattr(pipeline, "enrich_reference", counted)
+    monkeypatch.setattr(aggregate, "enrich_reference", counted)
     (out_dir / "stages" / "analyze.json").unlink()
     manifest = run_pipeline(config, ["analyze"])
     assert manifest["stages"]["analyze"] == first["stages"]["analyze"]
