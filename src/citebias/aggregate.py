@@ -104,7 +104,7 @@ def _collect_run(
 def stage_analyze(ctx: PipelineContext) -> dict:
     cfg = ctx.config
     papers = load_papers(ctx, prepared=True)
-    analysis_dir = ctx.fresh_stage_dir("analysis")
+    analysis_dir = ctx.stage_dir("analysis")
     strategies = [VANILLA] + ([ITERATIVE] if cfg.iterative else [])
 
     run_flags: dict[tuple[str, int], list[stats.RefFlags]] = {}
@@ -152,7 +152,7 @@ def stage_graph(ctx: PipelineContext) -> dict:
     cfg = ctx.config
     papers = load_papers(ctx, prepared=True)
     strategy, run_index = cfg.graph_strategy, cfg.graph_run_index
-    graphs_dir = ctx.fresh_stage_dir("graphs")
+    graphs_dir = ctx.stage_dir("graphs")
     rows = []
     graphs = []
     citation_counts: dict[str, int | None] = {}
@@ -195,9 +195,8 @@ def stage_graph(ctx: PipelineContext) -> dict:
 
 
 def stage_report(ctx: PipelineContext) -> dict:
-    analysis_path = ctx.stage_dir("analysis") / "analysis.json"
-    analysis = json.loads(read_artifact(ctx, analysis_path, "analyze"))
-    report_dir = ctx.fresh_stage_dir("report")
+    analysis = json.loads(read_artifact(ctx, ctx.stage_dir("analysis") / "analysis.json"))
+    report_dir = ctx.stage_dir("report")
     mhash = ctx.manifest_hash
 
     lines = [

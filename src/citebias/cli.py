@@ -12,6 +12,7 @@ command.
 from __future__ import annotations
 
 import argparse
+import json
 import logging
 import sys
 from pathlib import Path
@@ -98,7 +99,10 @@ def main(argv: list[str] | None = None) -> int:
         stages = None if args.command == "all" else [args.command]
         manifest = run_pipeline(config, stages)
         for stage, info in manifest["stages"].items():
-            print(f"{stage}: {info['status']} {info['outcomes']}")
+            # sorted-key JSON, the form the stage marker holds, so a skipped
+            # stage prints the outcomes of the run that wrote it
+            outcomes = json.dumps(info["outcomes"], sort_keys=True, ensure_ascii=False)
+            print(f"{stage}: {info['status']} {outcomes}")
         return 0
     except CitebiasError as exc:
         print(f"error: {exc}", file=sys.stderr)

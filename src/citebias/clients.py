@@ -441,9 +441,9 @@ class FixtureIndexClient:
     index below is built. A lookup or search decodes each record
     it returns again, so no decoded record is held and each call returns
     fresh dicts. A malformed paper (see ``_id_and_title``) is an
-    ``IndexParseError`` naming its file, raised at the load. Each file is
-    decoded by ``parse_record``, whose values and errors are
-    ``json.loads``'s.
+    ``IndexParseError`` naming its file, raised at the load; the preprint
+    listing keeps a malformed record for ``CandidateStub.from_record`` to
+    name.
 
     Title search ranks by token overlap (Jaccard) with the query, ties
     broken by id, which is a deliberately different notion of relevance
@@ -498,10 +498,10 @@ class FixtureIndexClient:
                 self._files = kept
         out = []
         for rec in self._records:
-            posted = rec.get("posted_date", "")
-            if not (start <= posted <= end):
-                continue
-            if category and category not in rec.get("categories", []):
+            posted = rec.get("posted_date") if isinstance(rec, dict) else None
+            if isinstance(posted, str) and not (
+                start <= posted <= end and (not category or category in rec.get("categories", []))
+            ):
                 continue
             out.append(rec)
         return out

@@ -88,7 +88,15 @@ class CandidateStub:
 
     @classmethod
     def from_record(cls, record: dict) -> "CandidateStub":
+        """The stub of one preprint record. A record that is not an object,
+        or whose ``preprint_id``, ``title`` or ``posted_date`` is not a
+        string, is an ``IndexParseError`` that names the record."""
         try:
+            if not isinstance(record, dict):
+                raise TypeError("not a JSON object")
+            for name in ("preprint_id", "title", "posted_date"):
+                if not isinstance(record.get(name), str):
+                    raise TypeError(f"{name} is missing or not a string")
             return cls(
                 preprint_id=record["preprint_id"],
                 title=record["title"],
@@ -97,8 +105,8 @@ class CandidateStub:
                 authors=list(record.get("authors", [])),
                 license=record.get("license", ""),
             )
-        except (KeyError, TypeError) as exc:
-            raise IndexParseError(f"malformed preprint record: {exc}", record) from exc
+        except TypeError as exc:
+            raise IndexParseError(f"malformed preprint record ({exc}): {record!r}", record) from exc
 
 
 @dataclass

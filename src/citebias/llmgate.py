@@ -27,7 +27,7 @@ from pathlib import Path
 
 from .clients import atomic_write_text
 from .corpus import Venue, VenueTable
-from .errors import MockResponseMissing, ProviderRefusal, TableParseError
+from .errors import CitebiasError, MockResponseMissing, ProviderRefusal, TableParseError
 from .textnorm import ET_AL_RE
 
 logger = logging.getLogger(__name__)
@@ -157,7 +157,10 @@ class DirectoryMockProvider:
         candidates.append(self.root / f"{digest}.txt")
         for path in candidates:
             if path.is_file():
-                return path.read_text(encoding="utf-8")
+                try:
+                    return path.read_text(encoding="utf-8")
+                except UnicodeDecodeError as exc:
+                    raise CitebiasError(f"replay entry {path} is not UTF-8: {exc}") from None
         raise MockResponseMissing(digest, str(self.root))
 
 

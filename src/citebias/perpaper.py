@@ -97,22 +97,21 @@ def stage_ingest(ctx: PipelineContext) -> dict:
     }
 
 
-def read_artifact(ctx: PipelineContext, path: Path, stage: str) -> str:
+def read_artifact(ctx: PipelineContext, path: Path) -> str:
     """Text of an artifact under ``out/``; a missing file is a PipelineError
-    that names ``stage``, the stage that writes it."""
+    that names the stage that writes it."""
     try:
         return path.read_text(encoding="utf-8")
     except FileNotFoundError:
         name = path.relative_to(ctx.out).as_posix()
-        raise PipelineError(f"{name} missing: run the {stage} stage first") from None
+        raise PipelineError(f"{name} missing: run the {ctx.writer(path)} stage first") from None
 
 
 def load_papers(ctx: PipelineContext, prepared: bool = False) -> list[PaperRecord]:
     """Papers as ingested, or (with ``prepared``) the survivors of
     document preparation with their intro numbers filled in."""
     path = ctx.stage_dir("prepared" if prepared else "corpus") / "papers.json"
-    text = read_artifact(ctx, path, "prepare" if prepared else "ingest")
-    return from_json(list[PaperRecord], json.loads(text))
+    return from_json(list[PaperRecord], json.loads(read_artifact(ctx, path)))
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +155,7 @@ def stage_prepare(ctx: PipelineContext) -> dict:
     """Document preparation plus ground-truth structuring and resolution."""
     cfg = ctx.config
     papers = load_papers(ctx)
-    out = ctx.fresh_stage_dir("prepared")
+    out = ctx.stage_dir("prepared")
     excluded: list[dict] = []
     survivors: list[PaperRecord] = []
     quarantined: list[dict] = []
@@ -270,11 +269,11 @@ def stage_prepare(ctx: PipelineContext) -> dict:
 
 
 def load_record(ctx: PipelineContext, paper: PaperRecord) -> dict:
-    return json.loads(read_artifact(ctx, ctx.prepared_dir(paper) / "record.json", "prepare"))
+    return json.loads(read_artifact(ctx, ctx.prepared_dir(paper) / "record.json"))
 
 
 def _main_content(ctx: PipelineContext, paper: PaperRecord) -> str:
-    return read_artifact(ctx, ctx.prepared_dir(paper) / "main_content.txt", "prepare")
+    return read_artifact(ctx, ctx.prepared_dir(paper) / "main_content.txt")
 
 
 # ---------------------------------------------------------------------------
@@ -375,8 +374,7 @@ def load_refs(
 ) -> tuple[str, dict[int, GeneratedReference]]:
     """The outcome and the references by slot of one paper's refs.json."""
     path = ctx.paper_run_dir(strategy, run_index, paper) / "refs.json"
-    text = read_artifact(ctx, path, "generate" if strategy == VANILLA else "iterate")
-    payload = json.loads(text)
+    payload = json.loads(read_artifact(ctx, path))
     refs = from_json(list[GeneratedReference], payload["references"])
     return payload["outcome"], {ref.citation_number: ref for ref in refs}
 
@@ -439,8 +437,7 @@ def _write_verdicts(
 def load_verdicts(
     ctx: PipelineContext, strategy: str, run_index: int, paper: PaperRecord
 ) -> dict[int, MatchVerdict]:
-    path = ctx.verdicts_path(strategy, run_index, paper)
-    text = read_artifact(ctx, path, "verify" if strategy == VANILLA else "iterate")
+    text = read_artifact(ctx, ctx.verdicts_path(strategy, run_index, paper))
     rows = [json.loads(line) for line in text.splitlines()]
     return {row["citation_number"]: from_json(MatchVerdict, row) for row in rows}
 
@@ -491,7 +488,7 @@ def _iterate_one(ctx: PipelineContext, paper: PaperRecord, run_index: int) -> st
         outcome, label, anomalies = "parent-failed", f"parent-{parent_outcome}", []
     else:
         vanilla_dir = ctx.paper_run_dir(VANILLA, run_index, paper)
-        transcript = json.loads(read_artifact(ctx, vanilla_dir / "transcript.json", "generate"))
+        transcript = json.loads(read_artifact(ctx, vanilla_dir / "transcript.json"))
         parent_run = GenerationRun(
             cfg.model_id, VANILLA, run_index, dict(cfg.sampling_params),
             transcript=[tuple(item) for item in transcript],

@@ -1,12 +1,14 @@
 """Pipeline orchestration: the run context, run identity and the stage driver.
 
 Stages run in the fixed dependency order of ``STAGE_TABLE``, from ingest
-to report, which declares each stage once. Each stage reads only files
-written by earlier stages (or the disk cache), writes its outputs under
-its own subdirectory of the output directory, and records a completion
-marker holding the manifest hash; re-runs with the same hash skip
-completed stages. The hash covers the run identity (effective config,
-template hashes, input digest), which ``manifest.json`` records in full.
+to report, which declares each stage once, with the ``out/`` subtrees
+that stage alone writes. Each stage reads only files written by earlier
+stages (or the disk cache) and writes only under its own subtrees, which
+the driver empties before the stage runs, so a rerun keeps nothing an
+earlier run wrote there. A stage records a completion marker holding the
+manifest hash; re-runs with the same hash skip completed stages. The
+hash covers the run identity (effective config, template hashes, input
+digest), which ``manifest.json`` records in full.
 Every emitted file carries the manifest hash, which is computed from
 deterministic inputs only, so a run against the replay provider is
 bit-for-bit reproducible. Set SOURCE_DATE_EPOCH to pin the manifest
@@ -30,7 +32,7 @@ import os
 import shutil
 import time
 from contextlib import contextmanager
-from pathlib import Path
+from pathlib import Path, PurePosixPath
 from typing import Callable, NamedTuple
 
 from .aggregate import stage_analyze, stage_graph, stage_report
@@ -117,13 +119,19 @@ class PipelineContext:
     def stage_dir(self, stage: str) -> Path:
         return self.out / stage
 
-    def fresh_stage_dir(self, stage: str) -> Path:
-        """``stage_dir(stage)`` emptied, for the one stage that writes it,
-        so a rerun keeps nothing an earlier run wrote there."""
-        path = self.stage_dir(stage)
-        if path.exists():
-            shutil.rmtree(path)
-        return path
+    def subtrees(self, writes: tuple[str, ...]) -> list[str]:
+        """A stage's ``writes`` with this run's model filled in."""
+        model = safe_filename(self.config.model_id)
+        return [pattern.format(model=model) for pattern in writes]
+
+    def writer(self, path: Path) -> str:
+        """Name of the stage whose subtrees hold ``path``, a path under ``out``."""
+        parts = path.relative_to(self.out).parts
+        for stage in STAGE_TABLE:
+            for subtree in self.subtrees(stage.writes):
+                if PurePosixPath(*parts[: subtree.count("/") + 1]).match(subtree):
+                    return stage.name
+        raise ValueError(f"no stage writes {path}")
 
     def paper_dirname(self, paper: PaperRecord) -> str:
         return safe_filename(paper.preprint_id)
@@ -224,23 +232,34 @@ def output_lock(out_dir: Path):
 
 
 class Stage(NamedTuple):
-    """One pipeline stage: its name, its function and its CLI help."""
+    """One pipeline stage: its name, its function, the ``out/`` subtrees
+    it alone writes (glob patterns in which ``{model}`` stands for
+    ``safe_filename(model_id)``) and its CLI help."""
 
     name: str
     run: Callable[[PipelineContext], dict]
+    writes: tuple[str, ...]
     help: str
 
 
 # every stage, in dependency order; the CLI builds its subcommands from it
 STAGE_TABLE = (
-    Stage("ingest", stage_ingest, "harvest, filter, and resolve the corpus; enrich references"),
-    Stage("prepare", stage_prepare, "clean LaTeX sources and build ground-truth intro references"),
-    Stage("generate", stage_generate, "run the vanilla prompting passes"),
-    Stage("verify", stage_verify, "check generated references against the scholarly index"),
-    Stage("iterate", stage_iterate, "re-prompt for non-existent references and merge"),
-    Stage("analyze", stage_analyze, "compute summaries, characteristics, and bias tables"),
-    Stage("graph", stage_graph, "build per-paper citation graphs and metrics"),
-    Stage("report", stage_report, "emit the CSV/JSON report bundle"),
+    Stage("ingest", stage_ingest, ("corpus",),
+          "harvest, filter, and resolve the corpus; enrich references"),
+    Stage("prepare", stage_prepare, ("prepared",),
+          "clean LaTeX sources and build ground-truth intro references"),
+    Stage("generate", stage_generate, ("runs/{model}/vanilla-*",),
+          "run the vanilla prompting passes"),
+    Stage("verify", stage_verify, ("verdicts/{model}/vanilla-*",),
+          "check generated references against the scholarly index"),
+    Stage("iterate", stage_iterate, ("runs/{model}/iterative-*", "verdicts/{model}/iterative-*"),
+          "re-prompt for non-existent references and merge"),
+    Stage("analyze", stage_analyze, ("analysis",),
+          "compute summaries, characteristics, and bias tables"),
+    Stage("graph", stage_graph, ("graphs",),
+          "build per-paper citation graphs and metrics"),
+    Stage("report", stage_report, ("report",),
+          "emit the CSV/JSON report bundle"),
 )
 STAGES = tuple(stage.name for stage in STAGE_TABLE)
 
@@ -279,7 +298,7 @@ def run_pipeline(config: PipelineConfig, stages: list[str] | None = None) -> dic
 
     with output_lock(config.out_dir):
         try:
-            for stage, run, _ in STAGE_TABLE:
+            for stage, run, writes, _ in STAGE_TABLE:
                 if stage not in requested:
                     continue
                 marker = _marker_path(ctx, stage)
@@ -296,6 +315,9 @@ def run_pipeline(config: PipelineConfig, stages: list[str] | None = None) -> dic
                         continue
                 logger.info("running stage %s", stage)
                 marker.unlink(missing_ok=True)  # a stage stopped midway is not done
+                for subtree in ctx.subtrees(writes):
+                    for path in ctx.out.glob(subtree):
+                        shutil.rmtree(path)
                 outcomes = run(ctx)
                 atomic_write_text(
                     marker, dump_json({"manifest_hash": core, "outcomes": outcomes})

@@ -5,8 +5,9 @@ from pathlib import Path
 
 import citebias
 
-# CPython keeps the memory that compiling a module used, so a run from
-# source (no bytecode cached) peaks with its largest module's compile
+# CPython keeps the memory each module's compile freed, and it adds up
+# across modules, so a run from source (no bytecode cached) peaks with the
+# total source compiled; the limit caps what any one compile takes on top
 MAX_MODULE_BYTES = 24 * 1024
 
 
@@ -23,6 +24,6 @@ def test_every_module_is_at_most_24_kib():
     over = {name: size for name, size in sorted(sizes.items()) if size > MAX_MODULE_BYTES}
     assert over == {}, (
         f"modules over {MAX_MODULE_BYTES} B: {over}. Compiling a module from source costs "
-        "tens of times its size in memory that the process keeps, so the largest module sets "
-        "a from-source run's peak RSS: split the module at a seam instead of raising the limit"
+        "tens of times its size in memory that the process keeps, adding to what earlier "
+        "compiles kept: split the module at a seam instead of raising the limit"
     )

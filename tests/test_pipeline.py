@@ -32,6 +32,7 @@ from citebias.config import OVERRIDABLE, PipelineConfig, config_schema, load_con
 from citebias.errors import ConfigError, PipelineError
 from citebias.llmgate import render_vanilla_prompt, store_mock_response
 from citebias.pipeline import (
+    STAGE_TABLE,
     STAGES,
     inputs_digest,
     manifest_hash,
@@ -1138,6 +1139,93 @@ def test_rerun_after_a_run_stopped_at_a_write_gives_the_clean_outputs(
         assert stopped_at(k, tmp_path / f"k{k}") == expected, k
 
 
+def _files(base):
+    """Every file under ``base`` by its POSIX path relative to it, with its bytes."""
+    return {p.relative_to(base).as_posix(): p.read_bytes() for p in base.rglob("*") if p.is_file()}
+
+
+def test_every_output_file_lies_under_exactly_one_stage_subtree(completed_run):
+    # an artifact no stage declares would survive every rerun; one that two
+    # stages declare would be emptied by the second
+    root, config_path, _ = completed_run
+    out = root / "out"
+    owners: dict[str, list[str]] = {}
+    for stage in STAGE_TABLE:
+        for pattern in stage.writes:
+            for tree in out.glob(pattern.format(model=safe_filename(MODEL_ID))):
+                for rel in _files(tree):
+                    owners.setdefault(f"{tree.relative_to(out).as_posix()}/{rel}", []).append(
+                        stage.name
+                    )
+    driver = {".lock", "manifest.json", *(f"stages/{stage}.json" for stage in STAGES)}
+    assert set(_files(out)) - driver == set(owners)
+    assert {rel: names for rel, names in owners.items() if len(names) != 1} == {}
+    ctx = pipeline.PipelineContext(load_config(config_path), "unused")
+    assert {rel: ctx.writer(out / rel) for rel in owners} == {
+        rel: names[0] for rel, names in owners.items()
+    }
+
+
+def test_rerun_at_fewer_runs_leaves_the_outputs_of_a_clean_run(
+    completed_run, tmp_path, monkeypatch
+):
+    # the completed run has two vanilla runs and the iterative pass; its
+    # second run's trees must not outlive a rerun at one
+    root, config_path, _ = completed_run
+    out_dir, cache_dir = _copy_run(root, tmp_path)
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
+    argv = ["--config", str(config_path), "--cache-dir", str(cache_dir)]
+    assert cli.main([*argv, "--out-dir", str(out_dir), "all", "--runs", "1"]) == 0
+    clean = tmp_path / "clean"
+    assert cli.main([*argv, "--out-dir", str(clean), "all", "--runs", "1"]) == 0
+    assert (root / "out" / "runs" / MODEL_ID / "vanilla-2").is_dir()
+    assert _files(out_dir) == _files(clean)
+
+
+def test_turning_iterative_off_removes_every_iterative_tree(completed_run, tmp_path):
+    root, config_path, _ = completed_run
+    out_dir, _ = _copy_run(root, tmp_path)
+    assert len(list(out_dir.glob("*/*/iterative-*"))) == 4  # two runs, refs and verdicts
+    path = _config_copy(config_path, tmp_path, lambda raw: raw["runs"].update(iterative=False))
+    manifest = run_pipeline(load_config(path))
+    assert manifest["stages"]["iterate"] == {"status": "ok", "outcomes": {"enabled": False}}
+    assert list(out_dir.glob("*/*/iterative-*")) == []
+
+
+@pytest.mark.parametrize(
+    "missing, stage, writer",
+    [
+        ("corpus/papers.json", "prepare", "ingest"),
+        ("prepared/papers.json", "generate", "prepare"),
+        ("prepared/2203.11111/record.json", "analyze", "prepare"),
+        (f"runs/{MODEL_ID}/vanilla-1/2203.11111/refs.json", "verify", "generate"),
+        (f"runs/{MODEL_ID}/vanilla-1/2203.11111/transcript.json", "iterate", "generate"),
+        (f"verdicts/{MODEL_ID}/vanilla-1/2203.11111.jsonl", "iterate", "verify"),
+        (f"runs/{MODEL_ID}/iterative-2/2203.11111/refs.json", "analyze", "iterate"),
+        (f"verdicts/{MODEL_ID}/iterative-1/2203.11111.jsonl", "graph", "iterate"),
+        ("analysis/analysis.json", "report", "analyze"),
+    ],
+)
+def test_missing_artifact_names_the_stage_that_writes_it(
+    completed_run, tmp_path, missing, stage, writer
+):
+    root, config_path, _ = completed_run
+    out_dir, cache_dir = _copy_run(root, tmp_path)
+    overrides = {"out_dir": str(out_dir), "cache_dir": str(cache_dir)}
+    if stage == "graph":
+        path = _config_copy(
+            config_path, tmp_path, lambda raw: raw["graph"].update(strategy="iterative")
+        )
+        config = load_config(path, overrides)
+    else:
+        config = load_config(config_path, overrides)
+    (out_dir / missing).unlink()
+    (out_dir / "stages" / f"{stage}.json").unlink()
+    with pytest.raises(PipelineError) as err:
+        run_pipeline(config, [stage])
+    assert str(err.value) == f"{missing} missing: run the {writer} stage first"
+
+
 def test_report_stage_runs_without_provider(completed_run, tmp_path):
     # a warm out dir re-emits reports without touching the response store
     root, config_path, _ = completed_run
@@ -2059,6 +2147,61 @@ def test_malformed_source_date_epoch_is_an_error_naming_it(
     assert cli.main(["--config", str(path), "all"]) == 1
     assert f"error: SOURCE_DATE_EPOCH={epoch!r}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()  # it failed before taking the output lock
+
+
+def test_cli_prints_the_same_outcomes_for_a_stage_run_and_skipped(
+    completed_run, tmp_path, capsys
+):
+    root, config_path, _ = completed_run
+    _, cache_dir = _copy_run(root, tmp_path)
+    argv = ["--config", str(config_path), "--cache-dir", str(cache_dir)]
+    argv += ["--out-dir", str(tmp_path / "fresh"), "all"]
+    assert cli.main(argv) == 0
+    ran = capsys.readouterr().out.splitlines()
+    assert cli.main(argv) == 0
+    skipped = capsys.readouterr().out.splitlines()
+    assert [line.split(" ", 1)[0] for line in ran] == [f"{stage}:" for stage in STAGES]
+    assert [line.replace(": ok ", ": skipped ", 1) for line in ran] == skipped
+    assert 'prepare: ok {"excluded": 1, "excluded_by_code": {"no-main": 1},' in ran[1]
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda rec: {**rec, "posted_date": 20220301},
+        lambda rec: {**rec, "title": None},
+        lambda rec: {**rec, "preprint_id": 2203.11111},
+        lambda rec: "not a record",
+    ],
+    ids=["int-date", "null-title", "float-id", "not-an-object"],
+)
+def test_malformed_preprint_record_is_an_error_naming_it(workspace, tmp_path, capsys, edit):
+    root, config_path = workspace
+    index = tmp_path / "index"
+    shutil.copytree(root / "index", index)
+    records_path = index / "preprint" / "records.json"
+    records = json.loads(records_path.read_text())
+    records[0] = edit(records[0])
+    records_path.write_text(json.dumps(records))
+    path = _config_copy(
+        config_path, tmp_path, lambda raw: raw["index"].update(fixture_dir=str(index))
+    )
+    assert cli.main(["--config", str(path), "all"]) == 1
+    err = capsys.readouterr().err
+    assert "error: malformed preprint record" in err
+    assert repr(records[0]) in err
+
+
+def test_replay_entry_that_is_not_utf8_is_an_error_naming_it(workspace, tmp_path, capsys):
+    root, config_path = workspace
+    mock = tmp_path / "mock"
+    shutil.copytree(root / "mock", mock)
+    for entry in mock.rglob("*.txt"):
+        entry.write_bytes(b"\xff\xfe" + entry.read_bytes())
+    path = _config_copy(config_path, tmp_path, lambda raw: raw.update(mock_dir=str(mock)))
+    assert cli.main(["--config", str(path), "all"]) == 1
+    err = capsys.readouterr().err
+    assert re.search(rf"error: replay entry {re.escape(str(mock))}/\S+\.txt is not UTF-8", err)
 
 
 @pytest.mark.parametrize("command", [*STAGES, "all"])
