@@ -167,10 +167,6 @@ def latex_to_plain(text: str) -> str:
 _AUTHOR_SPLIT_RE = re.compile(r"[{}]|\s+and\s+")
 
 
-def _split_bib_authors(author_field: str) -> list[str]:
-    return [name for name, _ in _bib_names(author_field)]
-
-
 def _bib_names(author_field: str) -> list[tuple[str, str]]:
     """Each author of a BibTeX author field as (First Last, Last)."""
     parts, depth, begin = [], 0, 0

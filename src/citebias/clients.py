@@ -422,6 +422,17 @@ def _id_and_title(rel: str, rec: Any) -> tuple[str, str]:
     return index_id, title or ""
 
 
+def _categories(rec: dict) -> list:
+    """A preprint record's categories: none for a null, an
+    ``IndexParseError`` naming the record for a value that is not a list."""
+    categories = rec.get("categories")
+    if categories is None:
+        return []
+    if not isinstance(categories, list):
+        raise IndexParseError(f"malformed preprint record (categories is not a list): {rec!r}", rec)
+    return categories
+
+
 class FixtureIndexClient:
     """Directory of canned JSON standing in for both services.
 
@@ -432,38 +443,37 @@ class FixtureIndexClient:
 
     ``files`` is the tree as ``read_tree(root)`` gives it, for a caller
     that has read it already (``run_pipeline`` reads it once for the run
-    identity and the index); without it the client reads the tree on
-    first use. The preprint records are parsed on the first listing and
-    their bytes dropped. The papers are loaded on the first lookup or
-    search: each record is decoded once to key it by ``index_id`` (the
-    last file in ``read_tree`` order wins a duplicate id), and only its
-    bytes and its title are held; the titles are dropped once the title
-    index below is built. A lookup or search decodes each record
-    it returns again, so no decoded record is held and each call returns
-    fresh dicts. A malformed paper (see ``_id_and_title``) is an
-    ``IndexParseError`` naming its file, raised at the load; the preprint
-    listing keeps a malformed record for ``CandidateStub.from_record`` to
-    name.
+    identity and the index); without it the client reads the tree once.
+    The first call of any kind loads both parts in one pass: the preprint
+    records are parsed, and each paper is decoded once to key it by
+    ``index_id`` (the last file in ``read_tree`` order wins a duplicate
+    id). Only each paper's bytes and title are held, and a lookup or
+    search decodes each record it returns again, so each call returns
+    fresh dicts. The files are dropped only once the whole pass has
+    succeeded, so a malformed paper (see ``_id_and_title``) or a
+    ``records.json`` that is not JSON fails that first call, whichever
+    kind it is, and every later one, with the same error. A listing
+    without ``records.json`` is a ``FileNotFoundError``; a malformed
+    preprint record is kept for ``CandidateStub.from_record`` to name.
 
     Title search ranks by token overlap (Jaccard) with the query, ties
     broken by id, which is a deliberately different notion of relevance
     than the matcher's similarity scores. The first search builds a title
-    index: a postings map from each title token to the ids whose titles
-    hold it, and each title's distinct-token count. A query then scores
-    only the records its tokens' postings reach, as ``shared / (size +
-    query size - shared)``, the same integers and so the same float as
-    the set-based Jaccard, and keeps the ``limit`` smallest of the same
+    index (a postings map from each title token to the ids whose titles
+    hold it, and each title's distinct-token count) and drops the titles;
+    a lookup-only client never tokenizes a title. A query scores only
+    the records its tokens' postings reach, as ``shared / (size + query
+    size - shared)``, the same integers and so the same float as the
+    set-based Jaccard, and keeps the ``limit`` smallest of the same
     ``(-jaccard, id)`` keys, without sorting the rest.
-    Loading the papers does not build the index, so a client that only
-    looks papers up never tokenizes a title.
     """
 
     def __init__(self, root: Path | str, files: list[tuple[str, bytes]] | None = None):
         self.root = Path(root)
         self._files = files
-        # held while a part is parsed, so a concurrent call waits for the
-        # whole part instead of seeing it missing
-        self._lock = threading.Lock()
+        # held while the files load and the title index is built, so a
+        # concurrent call waits for the whole of either
+        self._lock = threading.RLock()
         self._records: list[dict] | None = None
         # index_id -> the bytes of the file that holds the record, and its
         # title until the title index is built
@@ -471,36 +481,36 @@ class FixtureIndexClient:
         self._titles: dict[str, str] = {}
         self._title_index: tuple[dict[str, list[str]], dict[str, int]] | None = None
 
-    def _split(
-        self, wanted: Callable[[str], bool]
-    ) -> tuple[list[tuple[str, bytes]], list[tuple[str, bytes]]]:
-        """The held files, as (path, bytes), whose path ``wanted``
-        accepts, and the rest. The caller holds only the rest once its
-        part has loaded, so a load that fails fails again on the next
-        call instead of finding the part empty. Called under the lock."""
-        if self._files is None:
-            self._files = read_tree(self.root)
-        taken: list[tuple[str, bytes]] = []
-        kept: list[tuple[str, bytes]] = []
-        for item in self._files:
-            (taken if wanted(item[0]) else kept).append(item)
-        return taken, kept
+    def _load_papers(self) -> dict[str, bytes]:
+        with self._lock:
+            if self._papers is None:
+                if self._files is None:
+                    self._files = read_tree(self.root)
+                records = None
+                papers: dict[str, bytes] = {}
+                titles: dict[str, str] = {}
+                for rel, data in self._files:
+                    if rel == "preprint/records.json":
+                        records = parse_record(data)
+                    elif _is_paper_file(rel):
+                        index_id, title = _id_and_title(rel, parse_record(data))
+                        papers[index_id] = data
+                        titles[index_id] = title
+                self._files = None
+                self._records, self._titles, self._papers = records, titles, papers
+        return self._papers
 
     # -- preprint side -------------------------------------------------
 
     def list_records(self, start: str, end: str, category: str) -> list[dict]:
-        with self._lock:
-            if self._records is None:
-                taken, kept = self._split(lambda rel: rel == "preprint/records.json")
-                if not taken:
-                    raise FileNotFoundError(self.root / "preprint" / "records.json")
-                self._records = parse_record(taken[0][1])
-                self._files = kept
+        self._load_papers()
+        if self._records is None:
+            raise FileNotFoundError(self.root / "preprint" / "records.json")
         out = []
         for rec in self._records:
             posted = rec.get("posted_date") if isinstance(rec, dict) else None
             if isinstance(posted, str) and not (
-                start <= posted <= end and (not category or category in rec.get("categories", []))
+                start <= posted <= end and (not category or category in _categories(rec))
             ):
                 continue
             out.append(rec)
@@ -508,45 +518,23 @@ class FixtureIndexClient:
 
     # -- scholar side --------------------------------------------------
 
-    def _load_papers(self) -> dict[str, bytes]:
-        with self._lock:
-            if self._papers is None:
-                papers: dict[str, bytes] = {}
-                titles: dict[str, str] = {}
-                taken, kept = self._split(_is_paper_file)
-                for rel, data in taken:
-                    index_id, title = _id_and_title(rel, parse_record(data))
-                    papers[index_id] = data
-                    titles[index_id] = title
-                self._files = kept
-                self._titles = titles
-                self._papers = papers
-        return self._papers
-
-    def _load_title_index(self) -> tuple[dict[str, list[str]], dict[str, int]]:
-        if self._title_index is None:
-            self._load_papers()  # takes the lock, which is not re-entrant
-            # built under the lock, which then drops the titles, so a
-            # concurrent first search waits for the whole index instead of
-            # building one from no titles
-            with self._lock:
-                if self._title_index is None:
-                    postings: dict[str, list[str]] = {}
-                    sizes: dict[str, int] = {}
-                    for index_id, title in self._titles.items():
-                        title_tokens = set(tokens(title))
-                        sizes[index_id] = len(title_tokens)
-                        for token in title_tokens:
-                            postings.setdefault(token, []).append(index_id)
-                    self._title_index = (postings, sizes)
-                    self._titles = {}
-        return self._title_index
-
     def search_title(self, query: str, limit: int = 10) -> list[dict]:
         query_tokens = set(tokens(query))
         if not query_tokens:
             return []
-        postings, sizes = self._load_title_index()
+        with self._lock:
+            papers = self._load_papers()
+            if self._title_index is None:
+                postings: dict[str, list[str]] = {}
+                sizes: dict[str, int] = {}
+                for index_id, title in self._titles.items():
+                    title_tokens = set(tokens(title))
+                    sizes[index_id] = len(title_tokens)
+                    for token in title_tokens:
+                        postings.setdefault(token, []).append(index_id)
+                self._title_index = (postings, sizes)
+                self._titles = {}
+            postings, sizes = self._title_index
         shared: Counter[str] = Counter()
         for token in query_tokens:
             shared.update(postings.get(token, ()))
@@ -558,7 +546,6 @@ class FixtureIndexClient:
                 for index_id, inter in shared.items()
             ),
         )
-        papers = self._load_papers()
         return [parse_record(papers[index_id]) for _, index_id in ranked]
 
     def get_paper(self, index_id: str) -> dict | None:

@@ -88,22 +88,34 @@ class CandidateStub:
 
     @classmethod
     def from_record(cls, record: dict) -> "CandidateStub":
-        """The stub of one preprint record. A record that is not an object,
-        or whose ``preprint_id``, ``title`` or ``posted_date`` is not a
-        string, is an ``IndexParseError`` that names the record."""
+        """The stub of one preprint record. A null ``journal_ref``,
+        ``license`` or ``authors`` reads as absent. A record that is not an
+        object, whose ``preprint_id``, ``title`` or ``posted_date`` is not
+        a string, whose ``journal_ref`` or ``license`` is another type, or
+        whose ``authors`` is not a list of strings, is an
+        ``IndexParseError`` that names the record."""
         try:
             if not isinstance(record, dict):
                 raise TypeError("not a JSON object")
             for name in ("preprint_id", "title", "posted_date"):
                 if not isinstance(record.get(name), str):
                     raise TypeError(f"{name} is missing or not a string")
+            optional = {}
+            for name in ("journal_ref", "license"):
+                value = record.get(name)
+                if not isinstance(value, (str, type(None))):
+                    raise TypeError(f"{name} is not a string")
+                optional[name] = value or ""
+            authors = record.get("authors")
+            authors = [] if authors is None else authors
+            if not (isinstance(authors, list) and all(isinstance(a, str) for a in authors)):
+                raise TypeError("authors is not a list of strings")
             return cls(
                 preprint_id=record["preprint_id"],
                 title=record["title"],
-                journal_ref=record.get("journal_ref", ""),
                 posted_date=record["posted_date"],
-                authors=list(record.get("authors", [])),
-                license=record.get("license", ""),
+                authors=list(authors),
+                **optional,
             )
         except TypeError as exc:
             raise IndexParseError(f"malformed preprint record ({exc}): {record!r}", record) from exc

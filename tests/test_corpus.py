@@ -234,6 +234,37 @@ def test_first_search_from_four_threads_sees_the_whole_title_index(index_dir, mo
     assert client._titles == {}
 
 
+@pytest.mark.parametrize("given_files", [False, True], ids=["reads", "given-files"])
+def test_client_reads_its_directory_once_and_a_lookup_tokenizes_no_title(
+    index_dir, monkeypatch, given_files
+):
+    import citebias.clients as clients_mod
+
+    # one pass loads both parts, so the directory is read at most once,
+    # and only a search builds the title index
+    read_tree, tokens = clients_mod.read_tree, clients_mod.tokens
+    files = read_tree(index_dir) if given_files else None
+    reads, tokenized = [], []
+
+    def counted_read_tree(root):
+        reads.append(root)
+        return read_tree(root)
+
+    def counted_tokens(text):
+        tokenized.append(text)
+        return tokens(text)
+
+    monkeypatch.setattr(clients_mod, "read_tree", counted_read_tree)
+    monkeypatch.setattr(clients_mod, "tokens", counted_tokens)
+    client = FixtureIndexClient(index_dir, files)
+    assert client.get_paper("s_widgets") == SCHOLAR_PAPERS[0]
+    assert client._title_index is None and tokenized == []
+    assert client.list_records(*WINDOW, "cs.LG") == PREPRINT_RECORDS[:4]
+    assert client.search_title("Widgets")[0] == SCHOLAR_PAPERS[0]
+    assert client.get_paper("s_missing") is None
+    assert reads == ([] if given_files else [index_dir])
+
+
 @pytest.mark.parametrize(
     "record",
     [
@@ -386,6 +417,52 @@ def test_harvest_malformed_record_names_it():
     with pytest.raises(IndexParseError) as err:
         harvest_candidates(BrokenIndex(), WINDOW, "cs.LG", KEYWORDS)
     assert err.value.record == {"title": "no id or date"}
+
+
+def _one_record_client(**fields):
+    record = {**PREPRINT_RECORDS[0], **fields}
+    return FixtureIndexClient(".", [("preprint/records.json", json.dumps([record]).encode())])
+
+
+def test_null_journal_ref_reads_as_absent():
+    client = _one_record_client(journal_ref=None)
+    assert harvest_candidates(client, WINDOW, "cs.LG", KEYWORDS) == []
+    assert harvest_candidates(client, WINDOW, "cs.LG", [""])[0].journal_ref == ""
+
+
+def test_null_license_reads_as_absent():
+    stub = CandidateStub.from_record({**PREPRINT_RECORDS[0], "license": None})
+    assert stub.license == ""
+
+
+def test_null_authors_reads_as_absent():
+    (stub,) = harvest_candidates(_one_record_client(authors=None), WINDOW, "cs.LG", KEYWORDS)
+    assert stub.authors == []
+
+
+def test_null_categories_reads_as_no_categories():
+    client = _one_record_client(categories=None)
+    assert client.list_records(*WINDOW, "cs.LG") == []
+    assert [rec["preprint_id"] for rec in client.list_records(*WINDOW, "")] == ["2203.00001"]
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"journal_ref": 2022},
+        {"license": ["CC-BY-4.0"]},
+        {"authors": "A. One"},
+        {"authors": ["A. One", None]},
+        {"categories": "cs.LG"},
+    ],
+    ids=["int-journal-ref", "list-license", "string-authors", "null-author", "string-categories"],
+)
+def test_optional_preprint_field_of_another_type_names_the_record(fields):
+    record = {**PREPRINT_RECORDS[0], **fields}
+    with pytest.raises(IndexParseError, match="malformed preprint record") as err:
+        harvest_candidates(_one_record_client(**fields), WINDOW, "cs.LG", KEYWORDS)
+    assert err.value.record == record
+    assert repr(record) in str(err.value)
 
 
 def _stub(i, journal_ref):
@@ -1106,6 +1183,30 @@ def test_http_client_404_is_not_found_not_error():
     session = FakeSession([FakeResponse(404)])
     client = HttpScholarClient("http://index.test", session=session)
     assert client.get_paper("ghost") is None
+
+
+def test_http_scholar_search_sends_query_and_limit():
+    from citebias.live import HttpScholarClient
+
+    session = FakeSession([FakeResponse(200, SCHOLAR_PAPERS[:2]), FakeResponse(404)])
+    client = HttpScholarClient("http://index.test", session=session)
+    assert client.search_title("Robust Widgets", limit=2) == SCHOLAR_PAPERS[:2]
+    assert client.search_title("Nothing Like It") == []  # a 404 finds nothing
+    assert session.sent == [
+        ("http://index.test/papers/search", {"query": "Robust Widgets", "limit": 2}),
+        ("http://index.test/papers/search", {"query": "Nothing Like It", "limit": 10}),
+    ]
+
+
+def test_http_scholar_search_rejects_non_list_payload():
+    from citebias.live import HttpScholarClient
+
+    payload = {"data": SCHOLAR_PAPERS[:1]}
+    session = FakeSession([FakeResponse(200, payload)])
+    client = HttpScholarClient("http://index.test", session=session)
+    with pytest.raises(IndexParseError, match="non-list payload") as err:
+        client.search_title("Robust Widgets")
+    assert err.value.record == payload
 
 
 def test_http_client_4xx_is_not_retryable():

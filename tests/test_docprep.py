@@ -845,7 +845,7 @@ def test_unbraced_author_list_splits_as_before(field):
                 last, _, first = part.partition(",")
                 part = f"{first.strip()} {last.strip()}".strip()
             expected.append(bibtex.latex_to_plain(part))
-    assert bibtex._split_bib_authors(field) == expected
+    assert [name for name, _ in bibtex._bib_names(field)] == expected
 
 
 def test_braced_and_does_not_split_a_bib_author():
@@ -853,7 +853,7 @@ def test_braced_and_does_not_split_a_bib_author():
         "@article{k1, author={Doe, Jane and {Barnes and Noble}}, year={2020}}"
     )
     assert entries["k1"].authors == ["Jane Doe", "Barnes and Noble"]
-    assert bibtex._split_bib_authors("{A and B} and C and {D {and} E}") == [
+    assert [name for name, _ in bibtex._bib_names("{A and B} and C and {D {and} E}")] == [
         "A and B",
         "C",
         "D and E",
@@ -861,10 +861,38 @@ def test_braced_and_does_not_split_a_bib_author():
 
 
 def test_braced_comma_does_not_split_a_bib_name():
-    assert bibtex._split_bib_authors("{Smith, Ltd}") == ["Smith, Ltd"]
-    assert bibtex._split_bib_authors("Doe, Jane and {Smith, Ltd}") == ["Jane Doe", "Smith, Ltd"]
+    assert [name for name, _ in bibtex._bib_names("{Smith, Ltd}")] == ["Smith, Ltd"]
+    assert [name for name, _ in bibtex._bib_names("Doe, Jane and {Smith, Ltd}")] == [
+        "Jane Doe",
+        "Smith, Ltd",
+    ]
     entries = parse_bib("@article{k1, author={{Smith, Ltd} and {van Dyke}, Dick}, year={2020}}")
     assert entries["k1"].authors == ["Smith, Ltd", "Dick van Dyke"]
+
+
+def test_parse_bib_reads_every_field_form():
+    # braced, quoted and bare values; text with no "name =" is skipped;
+    # an unterminated quote runs to the end of the entry
+    entries = parse_bib(
+        "@article{k1,\n"
+        '  author = "Doe, Jane and Roe, Rick",\n'
+        "  title = {Braced {Title}},\n"
+        "  year = 2020 ,\n"
+        "  ;; stray text with no equals sign ;;\n"
+        '  journal = "Journal of Quotes"\n'
+        "}\n"
+        '@misc{k2, title = "Never Closed, year = 2021}\n'
+        "@misc{k3, title = }\n"
+    )
+    k1, k2, k3 = entries["k1"], entries["k2"], entries["k3"]
+    assert (k1.authors, k1.title, k1.year, k1.venue) == (
+        ["Jane Doe", "Rick Roe"],
+        "Braced Title",
+        2020,
+        "Journal of Quotes",
+    )
+    assert (k2.title, k2.year) == ("Never Closed, year = 2021", None)
+    assert (k3.title, k3.year, k3.authors) == ("", None, [])
 
 
 @pytest.mark.parametrize(

@@ -2149,6 +2149,29 @@ def test_malformed_source_date_epoch_is_an_error_naming_it(
     assert not (tmp_path / "out").exists()  # it failed before taking the output lock
 
 
+def test_cli_calibrate_writes_the_bundled_thresholds(tmp_path, capsys):
+    # the bundled defaults are what calibrate selects on the bundled pairs
+    path = tmp_path / "thresholds.json"
+    assert cli.main(["calibrate", "--write-thresholds", str(path)]) == 0
+    bundled = resources.files("citebias.data").joinpath("default_thresholds.json")
+    assert path.read_bytes() == bundled.read_bytes()
+    assert f"wrote {path}" in capsys.readouterr().out
+
+
+def test_cli_pipeline_command_without_config_exits_2(capsys):
+    assert cli.main(["ingest"]) == 2
+    assert "error: --config is required" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("data", [None, b"\xff\xfe"], ids=["missing", "not-utf8"])
+def test_cli_unreadable_config_exits_1(tmp_path, capsys, data):
+    path = tmp_path / "config.yaml"
+    if data is not None:
+        path.write_bytes(data)
+    assert cli.main(["--config", str(path), "all"]) == 1
+    assert capsys.readouterr().err.startswith(f"error: cannot read config {path}")
+
+
 def test_cli_prints_the_same_outcomes_for_a_stage_run_and_skipped(
     completed_run, tmp_path, capsys
 ):
