@@ -451,10 +451,11 @@ class FixtureIndexClient:
     search decodes each record it returns again, so each call returns
     fresh dicts. The files are dropped only once the whole pass has
     succeeded, so a malformed paper (see ``_id_and_title``) or a
-    ``records.json`` that is not JSON fails that first call, whichever
-    kind it is, and every later one, with the same error. A listing
-    without ``records.json`` is a ``FileNotFoundError``; a malformed
-    preprint record is kept for ``CandidateStub.from_record`` to name.
+    ``records.json`` that is not a JSON list fails that first call,
+    whichever kind it is, and every later one, with the same error. A
+    listing without ``records.json`` is an ``IndexParseError`` naming
+    it; a malformed preprint record is kept for ``CandidateStub.from_record``
+    to name.
 
     Title search ranks by token overlap (Jaccard) with the query, ties
     broken by id, which is a deliberately different notion of relevance
@@ -492,6 +493,8 @@ class FixtureIndexClient:
                 for rel, data in self._files:
                     if rel == "preprint/records.json":
                         records = parse_record(data)
+                        if not isinstance(records, list):
+                            raise IndexParseError(f"{rel}: not a JSON list", records)
                     elif _is_paper_file(rel):
                         index_id, title = _id_and_title(rel, parse_record(data))
                         papers[index_id] = data
@@ -505,7 +508,7 @@ class FixtureIndexClient:
     def list_records(self, start: str, end: str, category: str) -> list[dict]:
         self._load_papers()
         if self._records is None:
-            raise FileNotFoundError(self.root / "preprint" / "records.json")
+            raise IndexParseError(f"{self.root / 'preprint' / 'records.json'}: no such file")
         out = []
         for rec in self._records:
             posted = rec.get("posted_date") if isinstance(rec, dict) else None

@@ -1,6 +1,7 @@
 """Corpus harvesting, resolution, enrichment, and the client layer."""
 
 import json
+import re
 import sys
 import tempfile
 import threading
@@ -444,6 +445,27 @@ def test_null_categories_reads_as_no_categories():
     client = _one_record_client(categories=None)
     assert client.list_records(*WINDOW, "cs.LG") == []
     assert [rec["preprint_id"] for rec in client.list_records(*WINDOW, "")] == ["2203.00001"]
+
+
+@pytest.mark.parametrize("records", [{"a": 1}, 2022, None], ids=["object", "number", "null"])
+def test_preprint_records_that_are_not_a_list_are_an_error_naming_the_file(index_dir, records):
+    (index_dir / "preprint" / "records.json").write_text(json.dumps(records))
+    client = FixtureIndexClient(index_dir)
+    # the one-pass load fails, for a lookup too, and fails again
+    for call in (lambda: client.list_records(*WINDOW, ""), lambda: client.get_paper("s_widgets")):
+        for _ in range(2):
+            with pytest.raises(IndexParseError, match="^preprint/records.json: not a JSON list$") as err:
+                call()
+            assert err.value.record == records
+
+
+def test_absent_preprint_records_fail_only_the_listing(index_dir):
+    (index_dir / "preprint" / "records.json").unlink()
+    client = FixtureIndexClient(index_dir)
+    assert client.get_paper("s_widgets")["index_id"] == "s_widgets"
+    path = index_dir / "preprint" / "records.json"
+    with pytest.raises(IndexParseError, match=f"^{re.escape(str(path))}: no such file$"):
+        client.list_records(*WINDOW, "")
 
 
 @pytest.mark.parametrize(

@@ -13,8 +13,6 @@ import subprocess
 import sys
 import tempfile
 from datetime import date
-from decimal import Decimal
-from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 from types import SimpleNamespace
@@ -28,7 +26,7 @@ from hypothesis import strategies as st
 from citebias import cli, pipeline
 from citebias import config as config_mod
 from citebias.clients import dump_json, safe_filename
-from citebias.config import OVERRIDABLE, PipelineConfig, config_schema, load_config
+from citebias.config import OVERRIDABLE, PipelineConfig, load_config
 from citebias.errors import ConfigError, PipelineError
 from citebias.llmgate import render_vanilla_prompt, store_mock_response
 from citebias.pipeline import (
@@ -63,62 +61,13 @@ def test_config_validation_rejects_bad_shapes(tmp_path):
         load_config(path)
 
 
-def test_config_schema_is_checked_once_across_loads(workspace, tmp_path, monkeypatch):
-    # a valid config never builds the jsonschema validator; the first
-    # rejected one builds it, and later rejections reuse it
-    _, config_path = workspace
-    rejected = _config_copy(config_path, tmp_path, lambda raw: raw["runs"].update(vanilla=0))
-    validator_cls = jsonschema.validators.validator_for(config_schema())
-    checks = []
-    original = validator_cls.check_schema.__func__
-    monkeypatch.setattr(
-        validator_cls,
-        "check_schema",
-        classmethod(lambda cls, schema, **kw: checks.append(1) or original(cls, schema, **kw)),
-    )
-    config_mod._config_validator.cache_clear()
-    load_config(config_path)
-    assert checks == []
-    for _ in range(2):
-        with pytest.raises(ConfigError, match="^invalid config: "):
-            load_config(rejected)
-    assert len(checks) == 1
+# the config schema, kept beside the tests as the reference oracle of the
+# config check that PipelineConfig's field declarations make
+_CONFIG_SCHEMA = json.loads((Path(__file__).parent / "config.schema.json").read_text("utf-8"))
 
 
 def test_bundled_config_schema_passes_its_metaschema():
-    schema = config_schema()
-    jsonschema.validators.validator_for(schema).check_schema(schema)
-
-
-def test_bundled_config_schema_passes_the_built_in_checks_keyword_guard():
-    assert config_mod._checkable(config_schema())
-    assert config_mod._checked_schema() == config_schema()
-
-
-@pytest.mark.parametrize(
-    "schema",
-    [
-        {"type": "string", "format": "date"},
-        {"type": "object", "additionalProperties": {"type": "string"}},
-        {"enum": [1, "a"]},
-        {"type": "madeup"},
-        {"oneOf": [{"type": "number"}, {"type": "integer"}]},
-        {"oneOf": [{"type": "null"}, {"minimum": 0}]},
-        {"type": "array", "items": False},
-        {"$schema": "http://json-schema.org/draft-07/schema#", "type": "integer"},
-    ],
-)
-def test_keyword_guard_leaves_unimplemented_schemas_to_jsonschema(schema):
-    assert not config_mod._checkable(schema)
-
-
-@pytest.mark.parametrize("value", [Decimal("-1"), Fraction(-1, 2), (1, 2), date(2022, 3, 1)])
-def test_built_in_check_leaves_values_json_lacks_to_jsonschema(value):
-    # jsonschema counts a Decimal or a Fraction as a number, so a check that
-    # skipped what it does not know would admit -1 against a minimum of 0
-    schema = {"minimum": 0, "maxItems": 1}
-    assert config_mod._checkable(schema)
-    assert not config_mod._admits(schema, value)
+    jsonschema.validators.validator_for(_CONFIG_SCHEMA).check_schema(_CONFIG_SCHEMA)
 
 
 def test_config_loader_is_libyaml_where_pyyaml_has_it():
@@ -170,7 +119,7 @@ def _schema_keys(schema):
             yield from _schema_keys(value)
 
 
-_SCHEMA_KEYS = sorted(set(_schema_keys(config_schema())))
+_SCHEMA_KEYS = sorted(set(_schema_keys(_CONFIG_SCHEMA)))
 _THRESHOLDS = {"title_threshold": 0.5, "author_threshold": 0.9}
 _config_values = st.recursive(
     st.none()
@@ -272,7 +221,7 @@ def _admitted(parent, key, value):
 def _key_variants():
     """(key path, values the schema admits there) for each key of the full
     tier-1 config."""
-    raw, schema = _full_config(), config_schema()
+    raw, schema = _full_config(), _CONFIG_SCHEMA
     for name, value in raw.items():
         section = schema["properties"][name]
         if "properties" in section:
@@ -307,7 +256,47 @@ def _edited(edit):
     return raw
 
 
-_CONFIG_ORACLE = jsonschema.validators.validator_for(config_schema())(config_schema())
+_CONFIG_ORACLE = jsonschema.validators.validator_for(_CONFIG_SCHEMA)(_CONFIG_SCHEMA)
+
+
+def _without_optional_nulls(raw, schema=_CONFIG_SCHEMA):
+    """``raw`` without the nulls at the schema's optional leaf keys, each of
+    which load_config reads as the key's absence."""
+    if not isinstance(raw, dict):
+        return raw
+    properties, required = schema.get("properties", {}), schema.get("required", [])
+    out = {}
+    for key, value in raw.items():
+        sub = properties.get(key)
+        if sub is not None and "properties" in sub:
+            out[key] = _without_optional_nulls(value, sub)
+        elif value is not None or sub is None or key in required:
+            out[key] = value
+    return out
+
+
+def _has_nan(raw):
+    return any(isinstance(leaf, float) and math.isnan(leaf) for leaf in _leaves(raw))
+
+
+def _oracle_admits(raw):
+    """Whether the schema admits ``raw`` with its optional nulls dropped,
+    holding no NaN and, in ``provider.sampling_params``, only JSON values."""
+    raw = _without_optional_nulls(raw)
+    if not _CONFIG_ORACLE.is_valid(raw) or _has_nan(raw):
+        return False
+    return _plain_json(raw["provider"].get("sampling_params", {}))
+
+
+def _assert_loads_as_the_oracle(tmp_path_factory, raw, overrides):
+    """``raw``, written as YAML, loads or fails as ``oracle_load_config``
+    has it: the same config, whole and as its run identity, or a
+    ``ConfigError`` where the oracle rejects it."""
+    path = tmp_path_factory.getbasetemp() / "oracle" / "config.yaml"
+    path.parent.mkdir(exist_ok=True)
+    path.write_text(yaml.safe_dump(raw, sort_keys=False))
+    expected = _load_outcome(oracle_load_config, path, overrides)
+    assert _load_outcome(load_config, path, dict(overrides)) == expected
 
 
 @settings(max_examples=500, deadline=None)
@@ -327,11 +316,10 @@ _CONFIG_ORACLE = jsonschema.validators.validator_for(config_schema())(config_sch
 @example(_edited(lambda raw: raw.update(analysis={"subperiod_bins": [["early", None, 2022]]})))
 @example(_edited(lambda raw: raw.update(analysis={"subperiod_bins": [["early", None]]})))
 @example(_edited(lambda raw: raw.update(surprise=1)))
-def test_built_in_config_check_agrees_with_jsonschema(raw):
-    # sound: a config the check admits has no jsonschema error; complete
-    # on these configs: every config jsonschema accepts is admitted, so a
-    # valid load never needs jsonschema
-    assert config_mod._schema_admits(raw) == _CONFIG_ORACLE.is_valid(raw)
+@example(_edited(lambda raw: raw["runs"].update(vanilla=date(2022, 3, 1))))
+def test_built_in_config_check_agrees_with_jsonschema(tmp_path_factory, raw):
+    # configs of any shape, most of them invalid
+    _assert_loads_as_the_oracle(tmp_path_factory, raw, {})
 
 
 # the key path of each load_config override, written out
@@ -359,7 +347,8 @@ def _plain_json(value):
 
 def oracle_load_config(path, overrides):
     """``load_config`` written out field by field, with every config
-    checked by jsonschema; integer keys go through ``int()``."""
+    checked by ``_oracle_admits``; integer keys go through ``int()`` and
+    number keys through ``float()``."""
     from citebias import matcher
     from citebias.llmgate import ITERATIVE, VANILLA
     from citebias.matcher import Thresholds
@@ -372,9 +361,9 @@ def oracle_load_config(path, overrides):
             node = node.setdefault(section, {})
         if isinstance(node, dict):
             node[key] = str(value) if isinstance(value, Path) else value
-    exc = jsonschema.exceptions.best_match(_CONFIG_ORACLE.iter_errors(raw))
-    if exc is not None:
-        raise ConfigError(f"invalid config: {exc.message} (at {'/'.join(map(str, exc.path))})")
+    if not _oracle_admits(raw):
+        raise ConfigError("invalid config")
+    raw = _without_optional_nulls(raw)
 
     base = path.parent
 
@@ -396,8 +385,8 @@ def oracle_load_config(path, overrides):
     thresholds = matcher.default_thresholds()
     if thresholds_cfg:
         thresholds = Thresholds(
-            title_threshold=thresholds_cfg["title_threshold"],
-            author_threshold=thresholds_cfg["author_threshold"],
+            title_threshold=float(thresholds_cfg["title_threshold"]),
+            author_threshold=float(thresholds_cfg["author_threshold"]),
             provenance=f"config:{path.name}",
         )
 
@@ -408,29 +397,28 @@ def oracle_load_config(path, overrides):
         subperiod_bins = [(str(b[0]), *(x if x is None else int(x) for x in b[1:])) for b in subperiod]
 
     sampling_params = dict(provider_cfg.get("sampling_params", {}))
-    if not _plain_json(sampling_params):
-        raise ConfigError("invalid config: provider.sampling_params may hold only JSON values")
+    fuzzy = corpus_cfg.get("resolve_fuzzy_threshold")
 
     cfg = PipelineConfig(
         window=(corpus_cfg["window"][0], corpus_cfg["window"][1]),
         category=corpus_cfg["category"],
         venue_keywords=list(corpus_cfg["venue_keywords"]),
         blacklist=list(corpus_cfg.get("blacklist", [])),
-        resolve_fuzzy_threshold=corpus_cfg.get("resolve_fuzzy_threshold"),
+        resolve_fuzzy_threshold=None if fuzzy is None else float(fuzzy),
         sources_dir=respath(corpus_cfg["sources_dir"]),
         venue_aliases_path=respath(corpus_cfg.get("venue_aliases_path")),
         fixture_dir=respath(index_cfg.get("fixture_dir")),
         preprint_url=index_cfg.get("preprint_url"),
         scholar_url=index_cfg.get("scholar_url"),
         scholar_api_key_env=index_cfg.get("scholar_api_key_env", ""),
-        rate_limit_per_sec=index_cfg.get("rate_limit_per_sec", 3.0),
+        rate_limit_per_sec=float(index_cfg.get("rate_limit_per_sec", 3.0)),
         max_in_flight=int(index_cfg.get("max_in_flight", 1)),
         model_id=provider_cfg["model_id"],
         provider_kind=provider_cfg["kind"],
         provider_base_url=provider_cfg.get("base_url"),
         provider_api_key_env=provider_cfg.get("api_key_env", "OPENAI_API_KEY"),
         sampling_params=sampling_params,
-        provider_rate_limit=provider_cfg.get("rate_limit_per_sec", 1.0),
+        provider_rate_limit=float(provider_cfg.get("rate_limit_per_sec", 1.0)),
         vanilla_runs=int(runs_cfg.get("vanilla", 1)),
         iterative=runs_cfg.get("iterative", False),
         thresholds=thresholds,
@@ -455,11 +443,11 @@ def oracle_load_config(path, overrides):
 
 
 def _load_outcome(load, *args):
-    """The loaded config, whole and as its run identity, or the error."""
+    """The loaded config, whole and as its run identity, or a rejection."""
     try:
         config = load(*args)
-    except ConfigError as exc:
-        return str(exc)
+    except ConfigError:
+        return "rejected"
     return repr(config), manifest_hash(run_identity(config, ""))
 
 
@@ -475,13 +463,8 @@ def _load_outcome(load, *args):
 )
 @example(_edited(lambda raw: raw.update(runs=None)), True)
 def test_load_config_matches_the_field_by_field_oracle(tmp_path_factory, raw, override):
-    # every drawn config, valid or not, loads or fails as the oracle does
-    overrides = _OVERRIDES if override else {}
-    path = tmp_path_factory.getbasetemp() / "oracle" / "config.yaml"
-    path.parent.mkdir(exist_ok=True)
-    path.write_text(yaml.safe_dump(raw, sort_keys=False))
-    expected = _load_outcome(oracle_load_config, path, overrides)
-    assert _load_outcome(load_config, path, dict(overrides)) == expected
+    # the tier-1 config and variants of it, most of them valid
+    _assert_loads_as_the_oracle(tmp_path_factory, raw, _OVERRIDES if override else {})
 
 
 @pytest.mark.parametrize(
@@ -507,26 +490,25 @@ def test_missing_config_is_a_config_error_naming_the_path(tmp_path):
         load_config(path)
 
 
-@pytest.mark.parametrize(
-    "edit",
-    [
-        lambda raw: raw["corpus"].update(window=["nope"]),
-        lambda raw: raw["runs"].update(vanilla=0),
-        lambda raw: raw.update(surprise=1),
-        lambda raw: raw["provider"].pop("model_id"),
-    ],
-)
+# each edit of the workspace config and the error it gives, naming the
+# offending key by its slash path (the form of jsonschema's messages)
+_PINNED_MESSAGES = {
+    lambda raw: raw["corpus"].update(window=["nope"]):
+        "['nope'] does not fit tuple[str, str] (at corpus/window)",
+    lambda raw: raw["runs"].update(vanilla=0): "0 is not at least 1 (at runs/vanilla)",
+    lambda raw: raw.update(surprise=1): "unknown key 'surprise' (at surprise)",
+    lambda raw: raw["provider"].pop("model_id"):
+        "a required key is absent or null (at provider/model_id)",
+}
+
+
+@pytest.mark.parametrize("edit", list(_PINNED_MESSAGES))
 def test_config_error_message_is_that_of_jsonschema_validate(workspace, tmp_path, edit):
     _, config_path = workspace
     path = _config_copy(config_path, tmp_path, edit)
-    raw = yaml.safe_load(path.read_text())
-    with pytest.raises(jsonschema.ValidationError) as expected:
-        jsonschema.validate(raw, config_schema())
-    exc = expected.value
-    message = f"invalid config: {exc.message} (at {'/'.join(map(str, exc.path))})"
     with pytest.raises(ConfigError) as got:
         load_config(path)
-    assert str(got.value) == message
+    assert str(got.value) == f"invalid config: {_PINNED_MESSAGES[edit]}"
 
 
 def test_config_requires_index_backing(tmp_path):
@@ -630,7 +612,7 @@ def test_overridable_keys_are_schema_properties():
     # each field's key path, OVERRIDABLE's among them, is a schema property,
     # each leaf property is one field's key path, and a field has no
     # default exactly where the schema requires its key
-    schema = config_schema()
+    schema = _CONFIG_SCHEMA
     fields = {f.name: f for f in dataclasses.fields(PipelineConfig)}
     paths = {name: f.metadata["keys"] for name, f in fields.items()}
     assert OVERRIDABLE == {name: paths[name] for name in OVERRIDABLE}
@@ -670,8 +652,8 @@ def test_all_stages_completed(completed_run):
         assert manifest["stages"][stage]["status"] == "ok"
 
 
-# the live clients and the HTTP stack, process spawning and the schema
-# engine, which only a rejected config needs: an offline run loads none of them
+# the live clients and the HTTP stack, process spawning and a JSON Schema
+# engine: an offline run loads none of them
 OFFLINE_FORBIDDEN = (
     "citebias.live", "requests", "urllib3", "ssl", "http.client", "subprocess", "jsonschema",
     "referencing", "rpds",
@@ -690,21 +672,48 @@ print(json.dumps({
 """
 
 
+# run in a fresh interpreter: argv is the config, then the module names
+REJECTED_LOAD = """
+import json, sys
+from citebias.config import load_config
+from citebias.errors import ConfigError
+try:
+    load_config(sys.argv[1])
+except ConfigError as exc:
+    print(json.dumps({
+        "error": str(exc), "loaded": [name for name in sys.argv[2:] if name in sys.modules],
+    }))
+"""
+
+
+def _fresh_interpreter(script, cwd, *argv):
+    """The JSON of the last line ``script`` prints, run with ``argv`` in a
+    new interpreter that imports this package from source."""
+    src = str(Path(pipeline.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    child = subprocess.run(
+        [sys.executable, "-c", script, *map(str, argv)],
+        cwd=cwd, env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert child.returncode == 0, child.stderr
+    return json.loads(child.stdout.splitlines()[-1])
+
+
 def test_offline_run_loads_no_http_stack_and_no_subprocess(workspace, tmp_path):
     root, config_path = workspace
     copy = tmp_path / "offline"
     shutil.copytree(root, copy, ignore=shutil.ignore_patterns("out", "cache"))
-    src = str(Path(pipeline.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    config = str(copy / config_path.relative_to(root))
-    child = subprocess.run(
-        [sys.executable, "-c", OFFLINE_RUN, config, *OFFLINE_FORBIDDEN],
-        cwd=tmp_path, env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
-        timeout=120,
-    )
-    assert child.returncode == 0, child.stderr
-    report = json.loads(child.stdout.splitlines()[-1])
+    config = copy / config_path.relative_to(root)
+    report = _fresh_interpreter(OFFLINE_RUN, tmp_path, config, *OFFLINE_FORBIDDEN)
     assert report == {"statuses": ["ok"], "loaded": []}
+
+
+def test_rejected_config_loads_no_json_schema_engine(workspace, tmp_path):
+    _, config_path = workspace
+    path = _config_copy(config_path, tmp_path, lambda raw: raw["runs"].update(vanilla=0))
+    report = _fresh_interpreter(REJECTED_LOAD, tmp_path, path, "jsonschema", "referencing", "rpds")
+    assert report == {"error": "invalid config: 0 is not at least 1 (at runs/vanilla)", "loaded": []}
 
 
 def test_live_config_builds_rate_limited_http_clients_without_a_request(
@@ -1446,6 +1455,75 @@ def test_integral_float_subperiod_bounds_load_as_ints(workspace, tmp_path):
     assert config.subperiod_bins == [("early", None, 2022), ("late", 2023, None)]
     assert type(config.subperiod_bins[1][1]) is int
     assert loaded[1] == loaded[0]
+
+
+# a key path whose value is a float, and an edit that sets it on the
+# workspace config
+_FLOAT_KEYS = {
+    "index.rate_limit_per_sec": lambda raw, v: raw["index"].update(rate_limit_per_sec=v),
+    "provider.rate_limit_per_sec": lambda raw, v: raw["provider"].update(rate_limit_per_sec=v),
+    "corpus.resolve_fuzzy_threshold": lambda raw, v: raw["corpus"].update(resolve_fuzzy_threshold=v),
+    "matching.thresholds.title_threshold": lambda raw, v: raw.update(
+        matching={"thresholds": {"title_threshold": v, "author_threshold": 0.5}}
+    ),
+    "matching.thresholds.author_threshold": lambda raw, v: raw.update(
+        matching={"thresholds": {"title_threshold": 0.5, "author_threshold": v}}
+    ),
+}
+
+
+@pytest.mark.parametrize("key", list(_FLOAT_KEYS))
+def test_integer_spelling_of_a_float_key_loads_as_the_float(workspace, tmp_path, key):
+    # 1 and 1.0 are one config with one run identity
+    _, config_path = workspace
+    loaded = []
+    for value in (1, 1.0):
+        path = _config_copy(config_path, tmp_path, lambda raw: _FLOAT_KEYS[key](raw, value))
+        config = load_config(path)
+        loaded.append((repr(config), manifest_hash(run_identity(config, ""))))
+    assert "=1.0" in loaded[0][0]
+    assert loaded[0] == loaded[1]
+
+
+@pytest.mark.parametrize("key", list(_FLOAT_KEYS))
+def test_nan_for_a_bounded_number_is_a_config_error(workspace, tmp_path, key):
+    # NaN passes jsonschema's minimum and maximum; a threshold of NaN would
+    # judge every candidate non-existent
+    _, config_path = workspace
+    path = _config_copy(config_path, tmp_path, lambda raw: _FLOAT_KEYS[key](raw, float("nan")))
+    at = "/".join(key.split(".")[:2])
+    with pytest.raises(ConfigError, match=f"^invalid config: .*nan.* \\(at {at}\\)$"):
+        load_config(path)
+
+
+def test_integer_beyond_the_float_range_at_a_float_key_is_a_config_error(workspace, tmp_path):
+    _, config_path = workspace
+    path = _config_copy(
+        config_path, tmp_path, lambda raw: raw["index"].update(rate_limit_per_sec=10**400)
+    )
+    with pytest.raises(ConfigError, match=r"^invalid config: .* \(at index/rate_limit_per_sec\)$"):
+        load_config(path)
+
+
+@pytest.mark.parametrize("key", ["index.rate_limit_per_sec", "provider.rate_limit_per_sec"])
+def test_infinite_rate_limit_loads(workspace, tmp_path, key):
+    _, config_path = workspace
+    path = _config_copy(config_path, tmp_path, lambda raw: _FLOAT_KEYS[key](raw, float("inf")))
+    config = load_config(path)
+    assert math.inf in (config.rate_limit_per_sec, config.provider_rate_limit)
+
+
+def test_null_for_an_optional_key_takes_its_default(workspace, tmp_path):
+    _, config_path = workspace
+
+    def edit(raw):
+        raw["runs"]["vanilla"] = None
+        raw["index"].update(rate_limit_per_sec=None, max_in_flight=None)
+        raw["graph"]["strategy"] = None
+
+    config = load_config(_config_copy(config_path, tmp_path, edit))
+    assert (config.vanilla_runs, config.rate_limit_per_sec, config.max_in_flight) == (1, 3.0, 1)
+    assert config.graph_strategy == "vanilla"
 
 
 # ---------------------------------------------------------------------------
@@ -2213,6 +2291,20 @@ def test_malformed_preprint_record_is_an_error_naming_it(workspace, tmp_path, ca
     err = capsys.readouterr().err
     assert "error: malformed preprint record" in err
     assert repr(records[0]) in err
+
+
+def test_fixture_index_without_preprint_records_is_an_error(workspace, tmp_path, capsys):
+    # a misspelled index.fixture_dir, say: ingest's listing names the file
+    root, config_path = workspace
+    index = tmp_path / "index"
+    shutil.copytree(root / "index", index)
+    (index / "preprint" / "records.json").unlink()
+    path = _config_copy(
+        config_path, tmp_path, lambda raw: raw["index"].update(fixture_dir=str(index))
+    )
+    assert cli.main(["--config", str(path), "all"]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {index / 'preprint' / 'records.json'}: no such file" in err
 
 
 def test_replay_entry_that_is_not_utf8_is_an_error_naming_it(workspace, tmp_path, capsys):
