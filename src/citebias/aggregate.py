@@ -15,10 +15,11 @@ from typing import TYPE_CHECKING
 from . import citegraph, stats
 from .clients import atomic_write_text, dump_json, from_json, to_json
 from .corpus import EnrichedRecord, PaperRecord, enrich_reference
-from .errors import Exclusion
 from .llmgate import ITERATIVE, VANILLA, GeneratedReference
 from .matcher import MatchVerdict
-from .perpaper import load_papers, load_record, load_refs, load_verdicts, read_artifact
+from .perpaper import (
+    enriched_for, load_papers, load_record, load_refs, load_verdicts, read_artifact,
+)
 
 if TYPE_CHECKING:
     from .pipeline import PipelineContext
@@ -168,12 +169,10 @@ def stage_graph(ctx: PipelineContext) -> dict:
             {v.matched_index_id for v in verdicts.values() if v.exists and v.matched_index_id}
         )
         adjacency: dict[str, list[str]] = {paper.index_id: list(paper.reference_ids)}
-        for node in {*intro_ids, *generated_ids}:
-            rec = enrich_reference(node, ctx.scholar)
-            if not isinstance(rec, Exclusion):
-                adjacency[node] = list(rec.outgoing_reference_ids)
-                citation_counts[node] = rec.citation_count
-                reference_counts[node] = rec.reference_count
+        for node, rec in enriched_for(ctx, sorted({*intro_ids, *generated_ids})).items():
+            adjacency[node] = list(rec.outgoing_reference_ids)
+            citation_counts[node] = rec.citation_count
+            reference_counts[node] = rec.reference_count
 
         graph = citegraph.build_graph(paper, intro_ids, generated_ids, adjacency)
         citegraph.categorize(graph, paper)

@@ -271,8 +271,11 @@ class JsonCache:
     (a torn last line, say) is skipped, so its key is a miss. Each line is
     decoded once there, to read its id, and again by every ``load`` that
     hits it, so no decoded envelope is held and each hit returns a fresh
-    one. An envelope of another endpoint or schema version is a miss too:
-    the caller recomputes that key only, and its new line wins from then on.
+    one. An envelope of another endpoint, schema version or ``source`` is a
+    miss too: the caller recomputes that key only, and its new line wins
+    from then on. A fixture run passes its input digest as ``source``, so
+    an edited fixture never reads the old one's entries; a live run passes
+    none.
     Explicit not-found markers are first-class entries so corpus
     attrition is never a silent gap. ``refresh=True`` never reads the
     log, so only entries stored since the cache opened are served; every
@@ -284,9 +287,12 @@ class JsonCache:
     when ``max_in_flight`` is above one.
     """
 
-    def __init__(self, root: Path | str, service: str, refresh: bool = False):
+    def __init__(
+        self, root: Path | str, service: str, refresh: bool = False, source: str | None = None
+    ):
         self.path = Path(root) / f"{service}.jsonl"
         self.refresh = refresh
+        self.source = source
         self._lock = threading.Lock()
         self._entries: dict[str, bytes] | None = None
         # the log ends inside a line, so the next append starts a new one
@@ -321,6 +327,7 @@ class JsonCache:
         if (
             envelope.get("schema_version") != CACHE_SCHEMA_VERSION
             or envelope.get("endpoint") != endpoint
+            or envelope.get("source") != self.source
             or envelope.get("status") not in ("ok", "not_found")
         ):
             return None
@@ -339,6 +346,8 @@ class JsonCache:
             "id": cache_id,
             **entry,
         }
+        if self.source is not None:
+            envelope["source"] = self.source
         try:
             data = (json.dumps(envelope, sort_keys=True, ensure_ascii=False) + "\n").encode("utf-8")
         except UnicodeEncodeError as exc:  # a lone surrogate, which json.loads accepts

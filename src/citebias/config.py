@@ -43,7 +43,8 @@ _ABOVE_0 = ("above 0", lambda v: v > 0)
 _UNIT = ("0 to 1", lambda v: 0 <= v <= 1)
 _NON_EMPTY = ("non-empty", len)
 _DATE = re.compile(r"^\d{4}-\d{2}-\d{2}$")
-_DATES = ("two YYYY-MM-DD dates", lambda v: all(map(_DATE.search, v)))
+_DATES = ("two YYYY-MM-DD dates, the first not after the second",
+          lambda v: all(map(_DATE.search, v)) and v[0] <= v[1])
 
 
 @dataclass(kw_only=True)

@@ -18,7 +18,7 @@ from importlib import resources
 from typing import Iterable, Sequence
 
 from .clients import CachedScholarClient, PreprintIndexClient, ScholarIndexClient
-from .errors import EXCL_NOT_FOUND, AmbiguousMatchError, Exclusion, IndexParseError
+from .errors import EXCL_AMBIGUOUS, EXCL_NOT_FOUND, Exclusion, IndexParseError
 from .textnorm import title_key, tokens
 
 logger = logging.getLogger(__name__)
@@ -233,8 +233,8 @@ def resolve_paper(
     with ``fuzzy_threshold`` set, candidates scoring at least that much
     on best-substring title similarity are accepted when no exact hit
     exists. Exactly one hit yields a PaperRecord with its reference list;
-    zero hits yield a not-found exclusion; multiple equally-plausible
-    hits raise AmbiguousMatchError.
+    zero hits yield a not-found exclusion, and several equally plausible
+    hits an ambiguous one.
     """
     if not stub.title.strip():
         raise ValueError("stub has an empty title")
@@ -254,7 +254,9 @@ def resolve_paper(
     if not hits:
         return Exclusion(EXCL_NOT_FOUND, f"no index record titled {stub.title!r}")
     if len(hits) > 1:
-        raise AmbiguousMatchError(stub.title, [rec["index_id"] for rec in hits])
+        ids = ", ".join(str(rec["index_id"]) for rec in hits)
+        detail = f"title {stub.title!r} matches {len(hits)} index records: {ids}"
+        return Exclusion(EXCL_AMBIGUOUS, detail)
     rec = hits[0]
     year = rec.get("year")
     if year is None:

@@ -29,18 +29,6 @@ class IndexParseError(CitebiasError):
         self.record = record
 
 
-class AmbiguousMatchError(CitebiasError):
-    """Title resolution matched more than one index record."""
-
-    def __init__(self, title: str, candidates: list):
-        super().__init__(
-            f"title {title!r} matches {len(candidates)} index records: "
-            + ", ".join(str(c) for c in candidates)
-        )
-        self.title = title
-        self.candidates = candidates
-
-
 class TexError(CitebiasError):
     """LaTeX source could not be processed."""
 
@@ -93,11 +81,13 @@ class Exclusion:
         return f"{self.code}: {self.detail}" if self.detail else self.code
 
 
-# Reason codes used by the corpus and docprep stages.
+# Reason codes used by the corpus and docprep stages, the only codes an
+# Exclusion carries.
 EXCL_NO_MAIN = "no-main"
 EXCL_MULTIPLE_MAINS = "multiple-mains"
 EXCL_NO_BIB = "no-bib"
 EXCL_COMPILE_ERROR = "compile-error"
 EXCL_NOT_FOUND = "index-not-found"
 EXCL_AMBIGUOUS = "index-ambiguous"
+EXCL_DUPLICATE = "duplicate-resolution"
 

@@ -19,9 +19,7 @@ from .corpus import (
     EnrichedRecord, PaperRecord, enrich_reference, filter_candidates, harvest_candidates,
     resolve_paper,
 )
-from .errors import (
-    EXCL_AMBIGUOUS, AmbiguousMatchError, Exclusion, PipelineError, ProviderRefusal, TableParseError,
-)
+from .errors import EXCL_DUPLICATE, Exclusion, PipelineError, ProviderRefusal, TableParseError
 from .llmgate import (
     ITERATIVE, VANILLA, GeneratedReference, GenerationRun, generate, merge_iterative,
     postprocess_references, render_iterative_prompt, render_vanilla_prompt, template_hashes,
@@ -44,33 +42,19 @@ def stage_ingest(ctx: PipelineContext) -> dict:
     stubs = harvest_candidates(ctx.preprint, cfg.window, cfg.category, cfg.venue_keywords)
     kept = filter_candidates(stubs, cfg.blacklist)
     papers: list[PaperRecord] = []
-    exclusions: list[dict] = []
-    seen_index_ids: dict[str, str] = {}
+    dropped: list[tuple[str, Exclusion]] = []
+    claimed_by: dict[str, str] = {}  # index id -> the preprint that resolved to it
     for stub in kept:
-        try:
-            resolved = resolve_paper(
-                stub,
-                ctx.scholar,
-                ctx.venue_table,
-                fuzzy_threshold=cfg.resolve_fuzzy_threshold,
-            )
-        except AmbiguousMatchError as exc:
-            resolved = Exclusion(EXCL_AMBIGUOUS, str(exc))
+        resolved = resolve_paper(
+            stub, ctx.scholar, ctx.venue_table, fuzzy_threshold=cfg.resolve_fuzzy_threshold
+        )
+        if not isinstance(resolved, Exclusion) and resolved.index_id in claimed_by:
+            first = claimed_by[resolved.index_id]
+            resolved = Exclusion(EXCL_DUPLICATE, f"{resolved.index_id} already claimed by {first}")
         if isinstance(resolved, Exclusion):
-            exclusions.append(
-                {"preprint_id": stub.preprint_id, "code": resolved.code, "detail": resolved.detail}
-            )
-        elif resolved.index_id in seen_index_ids:
-            exclusions.append(
-                {
-                    "preprint_id": stub.preprint_id,
-                    "code": "duplicate-resolution",
-                    "detail": f"{resolved.index_id} already claimed by "
-                    f"{seen_index_ids[resolved.index_id]}",
-                }
-            )
+            dropped.append((stub.preprint_id, resolved))
         else:
-            seen_index_ids[resolved.index_id] = stub.preprint_id
+            claimed_by[resolved.index_id] = stub.preprint_id
             papers.append(resolved)
 
     all_ids = sorted({rid for paper in papers for rid in paper.reference_ids})
@@ -84,17 +68,23 @@ def stage_ingest(ctx: PipelineContext) -> dict:
 
     out = ctx.stage_dir("corpus")
     atomic_write_text(out / "papers.json", dump_json(to_json(papers)))
-    atomic_write_text(out / "exclusions.json", dump_json(exclusions))
-    by_code = Counter(item["code"] for item in exclusions)
     return {
         "harvested": len(stubs),
         "after_blacklist": len(kept),
         "resolved": len(papers),
-        "excluded": len(exclusions),
-        "excluded_by_code": by_code,
+        **_write_exclusions(out, dropped),
         "references_enriched": enriched_ok,
         "references_not_found": enrich_missing,
     }
+
+
+def _write_exclusions(out: Path, dropped: list[tuple[str, Exclusion]]) -> dict:
+    """Write ``exclusions.json`` under ``out``, one row per dropped paper
+    (its preprint id and its exclusion), and return the stage outcomes
+    that count them."""
+    rows = [{"preprint_id": preprint_id, **to_json(excl)} for preprint_id, excl in dropped]
+    atomic_write_text(out / "exclusions.json", dump_json(rows))
+    return {"excluded": len(rows), "excluded_by_code": Counter(row["code"] for row in rows)}
 
 
 def read_artifact(ctx: PipelineContext, path: Path) -> str:
@@ -119,7 +109,8 @@ def load_papers(ctx: PipelineContext, prepared: bool = False) -> list[PaperRecor
 # ---------------------------------------------------------------------------
 
 
-def _enriched_for(ctx: PipelineContext, ids: list[str]) -> dict[str, EnrichedRecord]:
+def enriched_for(ctx: PipelineContext, ids: list[str]) -> dict[str, EnrichedRecord]:
+    """The enriched record of each of ``ids`` the index has, in ``ids`` order."""
     out = {}
     for rid in ids:
         rec = enrich_reference(rid, ctx.scholar)
@@ -156,17 +147,15 @@ def stage_prepare(ctx: PipelineContext) -> dict:
     cfg = ctx.config
     papers = load_papers(ctx)
     out = ctx.stage_dir("prepared")
-    excluded: list[dict] = []
+    dropped: list[tuple[str, Exclusion]] = []
     survivors: list[PaperRecord] = []
-    quarantined: list[dict] = []
+    gt_failures = 0
 
     for paper in papers:
         source_dir = cfg.sources_dir / paper.preprint_id
         prep = docprep.prepare_source(source_dir)
         if isinstance(prep, Exclusion):
-            excluded.append(
-                {"preprint_id": paper.preprint_id, "code": prep.code, "detail": prep.detail}
-            )
+            dropped.append((paper.preprint_id, prep))
             continue
 
         groups = prep.main_content.citation_occurrences
@@ -204,14 +193,14 @@ def stage_prepare(ctx: PipelineContext) -> dict:
                 )
             except (ProviderRefusal, TableParseError) as exc:
                 post_outcome = f"failed:{type(exc).__name__}"
-                quarantined.append({"preprint_id": paper.preprint_id, "reason": str(exc)})
+                gt_failures += 1
                 table = None
             atomic_write_text(
                 paper_dir / "gt_postprocess_transcript.json",
                 dump_json(to_json(post_run.transcript)),
             )
             if table is not None:
-                enriched = _enriched_for(ctx, paper.reference_ids)
+                enriched = enriched_for(ctx, paper.reference_ids)
                 keys = {rid: title_key(rec.title) for rid, rec in enriched.items()}
                 raw_by_num = dict(intro_refs)
                 for ref in table.references:
@@ -258,13 +247,10 @@ def stage_prepare(ctx: PipelineContext) -> dict:
         survivors.append(paper)
 
     atomic_write_text(out / "papers.json", dump_json(to_json(survivors)))
-    atomic_write_text(out / "exclusions.json", dump_json(excluded))
-    by_code = Counter(item["code"] for item in excluded)
     return {
         "prepared": len(survivors),
-        "excluded": len(excluded),
-        "excluded_by_code": by_code,
-        "gt_postprocess_failures": len(quarantined),
+        **_write_exclusions(out, dropped),
+        "gt_postprocess_failures": gt_failures,
     }
 
 

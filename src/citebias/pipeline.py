@@ -71,6 +71,7 @@ class PipelineContext:
         config: PipelineConfig,
         manifest_hash: str,
         fixture_files: list[tuple[str, bytes]] | None = None,
+        inputs: str | None = None,
     ):
         self.config = config
         self.manifest_hash = manifest_hash
@@ -88,9 +89,11 @@ class PipelineContext:
             scholar = HttpScholarClient(
                 config.scholar_url, limiter=limiter, api_key_env=config.scholar_api_key_env
             )
-        # every scholar read, search or paper, goes through the disk cache
+        # every scholar read, search or paper, goes through the disk cache,
+        # whose entries a fixture run ties to its input digest ``inputs``
+        source = inputs if config.fixture_dir else None
         self.scholar = CachedScholarClient(
-            scholar, JsonCache(config.cache_dir, "scholar", refresh=config.refresh)
+            scholar, JsonCache(config.cache_dir, "scholar", refresh=config.refresh, source=source)
         )
         if config.provider_kind == "mock":
             self.provider = DirectoryMockProvider(config.mock_dir)
@@ -285,7 +288,7 @@ def run_pipeline(config: PipelineConfig, stages: list[str] | None = None) -> dic
     fixture_files = read_tree(config.fixture_dir) if config.fixture_dir else None
     identity = run_identity(config, inputs_digest(config, fixture_files))
     core = manifest_hash(identity)
-    ctx = PipelineContext(config, core, fixture_files)
+    ctx = PipelineContext(config, core, fixture_files, identity["inputs_digest"])
     del fixture_files
     manifest: dict = {
         **identity,

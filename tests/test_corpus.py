@@ -30,7 +30,7 @@ from citebias.corpus import (
     harvest_candidates,
     resolve_paper,
 )
-from citebias.errors import AmbiguousMatchError, Exclusion, IndexParseError
+from citebias.errors import Exclusion, IndexParseError
 from citebias.live import TokenBucket
 
 # ---------------------------------------------------------------------------
@@ -537,9 +537,10 @@ def test_resolve_absent_title_not_found(fixture_client, venue_table):
 def test_resolve_duplicate_titles_ambiguous(fixture_client, venue_table):
     stub = _stub(0, "ICLR 2020")
     stub.title = "An Ambiguous Name"
-    with pytest.raises(AmbiguousMatchError) as err:
-        resolve_paper(stub, fixture_client, venue_table)
-    assert set(err.value.candidates) == {"s_dup_a", "s_dup_b"}
+    result = resolve_paper(stub, fixture_client, venue_table)
+    assert result == Exclusion(
+        "index-ambiguous", "title 'An Ambiguous Name' matches 2 index records: s_dup_a, s_dup_b"
+    )
 
 
 def test_resolve_fuzzy_threshold_catches_near_titles(fixture_client, venue_table):

@@ -23,9 +23,9 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from citebias import cli, pipeline
+from citebias import cli, errors, pipeline
 from citebias import config as config_mod
-from citebias.clients import dump_json, safe_filename
+from citebias.clients import FixtureIndexClient, dump_json, safe_filename
 from citebias.config import OVERRIDABLE, PipelineConfig, load_config
 from citebias.errors import ConfigError, PipelineError
 from citebias.llmgate import render_vanilla_prompt, store_mock_response
@@ -130,6 +130,7 @@ _config_values = st.recursive(
     | st.sampled_from([
         0.0, 1.0, 2.0, 1e300, float("nan"), float("inf"), -float("inf"), "", "mock", "openai",
         "vanilla", "iterative", "2022-03-01", "2022-3-1", date(2022, 3, 1),
+        ["2023-10-31", "2022-03-01"],
         _THRESHOLDS, {"thresholds": _THRESHOLDS}, {"thresholds": None, "search_limit": 2},
         ["early", None, 2022], {"subperiod_bins": [["early", None, 2022], ["late", 2023.0, None]]},
     ]),
@@ -281,11 +282,14 @@ def _has_nan(raw):
 
 def _oracle_admits(raw):
     """Whether the schema admits ``raw`` with its optional nulls dropped,
-    holding no NaN and, in ``provider.sampling_params``, only JSON values."""
+    holding no NaN, a window whose first date is not after its second
+    (an order the schema cannot express) and, in
+    ``provider.sampling_params``, only JSON values."""
     raw = _without_optional_nulls(raw)
     if not _CONFIG_ORACLE.is_valid(raw) or _has_nan(raw):
         return False
-    return _plain_json(raw["provider"].get("sampling_params", {}))
+    start, end = raw["corpus"]["window"]
+    return start <= end and _plain_json(raw["provider"].get("sampling_params", {}))
 
 
 def _assert_loads_as_the_oracle(tmp_path_factory, raw, overrides):
@@ -303,6 +307,8 @@ def _assert_loads_as_the_oracle(tmp_path_factory, raw, overrides):
 @given(_mutated_configs() | _config_shaped)
 @example(workspace_config())
 @example(_edited(lambda raw: raw["corpus"].update(window=yaml.safe_load("[2022-03-01, 2023-10-31]"))))
+@example(_edited(lambda raw: raw["corpus"].update(window=["2023-10-31", "2022-03-01"])))
+@example(_edited(lambda raw: raw["corpus"].update(window=["2022-03-01", "2022-03-01"])))
 @example(_edited(lambda raw: raw["runs"].update(vanilla=True)))
 @example(_edited(lambda raw: raw.update(matching={"search_limit": 2.0})))
 @example(_edited(lambda raw: raw.update(matching={"search_limit": 2.5})))
@@ -462,6 +468,8 @@ def _load_outcome(load, *args):
     _edited(lambda raw: raw["provider"].update(sampling_params={"seed": date(2023, 1, 1)})), True
 )
 @example(_edited(lambda raw: raw.update(runs=None)), True)
+@example(_edited(lambda raw: raw["corpus"].update(window=["2023-10-31", "2022-03-01"])), False)
+@example(_edited(lambda raw: raw["corpus"].update(window=["2022-03-01", "2022-03-01"])), True)
 def test_load_config_matches_the_field_by_field_oracle(tmp_path_factory, raw, override):
     # the tier-1 config and variants of it, most of them valid
     _assert_loads_as_the_oracle(tmp_path_factory, raw, _OVERRIDES if override else {})
@@ -686,14 +694,15 @@ except ConfigError as exc:
 """
 
 
-def _fresh_interpreter(script, cwd, *argv):
-    """The JSON of the last line ``script`` prints, run with ``argv`` in a
-    new interpreter that imports this package from source."""
+def _fresh_interpreter(script, cwd, *argv, **env):
+    """The JSON of the last line ``script`` prints, run with ``argv`` and
+    the variables ``env`` in a new interpreter that imports this package
+    from source."""
     src = str(Path(pipeline.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     child = subprocess.run(
         [sys.executable, "-c", script, *map(str, argv)],
-        cwd=cwd, env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
+        cwd=cwd, env={**os.environ, "PYTHONPATH": path, **env}, capture_output=True, text=True,
         timeout=120,
     )
     assert child.returncode == 0, child.stderr
@@ -707,6 +716,32 @@ def test_offline_run_loads_no_http_stack_and_no_subprocess(workspace, tmp_path):
     config = copy / config_path.relative_to(root)
     report = _fresh_interpreter(OFFLINE_RUN, tmp_path, config, *OFFLINE_FORBIDDEN)
     assert report == {"statuses": ["ok"], "loaded": []}
+
+
+def _tree_sha256(root):
+    """sha256 over the relative path and the bytes of each file under ``root``."""
+    digest = hashlib.sha256()
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        digest.update(path.relative_to(root).as_posix().encode() + b"\0")
+        digest.update(path.read_bytes() + b"\1")
+    return digest.hexdigest()
+
+
+def test_cold_runs_under_two_hash_seeds_write_the_same_bytes(workspace, tmp_path):
+    # str hashes are salted per interpreter, so an output that followed
+    # set or dict order would differ between these two runs
+    root, config_path = workspace
+    digests = []
+    for seed in ("1", "2"):
+        copy = tmp_path / f"seed{seed}"
+        shutil.copytree(root, copy, ignore=shutil.ignore_patterns("out", "cache"))
+        config = copy / config_path.relative_to(root)
+        report = _fresh_interpreter(
+            OFFLINE_RUN, tmp_path, config, PYTHONHASHSEED=seed, SOURCE_DATE_EPOCH="1700000000"
+        )
+        assert report == {"statuses": ["ok"], "loaded": []}
+        digests.append((_tree_sha256(copy / "out"), _tree_sha256(copy / "cache")))
+    assert digests[0] == digests[1]
 
 
 def test_rejected_config_loads_no_json_schema_engine(workspace, tmp_path):
@@ -1367,6 +1402,46 @@ def _envelopes(log):
     return sorted(json.dumps(json.loads(line), sort_keys=True) for line in lines)
 
 
+def test_cache_kept_across_a_fixture_edit_serves_the_edited_fixture(
+    completed_run, tmp_path, monkeypatch
+):
+    # a fixture run ties its cache entries to its input digest: after an
+    # edit, a run that keeps cache/ writes what a cold run writes
+    root, config_path, _ = completed_run
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
+    copy = tmp_path / "edited"
+    shutil.copytree(root, copy, ignore=shutil.ignore_patterns("out", "cache"))
+    config_file = copy / config_path.relative_to(root)
+
+    def run(name, cache="cache"):
+        overrides = {"out_dir": str(tmp_path / name), "cache_dir": str(tmp_path / cache)}
+        return run_pipeline(load_config(config_file, overrides))
+
+    run("first")
+    paper = copy / "index" / "scholar" / "papers" / "a1.json"
+    record = json.loads(paper.read_text())
+    paper.write_text(json.dumps({**record, "citation_count": record["citation_count"] + 1000}))
+    warm, cold = run("warm"), run("cold", cache="cold_cache")
+    assert warm["manifest_hash"] == cold["manifest_hash"]
+    assert _tree_sha256(tmp_path / "warm") == _tree_sha256(tmp_path / "cold")
+    prepared = json.loads((tmp_path / "warm" / "prepared" / "2203.11111" / "record.json").read_text())
+    [a1] = [row for row in prepared["gt_refs"] if row["index_id"] == "a1"]
+    assert a1["citation_count"] == record["citation_count"] + 1000
+
+    # with the inputs unchanged, every scholar read is served from the cache
+    lookups = []
+    for name in ("search_title", "get_paper"):
+        original = getattr(FixtureIndexClient, name)
+        monkeypatch.setattr(
+            FixtureIndexClient, name,
+            lambda self, *args, _name=name, _original=original:
+                lookups.append(_name) or _original(self, *args),
+        )
+    run("again")
+    assert lookups == []
+    assert _tree_sha256(tmp_path / "again") == _tree_sha256(tmp_path / "warm")
+
+
 def test_cold_run_leaves_one_cache_file(completed_run):
     root, _, _ = completed_run
     files = [p.relative_to(root / "cache").as_posix() for p in (root / "cache").rglob("*")]
@@ -1639,6 +1714,35 @@ def test_ambiguous_title_is_excluded_not_fatal(workspace, tmp_path):
     assert excluded["detail"] == (
         "title 'Adaptive Widget Learning' matches 2 index records: focalA, focalA_copy"
     )
+
+
+def test_second_preprint_resolving_to_a_claimed_record_is_a_duplicate(completed_run, tmp_path):
+    root, config_path, _ = completed_run
+    copy = tmp_path / "duplicate"
+    shutil.copytree(root, copy, ignore=shutil.ignore_patterns("out", "cache"))
+    records_path = copy / "index" / "preprint" / "records.json"
+    records = json.loads(records_path.read_text())
+    [first] = [rec for rec in records if rec["preprint_id"] == "2203.11111"]
+    records.append({**first, "preprint_id": "2204.55555", "posted_date": "2022-04-01"})
+    records_path.write_text(json.dumps(records))
+
+    manifest = run_pipeline(load_config(copy / config_path.relative_to(root)), ["ingest"])
+    outcomes = manifest["stages"]["ingest"]["outcomes"]
+    assert outcomes["resolved"] == 4
+    assert outcomes["excluded_by_code"] == {"duplicate-resolution": 1}
+    [excluded] = json.loads((copy / "out" / "corpus" / "exclusions.json").read_text())
+    assert excluded == {
+        "preprint_id": "2204.55555",
+        "code": "duplicate-resolution",
+        "detail": "focalA already claimed by 2203.11111",
+    }
+
+    # every code in an exclusions file is one of the declared EXCL_* codes
+    declared = {value for name, value in vars(errors).items() if name.startswith("EXCL_")}
+    paths = [copy / "out" / "corpus" / "exclusions.json"]
+    paths += [root / "out" / stage / "exclusions.json" for stage in ("corpus", "prepared")]
+    codes = {row["code"] for path in paths for row in json.loads(path.read_text())}
+    assert codes == {"duplicate-resolution", "no-main"} and codes <= declared
 
 
 def test_malformed_bib_excludes_its_paper_not_the_run(workspace, tmp_path):
@@ -2248,6 +2352,19 @@ def test_cli_unreadable_config_exits_1(tmp_path, capsys, data):
         path.write_bytes(data)
     assert cli.main(["--config", str(path), "all"]) == 1
     assert capsys.readouterr().err.startswith(f"error: cannot read config {path}")
+
+
+def test_cli_reversed_window_is_a_config_error(workspace, tmp_path, capsys):
+    _, config_path = workspace
+    path = _config_copy(
+        config_path, tmp_path, lambda raw: raw["corpus"].update(window=["2023-10-31", "2022-03-01"])
+    )
+    assert cli.main(["--config", str(path), "ingest"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid config: ")
+    assert err.rstrip("\n").endswith(" (at corpus/window)")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_prints_the_same_outcomes_for_a_stage_run_and_skipped(
