@@ -16,7 +16,6 @@ from . import citegraph, stats
 from .clients import atomic_write_text, dump_json, from_json, to_json
 from .corpus import EnrichedRecord, PaperRecord, enrich_reference
 from .llmgate import ITERATIVE, VANILLA, GeneratedReference
-from .matcher import MatchVerdict
 from .perpaper import (
     enriched_for, load_papers, load_record, load_refs, load_verdicts, read_artifact,
 )
@@ -25,29 +24,18 @@ if TYPE_CHECKING:
     from .pipeline import PipelineContext
 
 
-def _gt_row(gt: dict) -> stats.CharacteristicsRow:
-    return stats.CharacteristicsRow(
-        title_chars=len(gt["title"]),
-        year=gt["year"],
-        author_count=gt["author_count"],
-        venue=gt["venue"]["canonical"],
-        citation_count=gt.get("citation_count"),
-        influential_citation_count=gt.get("influential_citation_count"),
-        reference_count=gt.get("reference_count"),
-    )
-
-
-def _generated_row(
-    ctx: PipelineContext, ref: GeneratedReference, verdict: MatchVerdict
+def _row(
+    ctx: PipelineContext, ref: GeneratedReference, index_id: str | None
 ) -> stats.CharacteristicsRow:
-    """A generated reference's row; its counts come from the matched record."""
+    """A reference's characteristics row, ground-truth or generated alike;
+    its counts come from the index record ``index_id``, if it has one."""
     row = stats.CharacteristicsRow(
         title_chars=len(ref.title),
         year=ref.year,
         author_count=ref.author_count,
         venue=ref.venue.canonical,
     )
-    rec = enrich_reference(verdict.matched_index_id, ctx.scholar) if verdict.exists else None
+    rec = enrich_reference(index_id, ctx.scholar) if index_id is not None else None
     if isinstance(rec, EnrichedRecord):
         row.citation_count = rec.citation_count
         row.influential_citation_count = rec.influential_citation_count
@@ -88,12 +76,13 @@ def _collect_run(
                 continue
 
             gt = gt_by_num.get(number)
-            gt_row = _gt_row(gt) if gt is not None else None
-            if gt_row is not None:
+            gt_row = None
+            if gt is not None:
+                gt_row = _row(ctx, from_json(GeneratedReference, gt), gt["index_id"])
                 cohorts["ground_truth"].append(gt_row)
                 counterpart.append((flag, gt_row))
             if ref is not None and verdict is not None:
-                gen_row = _generated_row(ctx, ref, verdict)
+                gen_row = _row(ctx, ref, verdict.matched_index_id)
                 cohorts["generated_all"].append(gen_row)
                 exists = "existing" if verdict.exists else "nonexistent"
                 cohorts[f"generated_{exists}"].append(gen_row)

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import hashlib
 import heapq
 import json
 import operator
@@ -55,8 +56,6 @@ def safe_filename(identifier: str) -> str:
     """Map an arbitrary id to a filesystem-safe name, stable across runs."""
     cleaned = _SAFE_RE.sub("_", identifier)
     if cleaned != identifier or len(cleaned) > 120:
-        import hashlib
-
         digest = hashlib.sha256(identifier.encode("utf-8")).hexdigest()[:12]
         cleaned = f"{cleaned[:100]}_{digest}"
     return cleaned

@@ -259,9 +259,6 @@ def load_config(path: Path | str, overrides: dict | None = None) -> PipelineConf
         if check is not None and not check[1](fitted):
             raise _invalid(f"{value!r} is not {check[0]}", keys)
         data[name] = fitted
-    if "thresholds" in data:
-        provenance = f"config:{path.name}"
-        data["thresholds"] = dataclasses.replace(data["thresholds"], provenance=provenance)
     cfg = PipelineConfig(**data)
     if cfg.fixture_dir is None and (cfg.preprint_url is None or cfg.scholar_url is None):
         raise ConfigError("index needs either fixture_dir or both service URLs")

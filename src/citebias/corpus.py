@@ -19,6 +19,7 @@ from typing import Iterable, Sequence
 
 from .clients import CachedScholarClient, PreprintIndexClient, ScholarIndexClient
 from .errors import EXCL_AMBIGUOUS, EXCL_NOT_FOUND, Exclusion, IndexParseError
+from .matcher import title_similarity
 from .textnorm import title_key, tokens
 
 logger = logging.getLogger(__name__)
@@ -233,17 +234,15 @@ def resolve_paper(
     with ``fuzzy_threshold`` set, candidates scoring at least that much
     on best-substring title similarity are accepted when no exact hit
     exists. Exactly one hit yields a PaperRecord with its reference list;
-    zero hits yield a not-found exclusion, and several equally plausible
-    hits an ambiguous one.
+    zero hits (or a blank title, which is not searched) yield a not-found
+    exclusion, and several equally plausible hits an ambiguous one.
     """
     if not stub.title.strip():
-        raise ValueError("stub has an empty title")
+        return Exclusion(EXCL_NOT_FOUND, "blank title")
     key = title_key(stub.title)
     results = scholar.search_title(stub.title, limit=search_limit)
     hits = [rec for rec in results if title_key(rec.get("title", "")) == key]
     if not hits and fuzzy_threshold is not None:
-        from .matcher import title_similarity
-
         scored = [
             (title_similarity(stub.title, rec.get("title", "")), rec) for rec in results
         ]

@@ -2,7 +2,7 @@
 
 ``HttpPreprintClient``, ``HttpScholarClient`` (the wire formats of
 ``clients``) and ``OpenAIChatProvider`` (OpenAI-compatible chat
-completions) are ``HttpService``s, which import ``requests`` when built.
+completions) are ``HttpService``s over ``requests``.
 ``pipeline.PipelineContext`` imports this module only for a config with
 service URLs or a non-mock provider, so an offline run never loads it.
 """
@@ -13,13 +13,12 @@ import os
 import threading
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable
+from typing import Any, Callable
+
+import requests
 
 from .errors import IndexParseError, TransportError
 from .llmgate import Message
-
-if TYPE_CHECKING:
-    import requests
 
 
 class TokenBucket:
@@ -99,8 +98,6 @@ class HttpService:
         retry: RetryPolicy | None = None,
         api_key_env: str = "",
     ):
-        import requests
-
         self.base_url = base_url.rstrip("/")
         self.session = session or requests.Session()
         self.limiter = limiter
@@ -111,8 +108,6 @@ class HttpService:
 
     def request(self, method: str, path: str, **kwargs: Any) -> requests.Response:
         """Send under the rate limiter; TransportError once the attempts run out."""
-        import requests
-
         url = self.base_url + path
         send = getattr(self.session, method.lower())
         last: Exception | None = None

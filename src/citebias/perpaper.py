@@ -210,23 +210,12 @@ def stage_prepare(ctx: PipelineContext) -> dict:
                     index_id, resolution = _resolve_gt_title(
                         ref.title, enriched, keys, cfg.thresholds.title_threshold
                     )
-                    row = {
-                        "citation_number": num,
+                    gt_rows[num] = {
+                        **to_json(ref),
                         "raw_text": raw_by_num[num],
-                        "title": ref.title,
-                        "authors": ref.authors,
-                        "author_count": ref.author_count,
-                        "year": ref.year,
-                        "venue": to_json(ref.venue),
                         "index_id": index_id,
                         "resolution": resolution,
                     }
-                    if index_id is not None:
-                        rec = enriched[index_id]
-                        row["citation_count"] = rec.citation_count
-                        row["influential_citation_count"] = rec.influential_citation_count
-                        row["reference_count"] = rec.reference_count
-                    gt_rows[num] = row
                 for num, raw in intro_refs:
                     if num not in gt_rows:
                         warnings.append(f"postprocess-missing: no structured row for [{num}]")

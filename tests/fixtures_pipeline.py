@@ -480,6 +480,17 @@ def _plan_rows(plan: dict) -> list[dict]:
     return [{"number": slot, **_entry_fields(plan[slot])} for slot in sorted(plan)]
 
 
+def store_plan(mock_dir: Path, messages, plan: dict, namespace: str, extra_rows=()) -> str:
+    """Store the answer that follows ``plan`` for ``messages``, and the
+    table that answers its postprocess prompt, under ``namespace``.
+    Returns the answer."""
+    response = _response_text(plan)
+    store_mock_response(mock_dir, messages, response, namespace)
+    table = _markdown_table(_plan_rows(plan) + list(extra_rows))
+    store_mock_response(mock_dir, render_postprocess_prompt(response), table, namespace)
+    return response
+
+
 def _gt_rows(preprint_id: str, intro_slots: list[int]) -> list[dict]:
     rows = []
     source = PAPER_SOURCES[preprint_id]
@@ -609,15 +620,8 @@ def build_workspace(root: Path) -> Path:
         for run_index in range(1, VANILLA_RUNS + 1):
             namespace = f"vanilla-{run_index}"
             plan = VANILLA_PLANS[(preprint_id, run_index)]
-            response = _response_text(plan)
-            store_mock_response(mock_dir, vanilla_messages, response, namespace)
-            table_rows = _plan_rows(plan) + EXTRA_TABLE_ROWS.get((preprint_id, run_index), [])
-            store_mock_response(
-                mock_dir,
-                render_postprocess_prompt(response),
-                _markdown_table(table_rows),
-                namespace,
-            )
+            extra_rows = EXTRA_TABLE_ROWS.get((preprint_id, run_index), [])
+            response = store_plan(mock_dir, vanilla_messages, plan, namespace, extra_rows)
 
             # iterative stage for this run
             nonexistent = sorted(slot for slot, entry in plan.items() if entry[0] == "fab")
@@ -629,14 +633,7 @@ def build_workspace(root: Path) -> Path:
             iter_plan = ITERATIVE_PLANS[(preprint_id, run_index)]
             iter_namespace = f"iterative-{run_index}"
             if iter_plan:
-                iter_response = _response_text(iter_plan)
-                store_mock_response(mock_dir, iter_messages, iter_response, iter_namespace)
-                store_mock_response(
-                    mock_dir,
-                    render_postprocess_prompt(iter_response),
-                    _markdown_table(_plan_rows(iter_plan)),
-                    iter_namespace,
-                )
+                store_plan(mock_dir, iter_messages, iter_plan, iter_namespace)
             else:
                 # the model offers nothing; the table parse (and one re-ask)
                 # hard-fails for this paper/run and the parent entries are kept

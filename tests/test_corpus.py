@@ -534,6 +534,18 @@ def test_resolve_absent_title_not_found(fixture_client, venue_table):
     assert isinstance(result, Exclusion) and result.code == "index-not-found"
 
 
+@pytest.mark.parametrize("title", ["", "  ", "\t\n"])
+def test_resolve_blank_title_not_found_without_a_search(venue_table, title):
+    class NoSearch:
+        def search_title(self, query, limit=10):
+            raise AssertionError(f"searched for {query!r}")
+
+    stub = _stub(0, "ICML 2022")
+    stub.title = title
+    result = resolve_paper(stub, NoSearch(), venue_table)
+    assert result == Exclusion("index-not-found", "blank title")
+
+
 def test_resolve_duplicate_titles_ambiguous(fixture_client, venue_table):
     stub = _stub(0, "ICLR 2020")
     stub.title = "An Ambiguous Name"

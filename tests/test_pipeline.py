@@ -25,8 +25,11 @@ from hypothesis import strategies as st
 
 from citebias import cli, errors, pipeline
 from citebias import config as config_mod
-from citebias.clients import FixtureIndexClient, dump_json, safe_filename
+from citebias.clients import (
+    CachedScholarClient, FixtureIndexClient, JsonCache, dump_json, safe_filename,
+)
 from citebias.config import OVERRIDABLE, PipelineConfig, load_config
+from citebias.corpus import enrich_reference
 from citebias.errors import ConfigError, PipelineError
 from citebias.llmgate import render_vanilla_prompt, store_mock_response
 from citebias.pipeline import (
@@ -38,7 +41,7 @@ from citebias.pipeline import (
     run_identity,
     run_pipeline,
 )
-from fixtures_pipeline import MODEL_ID, workspace_config
+from fixtures_pipeline import MODEL_ID, store_plan, workspace_config
 
 
 def _read_csv(path):
@@ -393,7 +396,7 @@ def oracle_load_config(path, overrides):
         thresholds = Thresholds(
             title_threshold=float(thresholds_cfg["title_threshold"]),
             author_threshold=float(thresholds_cfg["author_threshold"]),
-            provenance=f"config:{path.name}",
+            provenance="config",
         )
 
     subperiod = analysis_cfg.get("subperiod_bins")
@@ -1396,6 +1399,16 @@ def test_corrupt_cache_key_recomputed_on_stage_rerun(workspace, tmp_path):
     assert json.loads(appended)["status"] == "ok"
 
 
+class _Unreachable:
+    """A scholar index that must not be asked: every read is served from the cache."""
+
+    def search_title(self, query, limit=10):
+        raise AssertionError(f"index searched for {query!r}")
+
+    def get_paper(self, index_id):
+        raise AssertionError(f"index asked for {index_id!r}")
+
+
 def _envelopes(log):
     """The envelopes of a cache log, parsed, in a canonical order."""
     lines = log.read_bytes().splitlines()
@@ -1424,9 +1437,10 @@ def test_cache_kept_across_a_fixture_edit_serves_the_edited_fixture(
     warm, cold = run("warm"), run("cold", cache="cold_cache")
     assert warm["manifest_hash"] == cold["manifest_hash"]
     assert _tree_sha256(tmp_path / "warm") == _tree_sha256(tmp_path / "cold")
-    prepared = json.loads((tmp_path / "warm" / "prepared" / "2203.11111" / "record.json").read_text())
-    [a1] = [row for row in prepared["gt_refs"] if row["index_id"] == "a1"]
-    assert a1["citation_count"] == record["citation_count"] + 1000
+    # the warm cache serves a1's edited record under the new digest
+    cache = JsonCache(tmp_path / "cache", "scholar", source=warm["inputs_digest"])
+    a1 = enrich_reference("a1", CachedScholarClient(_Unreachable(), cache))
+    assert a1.citation_count == record["citation_count"] + 1000
 
     # with the inputs unchanged, every scholar read is served from the cache
     lookups = []
@@ -1636,6 +1650,20 @@ def test_model_and_runs_overrides_change_manifest_hash(workspace, tmp_path):
     assert len(set(hashes)) == 3
 
 
+def test_config_file_name_does_not_enter_the_manifest_hash(workspace, tmp_path):
+    # two copies of one config with its own thresholds, saved under two names
+    _, config_path = workspace
+    edited = _config_copy(
+        config_path, tmp_path, lambda raw: raw.update(matching={"thresholds": _THRESHOLDS})
+    )
+    hashes = set()
+    for name in ("a.yaml", "b.yaml"):
+        config = load_config(shutil.copy(edited, tmp_path / name))
+        assert (config.thresholds.as_tuple(), config.thresholds.provenance) == ((0.5, 0.9), "config")
+        hashes.add(manifest_hash(run_identity(config, inputs_digest(config))))
+    assert len(hashes) == 1
+
+
 def test_model_override_reruns_generation_and_reports(completed_run, tmp_path):
     root, config_path, _ = completed_run
     out_dir, cache_dir = _copy_run(root, tmp_path)
@@ -1716,6 +1744,24 @@ def test_ambiguous_title_is_excluded_not_fatal(workspace, tmp_path):
     )
 
 
+def test_blank_preprint_title_is_excluded_not_fatal(workspace, tmp_path):
+    root, config_path = workspace
+    copy = tmp_path / "blank"
+    shutil.copytree(root, copy, ignore=shutil.ignore_patterns("out", "cache"))
+    records_path = copy / "index" / "preprint" / "records.json"
+    records = json.loads(records_path.read_text())
+    assert records[0]["preprint_id"] == "2203.11111"
+    records[0]["title"] = "  "
+    records_path.write_text(json.dumps(records))
+
+    manifest = run_pipeline(load_config(copy / config_path.relative_to(root)), ["ingest"])
+    outcomes = manifest["stages"]["ingest"]["outcomes"]
+    assert outcomes["resolved"] == 3
+    assert outcomes["excluded_by_code"] == {"index-not-found": 1}
+    [excluded] = json.loads((copy / "out" / "corpus" / "exclusions.json").read_text())
+    assert excluded == {"preprint_id": "2203.11111", "code": "index-not-found", "detail": "blank title"}
+
+
 def test_second_preprint_resolving_to_a_claimed_record_is_a_duplicate(completed_run, tmp_path):
     root, config_path, _ = completed_run
     copy = tmp_path / "duplicate"
@@ -1766,6 +1812,101 @@ def test_malformed_bib_excludes_its_paper_not_the_run(workspace, tmp_path):
         assert (copy / "out" / "prepared" / paper / "record.json").is_file()
         assert (copy / "out" / "verdicts" / MODEL_ID / "vanilla-1" / f"{paper}.jsonl").is_file()
     assert (copy / "out" / "report" / "summary.csv").is_file()
+
+
+# ---------------------------------------------------------------------------
+# Rarer stage branches
+# ---------------------------------------------------------------------------
+
+
+def _workspace_copy(completed_run, tmp_path):
+    """A copy of the completed run's workspace without its outputs and
+    cache, and the path of its config."""
+    root, config_path, _ = completed_run
+    copy = tmp_path / "copy"
+    shutil.copytree(root, copy, ignore=shutil.ignore_patterns("out", "cache"))
+    return copy, copy / config_path.relative_to(root)
+
+
+def _gt_postprocess(root, paper):
+    """The messages and the answer of a paper's ground-truth postprocess call."""
+    path = root / "out" / "prepared" / paper / "gt_postprocess_transcript.json"
+    transcript = json.loads(path.read_text())
+    return [tuple(message) for message in transcript[:-1]], transcript[-1][1]
+
+
+def test_ground_truth_postprocess_refusal_keeps_the_paper_without_rows(completed_run, tmp_path):
+    root, _, first = completed_run
+    copy, config = _workspace_copy(completed_run, tmp_path)
+    messages, _ = _gt_postprocess(root, "2207.22222")
+    store_mock_response(copy / "mock", messages, "")
+
+    manifest = run_pipeline(load_config(config), ["ingest", "prepare"])
+    assert manifest["stages"]["prepare"]["outcomes"] == {
+        **first["stages"]["prepare"]["outcomes"], "gt_postprocess_failures": 1,
+    }
+    prepared = copy / "out" / "prepared"
+    record = json.loads((prepared / "2207.22222" / "record.json").read_text())
+    assert record["gt_postprocess"] == "failed:ProviderRefusal"
+    assert record["gt_refs"] == []
+    papers = json.loads((prepared / "papers.json").read_text())
+    assert "2207.22222" in [paper["preprint_id"] for paper in papers]
+
+
+def test_near_miss_ground_truth_title_resolves_fuzzily(completed_run, tmp_path):
+    root = completed_run[0]
+    copy, config = _workspace_copy(completed_run, tmp_path)
+    messages, answer = _gt_postprocess(root, "2203.11111")
+    exact = "| Foundations of Adaptive Widgets |"
+    assert exact in answer
+    store_mock_response(
+        copy / "mock", messages, answer.replace(exact, "| Fundations of Adaptive Widgets |")
+    )
+
+    run_pipeline(load_config(config), ["ingest", "prepare"])
+    record = json.loads((copy / "out" / "prepared" / "2203.11111" / "record.json").read_text())
+    resolutions = {row["citation_number"]: row["resolution"] for row in record["gt_refs"]}
+    assert resolutions == {1: "fuzzy:0.967", **dict.fromkeys(range(2, 7), "exact")}
+    assert record["gt_refs"][0]["index_id"] == "a1"
+
+
+def test_iteration_is_skipped_when_every_slot_exists(completed_run, tmp_path):
+    root = completed_run[0]
+    copy, config = _workspace_copy(completed_run, tmp_path)
+    paper, run_index = "2301.33333", 2
+    content = (root / "out" / "prepared" / paper / "main_content.txt").read_text()
+    plan = {1: ("id", "sc1"), 2: ("id", "l1"), 3: ("id", "sc3"), 4: ("id", "iso1")}
+    store_plan(copy / "mock", render_vanilla_prompt(content), plan, f"vanilla-{run_index}")
+
+    manifest = run_pipeline(load_config(config), list(STAGES[:5]))
+    assert manifest["stages"]["iterate"]["outcomes"]["skipped"] == 1
+    runs = copy / "out" / "runs" / MODEL_ID
+    vanilla = json.loads((runs / f"vanilla-{run_index}" / paper / "refs.json").read_text())
+    iterative = json.loads((runs / f"iterative-{run_index}" / paper / "refs.json").read_text())
+    assert iterative == {
+        "outcome": "no-iteration-needed",
+        "references": vanilla["references"],
+        "quarantined": [],
+        "anomalies": ["all slots verified existing"],
+    }
+    verdicts = copy / "out" / "verdicts" / MODEL_ID
+    copied = (verdicts / f"iterative-{run_index}" / f"{paper}.jsonl").read_text()
+    assert copied == (verdicts / f"vanilla-{run_index}" / f"{paper}.jsonl").read_text()
+    assert [json.loads(line)["exists"] for line in copied.splitlines()] == [True] * 4
+
+
+def test_stage_marker_that_is_not_json_reruns_its_stage(completed_run, tmp_path):
+    root, config_path, first = completed_run
+    out_dir, cache_dir = _copy_run(root, tmp_path)
+    config = load_config(config_path, {"out_dir": str(out_dir), "cache_dir": str(cache_dir)})
+    marker = out_dir / "stages" / "report.json"
+    marker.write_text('{"manifest_hash": "')  # a marker torn mid-write
+
+    manifest = run_pipeline(config)
+    statuses = {stage: info["status"] for stage, info in manifest["stages"].items()}
+    assert statuses == {**dict.fromkeys(STAGES, "skipped"), "report": "ok"}
+    assert manifest["stages"]["report"]["outcomes"] == first["stages"]["report"]["outcomes"]
+    assert json.loads(marker.read_text())["manifest_hash"] == manifest["manifest_hash"]
 
 
 # ---------------------------------------------------------------------------
@@ -2246,7 +2387,8 @@ def test_verify_rerun_leaves_run_manifests_untouched(completed_run, tmp_path):
 
 def test_analyze_rerun_enriches_only_vanilla_matches(completed_run, tmp_path, monkeypatch):
     # iterative runs feed only the run summaries, so analyze looks up the
-    # matched record of each existing vanilla reference and nothing else
+    # matched record of each existing vanilla reference and the resolved
+    # record of each ground-truth slot once per vanilla run, and nothing else
     from citebias import aggregate
 
     root, config_path, first = completed_run
@@ -2263,7 +2405,20 @@ def test_analyze_rerun_enriches_only_vanilla_matches(completed_run, tmp_path, mo
     (out_dir / "stages" / "analyze.json").unlink()
     manifest = run_pipeline(config, ["analyze"])
     assert manifest["stages"]["analyze"] == first["stages"]["analyze"]
-    assert len(calls) == first["stages"]["verify"]["outcomes"]["existing"] == 21
+
+    matched = [
+        json.loads(line)["matched_index_id"]
+        for path in (out_dir / "verdicts" / MODEL_ID).glob("vanilla-*/*.jsonl")
+        for line in path.read_text().splitlines()
+    ]
+    resolved = [
+        row["index_id"]
+        for path in (out_dir / "prepared").glob("*/record.json")
+        for row in json.loads(path.read_text())["gt_refs"]
+    ]
+    expected = [i for i in matched if i] + [i for i in resolved if i] * config.vanilla_runs
+    assert sorted(calls) == sorted(expected)
+    assert len(calls) == first["stages"]["verify"]["outcomes"]["existing"] + 28 == 49
 
 
 # ---------------------------------------------------------------------------
