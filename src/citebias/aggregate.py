@@ -8,6 +8,7 @@ analysis, the citation graphs and their metrics, or the report bundle.
 from __future__ import annotations
 
 import json
+import os
 from fractions import Fraction
 from itertools import combinations
 from typing import TYPE_CHECKING
@@ -130,7 +131,7 @@ def stage_analyze(ctx: PipelineContext) -> dict:
         "counterpart_histograms": to_json(stats.characteristics(split)),
         "bias": to_json(stats.bias_tables(pairs, cfg.subperiod_bins)),
     }
-    atomic_write_text(analysis_dir / "analysis.json", dump_json(analysis))
+    atomic_write_text(os.path.join(analysis_dir, "analysis.json"), dump_json(analysis))
     return {
         "runs_analyzed": len(summary_payload),
         "characteristics_rows": sum(len(rows) for rows in cohorts.values()),
@@ -165,12 +166,12 @@ def stage_graph(ctx: PipelineContext) -> dict:
 
         graph = citegraph.build_graph(paper, intro_ids, generated_ids, adjacency)
         citegraph.categorize(graph, paper)
-        citegraph.write_graph_files(graphs_dir / ctx.paper_dirname(paper), graph)
+        citegraph.write_graph_files(os.path.join(graphs_dir, ctx.paper_dirname(paper)), graph)
         rows.append(citegraph.metrics_row(graph))
         graphs.append(graph)
 
     mhash = ctx.manifest_hash
-    citegraph.write_graph_metrics_csv(graphs_dir / "graph_metrics.csv", rows, mhash)
+    citegraph.write_graph_metrics_csv(os.path.join(graphs_dir, "graph_metrics.csv"), rows, mhash)
     profiles = citegraph.category_profiles(graphs, citation_counts, reference_counts)
     payload = {
         "manifest_hash": mhash,
@@ -178,12 +179,13 @@ def stage_graph(ctx: PipelineContext) -> dict:
         "run_index": run_index,
         "profiles": to_json(profiles),
     }
-    atomic_write_text(graphs_dir / "category_profiles.json", dump_json(payload))
+    atomic_write_text(os.path.join(graphs_dir, "category_profiles.json"), dump_json(payload))
     return {"graphs": len(rows)}
 
 
 def stage_report(ctx: PipelineContext) -> dict:
-    analysis = json.loads(read_artifact(ctx, ctx.stage_dir("analysis") / "analysis.json"))
+    analysis_path = os.path.join(ctx.stage_dir("analysis"), "analysis.json")
+    analysis = json.loads(read_artifact(ctx, analysis_path))
     report_dir = ctx.stage_dir("report")
     mhash = ctx.manifest_hash
 
@@ -200,22 +202,24 @@ def stage_report(ctx: PipelineContext) -> dict:
         summary = from_json(stats.RunSummary, entry)
         summaries[(entry["strategy"], entry["run_index"])] = summary
         lines.append(f"  {label}: existence {stats.format_pct(summary.pct['existence'])}%")
-    stats.write_summary_csv(report_dir / "summary.csv", summaries, mhash)
-    stats.write_summary_counts_csv(report_dir / "summary_counts.csv", summaries, mhash)
+    stats.write_summary_csv(os.path.join(report_dir, "summary.csv"), summaries, mhash)
+    stats.write_summary_counts_csv(
+        os.path.join(report_dir, "summary_counts.csv"), summaries, mhash
+    )
 
     overlaps = from_json(dict[str, Fraction], analysis["overlaps"])
     run_indices = list(range(1, analysis["vanilla_runs"] + 1))
-    stats.write_overlap_csv(report_dir / "overlap.csv", overlaps, run_indices, mhash)
+    stats.write_overlap_csv(os.path.join(report_dir, "overlap.csv"), overlaps, run_indices, mhash)
 
     histograms = dict[str, dict[str, stats.Histogram]]
     for key in ("histograms", "counterpart_histograms"):
         tables = from_json(histograms, analysis[key])
-        stats.write_characteristics_csvs(report_dir / "characteristics", tables, mhash)
+        stats.write_characteristics_csvs(os.path.join(report_dir, "characteristics"), tables, mhash)
 
     for name, table in sorted(from_json(dict[str, stats.BiasTable], analysis["bias"]).items()):
-        stats.write_bias_csv(report_dir / "bias" / f"{name}.csv", table, mhash)
+        stats.write_bias_csv(os.path.join(report_dir, "bias", f"{name}.csv"), table, mhash)
 
     histograms_json = {"manifest_hash": mhash, "histograms": analysis["histograms"]}
-    atomic_write_text(report_dir / "histograms.json", dump_json(histograms_json))
-    atomic_write_text(report_dir / "summary.txt", "\n".join(lines) + "\n")
-    return {"files": sum(1 for _ in report_dir.rglob("*") if _.is_file())}
+    atomic_write_text(os.path.join(report_dir, "histograms.json"), dump_json(histograms_json))
+    atomic_write_text(os.path.join(report_dir, "summary.txt"), "\n".join(lines) + "\n")
+    return {"files": sum(len(files) for _, _, files in os.walk(report_dir))}

@@ -13,6 +13,7 @@ exact fractions; an impossible denominator yields None, never a fault.
 from __future__ import annotations
 
 import logging
+import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -234,16 +235,18 @@ def category_profiles(
 # ---------------------------------------------------------------------------
 
 
-def write_graph_files(out_dir: Path, graph: CitationGraph) -> None:
+def write_graph_files(out_dir: Path | str, graph: CitationGraph) -> None:
     """Edge list and node-tag sidecar for one paper."""
     edge_lines = [f"{citer}\t{cited}" for citer, cited in sorted(graph.edges)]
-    atomic_write_text(out_dir / "edges.tsv", "\n".join(edge_lines) + ("\n" if edge_lines else ""))
+    edges = "\n".join(edge_lines) + ("\n" if edge_lines else "")
+    atomic_write_text(os.path.join(out_dir, "edges.tsv"), edges)
     tag_lines = [f"{node}\t{tag}" for node, tag in sorted(graph.node_tags.items())]
-    atomic_write_text(out_dir / "tags.tsv", "\n".join(tag_lines) + ("\n" if tag_lines else ""))
+    tags = "\n".join(tag_lines) + ("\n" if tag_lines else "")
+    atomic_write_text(os.path.join(out_dir, "tags.tsv"), tags)
 
 
 def write_graph_metrics_csv(
-    path: Path, rows: list[dict], manifest_hash: str
+    path: Path | str, rows: list[dict], manifest_hash: str
 ) -> None:
     header = [
         "paper_id",

@@ -8,7 +8,9 @@ run's input digest. ``CachedScholarClient`` serves every scholar read
 through ``JsonCache``, one append-only log per service. ``to_json`` and
 ``from_json`` are the codec of every stage artifact, and
 ``atomic_write_text`` writes each one. The HTTP clients of a live run
-are in ``live``, which this module never imports.
+are in ``live``, which this module never imports. Paths are strings:
+pathlib interns each part it parses, which over many runs in one
+process rebuilds the intern table ever larger.
 
 Wire formats (JSON):
 
@@ -28,6 +30,7 @@ Wire formats (JSON):
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import functools
 import hashlib
@@ -144,7 +147,7 @@ def _decoder(tp: Any) -> Callable[[Any], Any]:
     return _identity
 
 
-def atomic_write_text(path: Path, text: str) -> None:
+def atomic_write_text(path: Path | str, text: str) -> None:
     """Write via a sibling temp file and rename; readers see old or new, never partial.
 
     The temp name carries the process and thread ids, so two threads
@@ -155,7 +158,7 @@ def atomic_write_text(path: Path, text: str) -> None:
     created for want of them.
     """
     data = text.encode("utf-8")
-    tmp = path.with_name(path.name + f".tmp.{os.getpid()}.{threading.get_ident()}")
+    tmp = f"{path}.tmp.{os.getpid()}.{threading.get_ident()}"
     flags = os.O_WRONLY | os.O_CREAT | os.O_TRUNC
     try:
         try:
@@ -163,7 +166,7 @@ def atomic_write_text(path: Path, text: str) -> None:
         except FileNotFoundError:
             # makedirs looks before it makes, so each missing directory
             # costs one mkdir and an existing one none
-            os.makedirs(path.parent, exist_ok=True)
+            os.makedirs(os.path.dirname(path), exist_ok=True)
             fd = os.open(tmp, flags, 0o666)
         try:
             view = memoryview(data)
@@ -173,7 +176,8 @@ def atomic_write_text(path: Path, text: str) -> None:
             os.close(fd)
         os.replace(tmp, path)
     except BaseException:
-        tmp.unlink(missing_ok=True)
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
         raise
 
 
@@ -187,11 +191,10 @@ def read_tree(root: Path | str) -> list[tuple[str, bytes]]:
     entered, as ``Path.rglob`` does not enter it. A file root is one
     entry named ``"."``; a missing root has none.
     """
-    root = Path(root)
-    if root.is_file():
+    if os.path.isfile(root):
         return [(".", _read_file(root))]
     files: list[tuple[str, bytes]] = []
-    if root.is_dir():
+    if os.path.isdir(root):
         _read_dir(os.open(root, _DIR_FLAGS), "", files)
     return files
 
@@ -289,7 +292,7 @@ class JsonCache:
     def __init__(
         self, root: Path | str, service: str, refresh: bool = False, source: str | None = None
     ):
-        self.path = Path(root) / f"{service}.jsonl"
+        self.path = os.path.join(root, f"{service}.jsonl")
         self.refresh = refresh
         self.source = source
         self._lock = threading.Lock()
@@ -360,7 +363,7 @@ class JsonCache:
             try:
                 fd = os.open(self.path, flags, 0o666)
             except FileNotFoundError:
-                os.makedirs(self.path.parent, exist_ok=True)
+                os.makedirs(os.path.dirname(self.path), exist_ok=True)
                 fd = os.open(self.path, flags, 0o666)
             try:
                 os.write(fd, b"\n" + data if self._torn_tail else data)
@@ -478,7 +481,7 @@ class FixtureIndexClient:
     """
 
     def __init__(self, root: Path | str, files: list[tuple[str, bytes]] | None = None):
-        self.root = Path(root)
+        self.root = root
         self._files = files
         # held while the files load and the title index is built, so a
         # concurrent call waits for the whole of either
@@ -516,7 +519,7 @@ class FixtureIndexClient:
     def list_records(self, start: str, end: str, category: str) -> list[dict]:
         self._load_papers()
         if self._records is None:
-            raise IndexParseError(f"{self.root / 'preprint' / 'records.json'}: no such file")
+            raise IndexParseError(f"{self.root}/preprint/records.json: no such file")
         out = []
         for rec in self._records:
             posted = rec.get("posted_date") if isinstance(rec, dict) else None

@@ -11,6 +11,7 @@ enrichment goes through the disk cache so repeated runs cost no network.
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 from dataclasses import dataclass, field
@@ -25,6 +26,12 @@ from .textnorm import title_key, tokens
 logger = logging.getLogger(__name__)
 
 CANONICAL_VENUES = ("AAAI", "NeurIPS", "ICML", "ICLR", "arXiv", "Nature", "Others")
+
+
+@functools.cache
+def _default_aliases() -> str:
+    """The bundled alias table's text, read once per process."""
+    return resources.files("citebias.data").joinpath("venue_aliases.json").read_text("utf-8")
 
 
 @dataclass(frozen=True)
@@ -57,8 +64,7 @@ class VenueTable:
 
     @classmethod
     def default(cls) -> "VenueTable":
-        text = resources.files("citebias.data").joinpath("venue_aliases.json").read_text("utf-8")
-        return cls(json.loads(text))
+        return cls(json.loads(_default_aliases()))
 
     @classmethod
     def from_file(cls, path) -> "VenueTable":

@@ -29,6 +29,7 @@ bundle.
 from __future__ import annotations
 
 import logging
+import os
 import posixpath
 import re
 from dataclasses import dataclass, field
@@ -430,9 +431,9 @@ def prepare_source(source_dir: Path | str) -> PreparedDocument | Exclusion:
     environment, a malformed .bib (each a TexError) or a citation key the
     bibliography lacks; an unreadable file raises OSError.
     """
-    source_dir = Path(source_dir)
     bundle = dict(read_tree(source_dir))
-    located = locate_main_tex(bundle, source_dir.name)
+    name = os.path.basename(os.path.normpath(source_dir))
+    located = locate_main_tex(bundle, name)
     if isinstance(located, Exclusion):
         return located
     try:
@@ -440,7 +441,7 @@ def prepare_source(source_dir: Path | str) -> PreparedDocument | Exclusion:
         tex = _inline_inputs(strip_comments(decode_source(bundle[located])), bundle)
 
         cited = cited_keys(tex)
-        bibliography = resolve_bibliography(bundle, tex, cited, source_dir.name, located)
+        bibliography = resolve_bibliography(bundle, tex, cited, name, located)
         if isinstance(bibliography, Exclusion):
             return bibliography
         text = render_text(tex, bibliography)

@@ -20,6 +20,7 @@ import functools
 import hashlib
 import json
 import logging
+import os
 import re
 from dataclasses import dataclass, field
 from importlib import resources
@@ -146,22 +147,24 @@ class DirectoryMockProvider:
     """
 
     def __init__(self, root: Path | str, namespace: str = ""):
-        self.root = Path(root)
+        self.root = os.fspath(root)
         self.namespace = namespace
 
     def send(self, messages: list[Message], params: dict) -> str:
         digest = prompt_digest(messages)
+        name = f"{digest}.txt"
         candidates = []
         if self.namespace:
-            candidates.append(self.root / self.namespace / f"{digest}.txt")
-        candidates.append(self.root / f"{digest}.txt")
+            candidates.append(os.path.join(self.root, self.namespace, name))
+        candidates.append(os.path.join(self.root, name))
         for path in candidates:
-            if path.is_file():
+            if os.path.isfile(path):
                 try:
-                    return path.read_text(encoding="utf-8")
+                    with open(path, encoding="utf-8") as fh:
+                        return fh.read()
                 except UnicodeDecodeError as exc:
                     raise CitebiasError(f"replay entry {path} is not UTF-8: {exc}") from None
-        raise MockResponseMissing(digest, str(self.root))
+        raise MockResponseMissing(digest, self.root)
 
 
 def store_mock_response(
@@ -180,7 +183,7 @@ def generate(
     run: GenerationRun,
     messages: list[Message],
     provider,
-    raw_path: Path | None = None,
+    raw_path: Path | str | None = None,
 ) -> str:
     """Send messages, persist the raw response, extend the transcript.
 
@@ -385,7 +388,7 @@ def postprocess_references(
     run: GenerationRun,
     provider,
     venue_table: VenueTable | None = None,
-    raw_dir: Path | None = None,
+    raw_dir: Path | str | None = None,
     raw_prefix: str = "postprocess",
 ) -> ParsedTable:
     """Structure a reference list via the postprocessing prompt.
@@ -394,14 +397,14 @@ def postprocess_references(
     table; a second failure is a hard error for this run/paper.
     """
     messages = render_postprocess_prompt(reference_list)
-    raw_path = raw_dir / f"{raw_prefix}_raw.txt" if raw_dir else None
+    raw_path = os.path.join(raw_dir, f"{raw_prefix}_raw.txt") if raw_dir else None
     text = generate(run, messages, provider, raw_path)
     try:
         return parse_reference_table(text, venue_table, run.strategy)
     except TableParseError as exc:
         logger.warning("re-asking after unparseable table: %s", exc)
     messages = [*run.transcript, ("user", REASK_MESSAGE)]
-    raw_path = raw_dir / f"{raw_prefix}_raw_retry.txt" if raw_dir else None
+    raw_path = os.path.join(raw_dir, f"{raw_prefix}_raw_retry.txt") if raw_dir else None
     text = generate(run, messages, provider, raw_path)
     return parse_reference_table(text, venue_table, run.strategy)
 

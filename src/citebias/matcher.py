@@ -80,8 +80,16 @@ def title_similarity(a: str, b: str) -> float:
     for i, ch in enumerate(short, (k - 1) * w):
         masks[ch] = masks.get(ch, 0) | (1 << i)
     lane = (1 << n) - 1
-    full = lane * (((1 << (k * w)) - 1) // ((1 << w) - 1))
     get = masks.get
+    if k == 1:
+        # one window, the whole of ``long``: the top lane is the only one,
+        # so each character's mask is read as it is, with nothing to slide
+        v = lane
+        for m in map(get, long, repeat(0)):
+            u = v & m
+            v = ((v + u) | (v - u)) & lane
+        return (n - v.bit_count()) / n
+    full = lane * (((1 << (k * w)) - 1) // ((1 << w) - 1))
     step = 0
     for m in map(get, long[: k - 1], repeat(0)):
         step = (step >> w) | m

@@ -9,8 +9,8 @@ stages that write them.
 from __future__ import annotations
 
 import json
+import os
 from collections import Counter
-from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import docprep, llmgate
@@ -67,7 +67,7 @@ def stage_ingest(ctx: PipelineContext) -> dict:
     enriched_ok = len(results) - enrich_missing
 
     out = ctx.stage_dir("corpus")
-    atomic_write_text(out / "papers.json", dump_json(to_json(papers)))
+    atomic_write_text(os.path.join(out, "papers.json"), dump_json(to_json(papers)))
     return {
         "harvested": len(stubs),
         "after_blacklist": len(kept),
@@ -78,29 +78,30 @@ def stage_ingest(ctx: PipelineContext) -> dict:
     }
 
 
-def _write_exclusions(out: Path, dropped: list[tuple[str, Exclusion]]) -> dict:
+def _write_exclusions(out: str, dropped: list[tuple[str, Exclusion]]) -> dict:
     """Write ``exclusions.json`` under ``out``, one row per dropped paper
     (its preprint id and its exclusion), and return the stage outcomes
     that count them."""
     rows = [{"preprint_id": preprint_id, **to_json(excl)} for preprint_id, excl in dropped]
-    atomic_write_text(out / "exclusions.json", dump_json(rows))
+    atomic_write_text(os.path.join(out, "exclusions.json"), dump_json(rows))
     return {"excluded": len(rows), "excluded_by_code": Counter(row["code"] for row in rows)}
 
 
-def read_artifact(ctx: PipelineContext, path: Path) -> str:
+def read_artifact(ctx: PipelineContext, path: str) -> str:
     """Text of an artifact under ``out/``; a missing file is a PipelineError
     that names the stage that writes it."""
     try:
-        return path.read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
     except FileNotFoundError:
-        name = path.relative_to(ctx.out).as_posix()
+        name = os.path.relpath(path, ctx.out)
         raise PipelineError(f"{name} missing: run the {ctx.writer(path)} stage first") from None
 
 
 def load_papers(ctx: PipelineContext, prepared: bool = False) -> list[PaperRecord]:
     """Papers as ingested, or (with ``prepared``) the survivors of
     document preparation with their intro numbers filled in."""
-    path = ctx.stage_dir("prepared" if prepared else "corpus") / "papers.json"
+    path = os.path.join(ctx.stage_dir("prepared" if prepared else "corpus"), "papers.json")
     return from_json(list[PaperRecord], json.loads(read_artifact(ctx, path)))
 
 
@@ -152,8 +153,7 @@ def stage_prepare(ctx: PipelineContext) -> dict:
     gt_failures = 0
 
     for paper in papers:
-        source_dir = cfg.sources_dir / paper.preprint_id
-        prep = docprep.prepare_source(source_dir)
+        prep = docprep.prepare_source(os.path.join(cfg.sources_dir, paper.preprint_id))
         if isinstance(prep, Exclusion):
             dropped.append((paper.preprint_id, prep))
             continue
@@ -171,10 +171,12 @@ def stage_prepare(ctx: PipelineContext) -> dict:
                 )
 
         paper_dir = ctx.prepared_dir(paper)
-        atomic_write_text(paper_dir / "main_content.txt", prep.main_content.text + "\n")
+        main_content = prep.main_content.text + "\n"
+        atomic_write_text(os.path.join(paper_dir, "main_content.txt"), main_content)
         ref_lines = [f"[{num}] {raw}" for num, raw in intro_refs]
         atomic_write_text(
-            paper_dir / "intro_references.txt", "\n".join(ref_lines) + ("\n" if ref_lines else "")
+            os.path.join(paper_dir, "intro_references.txt"),
+            "\n".join(ref_lines) + ("\n" if ref_lines else ""),
         )
 
         # structure the ground-truth list via the postprocessing prompt
@@ -196,7 +198,7 @@ def stage_prepare(ctx: PipelineContext) -> dict:
                 gt_failures += 1
                 table = None
             atomic_write_text(
-                paper_dir / "gt_postprocess_transcript.json",
+                os.path.join(paper_dir, "gt_postprocess_transcript.json"),
                 dump_json(to_json(post_run.transcript)),
             )
             if table is not None:
@@ -232,10 +234,10 @@ def stage_prepare(ctx: PipelineContext) -> dict:
             "gt_refs": [gt_rows[num] for num in sorted(gt_rows)],
             "warnings": warnings,
         }
-        atomic_write_text(paper_dir / "record.json", dump_json(record))
+        atomic_write_text(os.path.join(paper_dir, "record.json"), dump_json(record))
         survivors.append(paper)
 
-    atomic_write_text(out / "papers.json", dump_json(to_json(survivors)))
+    atomic_write_text(os.path.join(out, "papers.json"), dump_json(to_json(survivors)))
     return {
         "prepared": len(survivors),
         **_write_exclusions(out, dropped),
@@ -244,11 +246,11 @@ def stage_prepare(ctx: PipelineContext) -> dict:
 
 
 def load_record(ctx: PipelineContext, paper: PaperRecord) -> dict:
-    return json.loads(read_artifact(ctx, ctx.prepared_dir(paper) / "record.json"))
+    return json.loads(read_artifact(ctx, os.path.join(ctx.prepared_dir(paper), "record.json")))
 
 
 def _main_content(ctx: PipelineContext, paper: PaperRecord) -> str:
-    return read_artifact(ctx, ctx.prepared_dir(paper) / "main_content.txt")
+    return read_artifact(ctx, os.path.join(ctx.prepared_dir(paper), "main_content.txt"))
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +266,8 @@ def _write_run_manifest(ctx: PipelineContext, strategy: str, run_index: int) -> 
         "sampling_params": ctx.config.sampling_params,
         "template_hashes": template_hashes(),
     }
-    atomic_write_text(ctx.run_dir(strategy, run_index) / "run_manifest.json", dump_json(payload))
+    path = os.path.join(ctx.run_dir(strategy, run_index), "run_manifest.json")
+    atomic_write_text(path, dump_json(payload))
 
 
 def _each_run_and_paper(ctx: PipelineContext, one, creates: str | None = None) -> list:
@@ -284,7 +287,7 @@ def _ask(
     ctx: PipelineContext,
     run: GenerationRun,
     messages: list,
-    paper_dir: Path,
+    paper_dir: str,
     intro_numbers: set[int],
 ) -> tuple[str, dict[int, GeneratedReference], list[dict], list[str]]:
     """One prompting pass for one paper.
@@ -298,10 +301,11 @@ def _ask(
     """
     provider = ctx.provider_for(run.strategy, run.run_index)
     try:
-        response = generate(run, messages, provider, paper_dir / "response_raw.txt")
+        response = generate(run, messages, provider, os.path.join(paper_dir, "response_raw.txt"))
     except ProviderRefusal:
         response = None
-    atomic_write_text(paper_dir / "transcript.json", dump_json(to_json(run.transcript)))
+    transcript_path = os.path.join(paper_dir, "transcript.json")
+    atomic_write_text(transcript_path, dump_json(to_json(run.transcript)))
     if response is None:
         return "refusal", {}, [], []
     post_run = GenerationRun(
@@ -329,7 +333,7 @@ def _ask(
 
 
 def _write_refs_file(
-    paper_dir: Path,
+    paper_dir: str,
     outcome: str,
     by_slot: dict[int, GeneratedReference],
     quarantined: list[dict],
@@ -341,14 +345,14 @@ def _write_refs_file(
         "quarantined": quarantined,
         "anomalies": anomalies,
     }
-    atomic_write_text(paper_dir / "refs.json", dump_json(payload))
+    atomic_write_text(os.path.join(paper_dir, "refs.json"), dump_json(payload))
 
 
 def load_refs(
     ctx: PipelineContext, strategy: str, run_index: int, paper: PaperRecord
 ) -> tuple[str, dict[int, GeneratedReference]]:
     """The outcome and the references by slot of one paper's refs.json."""
-    path = ctx.paper_run_dir(strategy, run_index, paper) / "refs.json"
+    path = os.path.join(ctx.paper_run_dir(strategy, run_index, paper), "refs.json")
     payload = json.loads(read_artifact(ctx, path))
     refs = from_json(list[GeneratedReference], payload["references"])
     return payload["outcome"], {ref.citation_number: ref for ref in refs}
@@ -463,7 +467,7 @@ def _iterate_one(ctx: PipelineContext, paper: PaperRecord, run_index: int) -> st
         outcome, label, anomalies = "parent-failed", f"parent-{parent_outcome}", []
     else:
         vanilla_dir = ctx.paper_run_dir(VANILLA, run_index, paper)
-        transcript = json.loads(read_artifact(ctx, vanilla_dir / "transcript.json"))
+        transcript = json.loads(read_artifact(ctx, os.path.join(vanilla_dir, "transcript.json")))
         parent_run = GenerationRun(
             cfg.model_id, VANILLA, run_index, dict(cfg.sampling_params),
             transcript=[tuple(item) for item in transcript],

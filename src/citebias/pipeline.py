@@ -25,14 +25,16 @@ counted; only infrastructure errors abort a run.
 from __future__ import annotations
 
 import fcntl
+import glob
 import hashlib
 import json
 import logging
 import os
 import shutil
 import time
-from contextlib import contextmanager
-from pathlib import Path, PurePosixPath
+from contextlib import contextmanager, suppress
+from fnmatch import fnmatchcase
+from pathlib import Path
 from typing import Callable, NamedTuple
 
 from .aggregate import stage_analyze, stage_graph, stage_report
@@ -64,7 +66,12 @@ logger = logging.getLogger(__name__)
 
 
 class PipelineContext:
-    """Index clients and shared state for one run."""
+    """Index clients and shared state for one run.
+
+    ``out`` and every path the helpers below build from it are strings:
+    pathlib would pass each part, a paper id or a run name among them,
+    through ``sys.intern`` on every run (see ``clients``).
+    """
 
     def __init__(
         self,
@@ -75,6 +82,7 @@ class PipelineContext:
     ):
         self.config = config
         self.manifest_hash = manifest_hash
+        self.out = os.fspath(config.out_dir)
         if config.venue_aliases_path:
             self.venue_table = VenueTable.from_file(config.venue_aliases_path)
         else:
@@ -115,43 +123,41 @@ class PipelineContext:
 
     # -- paths ----------------------------------------------------------
 
-    @property
-    def out(self) -> Path:
-        return self.config.out_dir
-
-    def stage_dir(self, stage: str) -> Path:
-        return self.out / stage
+    def stage_dir(self, stage: str) -> str:
+        return os.path.join(self.out, stage)
 
     def subtrees(self, writes: tuple[str, ...]) -> list[str]:
         """A stage's ``writes`` with this run's model filled in."""
         model = safe_filename(self.config.model_id)
         return [pattern.format(model=model) for pattern in writes]
 
-    def writer(self, path: Path) -> str:
+    def writer(self, path: Path | str) -> str:
         """Name of the stage whose subtrees hold ``path``, a path under ``out``."""
-        parts = path.relative_to(self.out).parts
+        parts = os.path.relpath(path, self.out).split(os.sep)
         for stage in STAGE_TABLE:
             for subtree in self.subtrees(stage.writes):
-                if PurePosixPath(*parts[: subtree.count("/") + 1]).match(subtree):
+                patterns = subtree.split("/")
+                if len(parts) >= len(patterns) and all(map(fnmatchcase, parts, patterns)):
                     return stage.name
         raise ValueError(f"no stage writes {path}")
 
     def paper_dirname(self, paper: PaperRecord) -> str:
         return safe_filename(paper.preprint_id)
 
-    def prepared_dir(self, paper: PaperRecord) -> Path:
-        return self.stage_dir("prepared") / self.paper_dirname(paper)
+    def prepared_dir(self, paper: PaperRecord) -> str:
+        return os.path.join(self.stage_dir("prepared"), self.paper_dirname(paper))
 
-    def run_dir(self, strategy: str, run_index: int) -> Path:
-        return self.out / "runs" / safe_filename(self.config.model_id) / f"{strategy}-{run_index}"
+    def run_dir(self, strategy: str, run_index: int) -> str:
+        model = safe_filename(self.config.model_id)
+        return os.path.join(self.out, "runs", model, f"{strategy}-{run_index}")
 
-    def paper_run_dir(self, strategy: str, run_index: int, paper: PaperRecord) -> Path:
-        return self.run_dir(strategy, run_index) / self.paper_dirname(paper)
+    def paper_run_dir(self, strategy: str, run_index: int, paper: PaperRecord) -> str:
+        return os.path.join(self.run_dir(strategy, run_index), self.paper_dirname(paper))
 
-    def verdicts_path(self, strategy: str, run_index: int, paper: PaperRecord) -> Path:
+    def verdicts_path(self, strategy: str, run_index: int, paper: PaperRecord) -> str:
         run = f"{strategy}-{run_index}"
         name = f"{self.paper_dirname(paper)}.jsonl"
-        return self.out / "verdicts" / safe_filename(self.config.model_id) / run / name
+        return os.path.join(self.out, "verdicts", safe_filename(self.config.model_id), run, name)
 
 
 # ---------------------------------------------------------------------------
@@ -209,15 +215,15 @@ def _now_iso() -> str:
 
 
 @contextmanager
-def output_lock(out_dir: Path):
+def output_lock(out_dir: Path | str):
     """Single-owner lock on the output directory: ``flock`` on its
     ``.lock`` file, which a second lock fails to take, even in the same
     process. The kernel drops the lock when its holder's process ends.
     The file stays (a waiter could otherwise lock an unlinked inode while
     a new run locks a new file) and is opened for writing, which the
     POSIX locks that emulate ``flock`` over NFS need."""
-    out_dir.mkdir(parents=True, exist_ok=True)
-    fd = os.open(out_dir / ".lock", os.O_RDWR | os.O_CREAT, 0o666)
+    os.makedirs(out_dir, exist_ok=True)
+    fd = os.open(os.path.join(out_dir, ".lock"), os.O_RDWR | os.O_CREAT, 0o666)
     try:
         try:
             fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
@@ -267,8 +273,19 @@ STAGE_TABLE = (
 STAGES = tuple(stage.name for stage in STAGE_TABLE)
 
 
-def _marker_path(ctx: PipelineContext, stage: str) -> Path:
-    return ctx.out / "stages" / f"{stage}.json"
+def _marker_path(ctx: PipelineContext, stage: str) -> str:
+    return os.path.join(ctx.out, "stages", f"{stage}.json")
+
+
+def _read_marker(path: str) -> dict | None:
+    """A stage marker's contents, or None for a marker that is missing,
+    not JSON or not a JSON object: the stage is not done."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            marker = json.load(fh)
+    except (FileNotFoundError, IsADirectoryError, ValueError):
+        return None
+    return marker if isinstance(marker, dict) else None
 
 
 def run_pipeline(config: PipelineConfig, stages: list[str] | None = None) -> dict:
@@ -299,27 +316,25 @@ def run_pipeline(config: PipelineConfig, stages: list[str] | None = None) -> dic
         "failure": None,
     }
 
-    with output_lock(config.out_dir):
+    manifest_path = os.path.join(ctx.out, "manifest.json")
+    with output_lock(ctx.out):
         try:
             for stage, run, writes, _ in STAGE_TABLE:
                 if stage not in requested:
                     continue
                 marker = _marker_path(ctx, stage)
-                if marker.is_file() and not config.refresh:
-                    try:
-                        existing = json.loads(marker.read_text(encoding="utf-8"))
-                    except ValueError:
-                        existing = None
-                    if existing and existing.get("manifest_hash") == core:
-                        manifest["stages"][stage] = {
-                            "status": "skipped",
-                            "outcomes": existing.get("outcomes", {}),
-                        }
-                        continue
+                existing = None if config.refresh else _read_marker(marker)
+                if existing is not None and existing.get("manifest_hash") == core:
+                    manifest["stages"][stage] = {
+                        "status": "skipped",
+                        "outcomes": existing.get("outcomes", {}),
+                    }
+                    continue
                 logger.info("running stage %s", stage)
-                marker.unlink(missing_ok=True)  # a stage stopped midway is not done
+                with suppress(FileNotFoundError):
+                    os.unlink(marker)  # a stage stopped midway is not done
                 for subtree in ctx.subtrees(writes):
-                    for path in ctx.out.glob(subtree):
+                    for path in glob.glob(os.path.join(glob.escape(ctx.out), subtree)):
                         shutil.rmtree(path)
                 outcomes = run(ctx)
                 atomic_write_text(
@@ -328,7 +343,7 @@ def run_pipeline(config: PipelineConfig, stages: list[str] | None = None) -> dic
                 manifest["stages"][stage] = {"status": "ok", "outcomes": outcomes}
         except Exception as exc:
             manifest["failure"] = {"stage": stage, "error": f"{type(exc).__name__}: {exc}"}
-            atomic_write_text(config.out_dir / "manifest.json", dump_json(manifest))
+            atomic_write_text(manifest_path, dump_json(manifest))
             raise
-        atomic_write_text(config.out_dir / "manifest.json", dump_json(manifest))
+        atomic_write_text(manifest_path, dump_json(manifest))
     return manifest

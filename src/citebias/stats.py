@@ -11,6 +11,7 @@ implies existence.
 from __future__ import annotations
 
 import logging
+import os
 import statistics
 from dataclasses import dataclass, field
 from decimal import Decimal
@@ -453,7 +454,9 @@ def format_median(value: float | None) -> str:
     return f"{value:.1f}"
 
 
-def write_csv(path: Path, header: list[str], rows: list[list[str]], manifest_hash: str) -> None:
+def write_csv(
+    path: Path | str, header: list[str], rows: list[list[str]], manifest_hash: str
+) -> None:
     """A CSV file whose first line is ``# manifest_hash=<hash>``."""
     lines = [f"# manifest_hash={manifest_hash}"]
     lines.append(",".join(header))
@@ -473,7 +476,7 @@ def run_label(strategy: str, run_index: int) -> str:
 
 
 def _write_run_table(
-    path: Path,
+    path: Path | str,
     corner: str,
     summaries: dict[tuple[str, int], RunSummary],
     rows: list[tuple[str, str]],
@@ -489,7 +492,7 @@ def _write_run_table(
 
 
 def write_summary_csv(
-    path: Path,
+    path: Path | str,
     summaries: dict[tuple[str, int], RunSummary],
     manifest_hash: str,
 ) -> None:
@@ -507,7 +510,7 @@ SUMMARY_COUNTS = (
 
 
 def write_summary_counts_csv(
-    path: Path,
+    path: Path | str,
     summaries: dict[tuple[str, int], RunSummary],
     manifest_hash: str,
 ) -> None:
@@ -518,7 +521,7 @@ def write_summary_counts_csv(
 
 
 def write_overlap_csv(
-    path: Path,
+    path: Path | str,
     overlaps: dict[str, Fraction],
     run_indices: list[int],
     manifest_hash: str,
@@ -541,7 +544,7 @@ def write_overlap_csv(
 
 
 def write_characteristics_csvs(
-    out_dir: Path,
+    out_dir: Path | str,
     tables: dict[str, dict[str, Histogram]],
     manifest_hash: str,
 ) -> None:
@@ -553,10 +556,11 @@ def write_characteristics_csvs(
             rows.append([metric, "unknown", str(hist.unknown)])
             rows.append([metric, "median", format_median(hist.median)])
             rows.append([metric, "n_known", str(hist.n_known)])
-        write_csv(out_dir / f"{cohort}.csv", ["metric", "bin", "value"], rows, manifest_hash)
+        path = os.path.join(out_dir, f"{cohort}.csv")
+        write_csv(path, ["metric", "bin", "value"], rows, manifest_hash)
 
 
-def write_bias_csv(path: Path, table: BiasTable, manifest_hash: str) -> None:
+def write_bias_csv(path: Path | str, table: BiasTable, manifest_hash: str) -> None:
     header = [
         "bin",
         "generated_median",

@@ -1,6 +1,7 @@
 """Corpus harvesting, resolution, enrichment, and the client layer."""
 
 import json
+import os
 import re
 import sys
 import tempfile
@@ -707,17 +708,17 @@ def test_cache_rejects_a_lone_surrogate_without_appending(tmp_path):
     record = json.loads('{"title": "Broken \\ud800 title"}')
     cache = JsonCache(tmp_path, "scholar")
     cache.store("paper", "good-1", {"title": "Fine"})
-    before = cache.path.read_bytes()
+    before = Path(cache.path).read_bytes()
     with pytest.raises(IndexParseError, match=r"paper.*'bad-1'"):
         cache.store("paper", "bad-1", record)
     with pytest.raises(IndexParseError, match=r"search.*'q'"):
         cache.store_not_found("search", "q", "reason \ud800")
-    assert cache.path.read_bytes() == before
+    assert Path(cache.path).read_bytes() == before
     assert cache.load("paper", "bad-1") is None
     cache.store("paper", "good-2", {"title": "Also fine"})
     reopened = JsonCache(tmp_path, "scholar")
     assert reopened.load("paper", "good-2")["payload"] == {"title": "Also fine"}
-    assert len(cache.path.read_bytes().splitlines()) == 2
+    assert len(Path(cache.path).read_bytes().splitlines()) == 2
 
 
 def test_cache_stores_from_four_threads_lose_no_entry(tmp_path):
@@ -804,7 +805,7 @@ def test_cache_holds_little_beyond_its_log_bytes(tmp_path):
         writer.store("paper", f"p{i:04d}", record(i))
     for i in range(300):
         writer.store("search", f"search__q{i}__3", [record(j) for j in range(3)])
-    size = writer.path.stat().st_size
+    size = os.path.getsize(writer.path)
     tracemalloc.start()
     try:
         cache = JsonCache(tmp_path, "scholar")
@@ -975,6 +976,26 @@ def test_atomic_write_removes_its_temp_file_when_the_rename_fails(tmp_path):
     (target / "inner").mkdir(parents=True)  # a non-empty directory cannot be replaced
     with pytest.raises(OSError):
         atomic_write_text(target, "contents")
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+
+
+def test_atomic_write_of_a_str_and_a_path_target_writes_the_same_bytes(tmp_path):
+    # each target's parent directories are missing and are made
+    text = "línea\nzweite Zeile\n"
+    targets = [str(tmp_path / "str" / "deep" / "file.json"), tmp_path / "path" / "file.json"]
+    for target in targets:
+        atomic_write_text(target, text)
+    assert [Path(target).read_bytes() for target in targets] == [text.encode("utf-8")] * 2
+    assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")) == [
+        "path", "path/file.json", "str", "str/deep", "str/deep/file.json",
+    ]
+
+
+def test_atomic_write_to_a_str_removes_its_temp_file_when_the_rename_fails(tmp_path):
+    target = tmp_path / "taken"
+    (target / "inner").mkdir(parents=True)
+    with pytest.raises(OSError):
+        atomic_write_text(str(target), "contents")
     assert [p.name for p in tmp_path.iterdir()] == ["taken"]
 
 

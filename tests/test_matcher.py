@@ -189,6 +189,28 @@ def test_title_matches_window_oracle_on_non_ascii(a, b):
     assert title_similarity(a, b) == oracle_title(a, b)
 
 
+# equal lengths leave one window, which runs the single-lane loop; the
+# examples put the lane at or just past 30, 60, 64 and 128 bits
+@settings(deadline=None, max_examples=80)
+@given(
+    pair=st.integers(1, 160).flatmap(
+        lambda n: st.tuples(
+            st.text("abcd", min_size=n, max_size=n), st.text("abcde", min_size=n, max_size=n)
+        )
+    )
+)
+@example(pair=("ab" * 15, "ba" * 15))
+@example(pair=("abc" * 10 + "a", "cba" * 10 + "b"))
+@example(pair=("abcd" * 15, "dcba" * 15))
+@example(pair=("ab" * 32, "ba" * 32))
+@example(pair=("a" * 64 + "b", "b" + "a" * 64))
+@example(pair=("abcd" * 32, "dcba" * 32))
+@example(pair=("abcd" * 32 + "a", "dcba" * 32 + "e"))
+def test_title_of_equal_lengths_matches_the_textbook_lcs(pair):
+    a, b = pair
+    assert title_similarity(a, b) == oracle_lcs(a, b) / len(a)
+
+
 def test_title_disjoint_alphabets_equal_substring_oracle():
     rng = random.Random(99)
     for _ in range(50):

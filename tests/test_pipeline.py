@@ -839,6 +839,49 @@ def test_full_run_asks_once_for_each_directory_it_makes(workspace, tmp_path, mon
     assert sorted(calls) == sorted(made)
 
 
+def test_a_run_builds_no_path_with_pathlib(workspace, tmp_path, monkeypatch):
+    # pathlib passes each part it parses through sys.intern, so a process
+    # that runs many pipelines would add and drop every run's path parts
+    # in the intern table, which the table answers by growing; the run's
+    # paths are strings instead
+    import pathlib
+
+    if not hasattr(pathlib, "sys"):
+        pytest.skip("this pathlib does not reach sys.intern through a module-level sys")
+    _, config_path = workspace
+
+    def config(name):
+        overrides = {"out_dir": str(tmp_path / name / "out"), "cache_dir": str(tmp_path / name)}
+        return load_config(config_path, overrides)
+
+    run_pipeline(config("warm-up"))  # first-use reads and imports are done
+    second = config("counted")
+    callers = []
+
+    class CountingSys:
+        def __getattr__(self, name):
+            return getattr(sys, name)
+
+        def intern(self, string):
+            frame = sys._getframe(1)
+            site = None
+            while frame is not None:
+                module = frame.f_globals.get("__name__", "")
+                if site is None and module != "pathlib":
+                    site = f"{module}:{frame.f_lineno}"
+                if module.startswith("citebias"):
+                    callers.append(site)
+                    break
+                frame = frame.f_back
+            return sys.intern(string)
+
+    monkeypatch.setattr(pathlib, "sys", CountingSys())
+    manifest = run_pipeline(second)
+    monkeypatch.undo()
+    assert {stage["status"] for stage in manifest["stages"].values()} == {"ok"}
+    assert callers == []
+
+
 def test_ingest_outcomes(completed_run):
     _, _, manifest = completed_run
     outcomes = manifest["stages"]["ingest"]["outcomes"]
@@ -1906,6 +1949,22 @@ def test_stage_marker_that_is_not_json_reruns_its_stage(completed_run, tmp_path)
     statuses = {stage: info["status"] for stage, info in manifest["stages"].items()}
     assert statuses == {**dict.fromkeys(STAGES, "skipped"), "report": "ok"}
     assert manifest["stages"]["report"]["outcomes"] == first["stages"]["report"]["outcomes"]
+    assert json.loads(marker.read_text())["manifest_hash"] == manifest["manifest_hash"]
+
+
+@pytest.mark.parametrize("text", ["[1]", "1", '"done"', "null"])
+def test_stage_marker_that_is_not_a_json_object_reruns_its_stage(workspace, tmp_path, text):
+    # JSON that holds no object holds no manifest hash either: the stage
+    # is not done, as for a marker that is not JSON at all
+    _, config_path = workspace
+    overrides = {"out_dir": str(tmp_path / "out"), "cache_dir": str(tmp_path / "cache")}
+    config = load_config(config_path, overrides)
+    run_pipeline(config, ["ingest"])
+    marker = tmp_path / "out" / "stages" / "ingest.json"
+    marker.write_text(text)
+
+    manifest = run_pipeline(config, ["ingest"])
+    assert manifest["stages"]["ingest"]["status"] == "ok"
     assert json.loads(marker.read_text())["manifest_hash"] == manifest["manifest_hash"]
 
 
